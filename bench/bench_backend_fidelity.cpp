@@ -1,5 +1,5 @@
 // Backend payoff: what each MachineModel fidelity tier costs and how
-// honest it stays. Three measurements:
+// honest it stays. Four measurements:
 //
 //   1. Fidelity across the random-scenario corpus (the same seeds the
 //      tests/sim equivalence suites pin): the analytic backend's max abs
@@ -18,6 +18,10 @@
 //      — so neither side is flattered by a warm memo cache. This is the
 //      acceptance headline: >= 5x plans/sec from analytic leaf
 //      evaluation, gated by the analytic_plans_per_wall baseline.
+//   4. Offline-stage throughput: build_artifacts on the same batch (full
+//      ladders, 11x11 grid) on the event and the analytic backend, best of
+//      rounds — where the analytic core pays, unlike the single plan
+//      executions of measurement 2.
 //
 // Writes BENCH_backend.json.
 //
@@ -63,8 +67,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   bench::banner("Backend fidelity",
                 "MachineModel tiers: analytic/replay honesty vs the event "
-                "backend, per-backend throughput, and the analytic-table "
-                "plan-evaluation speedup.");
+                "backend, per-backend throughput, the analytic-table "
+                "plan-evaluation speedup, and offline-stage throughput.");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_backend.json";
   const bool quick = bench::quick_mode();
   const sim::MachineConfig config = sim::ivy_bridge();
@@ -220,6 +224,70 @@ int main(int argc, char** argv) {
               "%.1f plans/s (%.1fx, byte-identical schedules)\n",
               analytic_plan_rate, legacy_plan_rate, speedup);
 
+  // -- 4. Offline-stage throughput per backend -----------------------------
+  // Full ladders even in quick mode. Profile times, bandwidths and grid
+  // cells are CHECKed within the corpus tolerance; powers and energies are
+  // only reported: Engine::advance_jobs_bulk rounds once per horizon where
+  // event stepping rounds every tick, which can move a phase end by one
+  // tick, and the profile then integrates that tick at the other phase's
+  // power.
+  runtime::ArtifactOptions event_options;
+  event_options.engine_mode = sim::EngineMode::kEvent;
+  event_options.backend.kind = sim::BackendKind::kEvent;
+  runtime::ArtifactOptions analytic_options = event_options;
+  analytic_options.engine_mode = sim::EngineMode::kAnalytic;
+  analytic_options.backend.kind = sim::BackendKind::kAnalytic;
+  const runtime::ModelArtifacts ev =
+      runtime::build_artifacts(config, batch, event_options);
+  const runtime::ModelArtifacts an =
+      runtime::build_artifacts(config, batch, analytic_options);
+  CORUN_CHECK(ev.db.size() == an.db.size() &&
+              ev.grid.cpu_axis == an.grid.cpu_axis &&
+              ev.grid.gpu_axis == an.grid.gpu_axis);
+  double model_err = std::abs(ev.db.idle_power() - an.db.idle_power());
+  double power_err = 0.0;
+  std::size_t power_mismatches = 0;
+  for (const std::string& job : ev.db.jobs()) {
+    for (const auto d : {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
+      for (const sim::FreqLevel level : ev.db.levels(job, d)) {
+        const profile::ProfileEntry& x = ev.db.at(job, d, level);
+        const profile::ProfileEntry& y = an.db.at(job, d, level);
+        model_err = std::max({model_err, std::abs(x.time - y.time),
+                              std::abs(x.avg_bw - y.avg_bw)});
+        const double err = std::max(std::abs(x.avg_power - y.avg_power),
+                                    std::abs(x.energy - y.energy));
+        power_err = std::max(power_err, err);
+        if (err > kEquivTol) ++power_mismatches;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < ev.grid.cpu_deg.size(); ++i) {
+    for (std::size_t j = 0; j < ev.grid.cpu_deg[i].size(); ++j) {
+      model_err = std::max(
+          {model_err, std::abs(ev.grid.cpu_deg[i][j] - an.grid.cpu_deg[i][j]),
+           std::abs(ev.grid.gpu_deg[i][j] - an.grid.gpu_deg[i][j])});
+    }
+  }
+  CORUN_CHECK_MSG(model_err <= kEquivTol,
+                  "analytic artifacts drifted past the equivalence tolerance");
+  auto artifacts_rate = [&](const runtime::ArtifactOptions& options) {
+    double best = 0.0;
+    for (int round = 0; round < rounds; ++round) {
+      const auto t0 = std::chrono::steady_clock::now();
+      (void)runtime::build_artifacts(config, batch, options);
+      best = std::max(best, 1.0 / seconds_since(t0));
+    }
+    return best;
+  };
+  const double event_artifacts_rate = artifacts_rate(event_options);
+  const double analytic_artifacts_rate = artifacts_rate(analytic_options);
+  std::printf("build_artifacts: event %.2f/s, analytic %.2f/s (%.2fx); "
+              "max |err| %.3g on times/bandwidths/grid, %.3g on "
+              "powers/energies (%zu of %zu entries over %g)\n",
+              event_artifacts_rate, analytic_artifacts_rate,
+              analytic_artifacts_rate / event_artifacts_rate, model_err,
+              power_err, power_mismatches, ev.db.size(), kEquivTol);
+
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"backend\",\n"
@@ -232,10 +300,17 @@ int main(int argc, char** argv) {
                 "  \"replay_runs_per_wall\": %.1f,\n"
                 "  \"analytic_plans_per_wall\": %.1f,\n"
                 "  \"legacy_plans_per_wall\": %.1f,\n"
-                "  \"plan_eval_speedup_x\": %.1f\n}\n",
+                "  \"plan_eval_speedup_x\": %.1f,\n"
+                "  \"max_abs_artifact_err\": %.3g,\n"
+                "  \"max_abs_artifact_power_err\": %.3g,\n"
+                "  \"artifact_power_mismatches\": %zu,\n"
+                "  \"event_artifacts_per_wall\": %.2f,\n"
+                "  \"analytic_artifacts_per_wall\": %.2f\n}\n",
                 scenarios.size(), max_makespan_err, max_energy_err,
                 replay_exact, event_rate, analytic_rate, replay_rate,
-                analytic_plan_rate, legacy_plan_rate, speedup);
+                analytic_plan_rate, legacy_plan_rate, speedup, model_err,
+                power_err, power_mismatches, event_artifacts_rate,
+                analytic_artifacts_rate);
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());

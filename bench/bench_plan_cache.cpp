@@ -1,18 +1,10 @@
 // Plan-cache payoff: how much search the memoization layer actually
-// saves. Two measurements, both on the 8-program batch with the B&B
-// planner (the expensive search the cache exists to amortize):
-//
-//   1. Repeated-request throughput: the same cap ladder planned over and
-//      over, cold (no cache, full search each time) vs hot (memory tier,
-//      every request an exact hit). The acceptance floor is a 5x speedup;
-//      in practice an exact hit costs one signature digest plus a map
-//      lookup, orders of magnitude below a search.
-//   2. Warm-started search: a cap sweep where each cap donates the
-//      neighbouring cap's schedule as the B&B warm-start hint (exactly
-//      what PlanCache::near_lookup feeds the scheduler; the search
-//      re-encodes it into its own leaf space). Reports total nodes
-//      visited warm vs cold, and verifies the returned schedules are
-//      identical — the warm start may only prune, never steer.
+// saves. Repeated-request throughput on the 8-program batch with the B&B
+// planner (the expensive search the cache exists to amortize): the same
+// cap ladder planned over and over, cold (no cache, full search each time)
+// vs hot (memory tier, every request an exact hit). An exact hit costs one
+// signature digest plus a map lookup and a schedule parse, and is CHECKed
+// byte-identical to the cold plan.
 //
 // Writes BENCH_plan_cache.json with *_per_wall rate keys so
 // scripts/check_bench_regression.py can gate on them.
@@ -28,8 +20,6 @@
 #include "bench_util.hpp"
 #include "corun/common/check.hpp"
 #include "corun/core/model/corun_predictor.hpp"
-#include "corun/core/sched/branch_and_bound.hpp"
-#include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/plan_cache/caching_scheduler.hpp"
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
 #include "corun/core/sched/registry.hpp"
@@ -74,8 +64,8 @@ double ladder_pass(sched::Scheduler& scheduler, const workload::Batch& batch,
 
 int main(int argc, char** argv) {
   bench::banner("Plan cache",
-                "Exact-hit replay throughput and warm-started B&B node "
-                "savings on a repeated cap-ladder workload.");
+                "Exact-hit replay throughput on a repeated cap-ladder "
+                "workload.");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_plan_cache.json";
   const bool quick = bench::quick_mode();
 
@@ -87,7 +77,7 @@ int main(int argc, char** argv) {
   const model::CoRunPredictor predictor(artifacts.db, artifacts.grid, config);
   const std::vector<Watts> caps = cap_ladder();
 
-  // -- 1. Repeated-request throughput, cold vs exact-hit -------------------
+  // -- Repeated-request throughput, cold vs exact-hit ----------------------
   const int rounds = quick ? 2 : 3;
   const int hit_passes_per_round = 8;  // hits are cheap; batch them
   auto cold_scheduler = sched::make_scheduler("bnb", 42);
@@ -121,59 +111,26 @@ int main(int argc, char** argv) {
   CORUN_CHECK(stats.hits > 0 && stats.misses == caps.size());
   const double hit_speedup = best_cold > 0.0 ? best_hit / best_cold : 0.0;
 
-  // -- 2. Warm-started vs cold B&B node counts -----------------------------
-  // Walk the ladder; at each cap past the first, donate the previous
-  // cap's (refined) schedule as the warm-start hint — the near-hit path
-  // of the cache — and require the identical schedule back. The search
-  // re-encodes the donor into its own leaf space before pruning on it.
-  std::size_t cold_nodes = 0;
-  std::size_t warm_nodes = 0;
-  sched::Schedule prev;
-  bool identical = true;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    const sched::SchedulerContext ctx = make_ctx(batch, predictor, caps[i]);
-    sched::BranchAndBoundScheduler cold_bnb;
-    const sched::Schedule cold_plan = cold_bnb.plan(ctx);
-    if (i > 0) {
-      cold_nodes += cold_bnb.nodes_visited();
-      sched::SchedulerContext warmed = ctx;
-      warmed.incumbent_hint = prev;
-      sched::BranchAndBoundScheduler warm_bnb;
-      const sched::Schedule warm_plan = warm_bnb.plan(warmed);
-      warm_nodes += warm_bnb.nodes_visited();
-      identical = identical && warm_plan.to_string(ctx.job_names()) ==
-                                   cold_plan.to_string(ctx.job_names());
-    }
-    prev = cold_plan;
+  for (const Watts cap : caps) {
+    const sched::SchedulerContext ctx = make_ctx(batch, predictor, cap);
+    CORUN_CHECK_MSG(hot_scheduler->plan(ctx).to_string(ctx.job_names()) ==
+                        cold_scheduler->plan(ctx).to_string(ctx.job_names()),
+                    "exact cache hit differs from the cold plan");
   }
-  CORUN_CHECK_MSG(identical, "warm-started B&B changed the schedule");
-  const double node_reduction =
-      cold_nodes > 0
-          ? 1.0 - static_cast<double>(warm_nodes) /
-                      static_cast<double>(cold_nodes)
-          : 0.0;
 
-  Table table({"measurement", "cold", "hot/warm", "gain"});
+  Table table({"measurement", "cold", "hot", "gain"});
   table.add_row({"plans/s (11-cap ladder)", Table::num(best_cold),
                  Table::num(best_hit),
                  Table::num(hit_speedup) + "x"});
-  table.add_row({"B&B nodes (cap sweep)", std::to_string(cold_nodes),
-                 std::to_string(warm_nodes), bench::pct(node_reduction)});
   std::printf("%s\n", table.render().c_str());
-  std::printf("warm-started schedules identical to cold: %s\n",
-              identical ? "yes" : "NO");
 
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"plan_cache\",\n"
                 "  \"cold_plans_per_wall\": %.1f,\n"
                 "  \"hit_plans_per_wall\": %.1f,\n"
-                "  \"exact_hit_speedup\": %.1f,\n"
-                "  \"cold_bnb_nodes\": %zu,\n"
-                "  \"warm_bnb_nodes\": %zu,\n"
-                "  \"warm_node_reduction_pct\": %.1f\n}\n",
-                best_cold, best_hit, hit_speedup, cold_nodes, warm_nodes,
-                node_reduction * 100.0);
+                "  \"exact_hit_speedup\": %.1f\n}\n",
+                best_cold, best_hit, hit_speedup);
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());

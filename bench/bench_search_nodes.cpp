@@ -1,5 +1,5 @@
 // Search-core payoff: what the strengthened branch-and-bound actually
-// saves over the historical search on 8-job instances. Four measurements
+// saves over the historical search on 8-job instances. Three measurements
 // across an 11-cap ladder (10..20 W):
 //
 //   1. Node counts on the 8-distinct-program batch: the historical search
@@ -17,10 +17,6 @@
 //   3. Planning throughput of the default search (plans/sec across the
 //      ladder, best of rounds) — the *_per_wall rate key
 //      scripts/check_bench_regression.py gates on.
-//   4. Plan-repair latency: each cap re-planned with the previous cap's
-//      schedule donated as a kRepair hint — exactly what the dynamic
-//      runtime's incremental plan repair feeds the search on a cap-change
-//      event. Reports p50/p90 event-to-new-plan wall time.
 //
 // Writes BENCH_search.json.
 //
@@ -59,20 +55,12 @@ sched::SchedulerContext make_ctx(const workload::Batch& batch,
   return ctx;
 }
 
-double percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  std::sort(sorted.begin(), sorted.end());
-  const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::banner("Search core",
                 "Strong-bound + dominance node savings vs the historical "
-                "B&B, planning throughput, and plan-repair latency.");
+                "B&B, and planning throughput.");
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_search.json";
   const bool quick = bench::quick_mode();
 
@@ -93,13 +81,12 @@ int main(int argc, char** argv) {
   std::size_t strong_nodes = 0;
   std::size_t dominance_prunes = 0;
   Table table({"cap (W)", "legacy nodes", "strong nodes", "reduction"});
-  std::vector<sched::Schedule> strong_plans;
   for (const Watts cap : caps) {
     const sched::SchedulerContext ctx = make_ctx(batch, predictor, cap);
     sched::BranchAndBoundScheduler legacy(legacy_options);
     sched::BranchAndBoundScheduler strong;
     const sched::Schedule legacy_plan = legacy.plan(ctx);
-    sched::Schedule strong_plan = strong.plan(ctx);
+    const sched::Schedule strong_plan = strong.plan(ctx);
     CORUN_CHECK_MSG(strong_plan.to_string(ctx.job_names()) ==
                         legacy_plan.to_string(ctx.job_names()),
                     "strengthened search changed the schedule");
@@ -112,7 +99,6 @@ int main(int argc, char** argv) {
                               static_cast<double>(std::max<std::size_t>(
                                   strong.nodes_visited(), 1))) +
                        "x"});
-    strong_plans.push_back(std::move(strong_plan));
   }
   const double node_reduction_x =
       strong_nodes > 0
@@ -248,35 +234,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -- 3. Plan-repair latency ----------------------------------------------
-  // Each cap is re-planned with the previous cap's schedule donated as a
-  // repair hint — the dynamic runtime's cap-change path. The wall time of
-  // one such plan() is the event-to-new-plan latency the runtime pays.
-  const int repair_passes = quick ? 3 : 5;
-  std::vector<double> repair_ms;
-  for (int pass = 0; pass < repair_passes; ++pass) {
-    for (std::size_t i = 1; i < caps.size(); ++i) {
-      sched::SchedulerContext ctx = make_ctx(batch, predictor, caps[i]);
-      ctx.incumbent_hint = strong_plans[i - 1];
-      ctx.hint_kind = sched::SchedulerContext::HintKind::kRepair;
-      sched::BranchAndBoundScheduler repaired;
-      const auto t0 = std::chrono::steady_clock::now();
-      const sched::Schedule plan = repaired.plan(ctx);
-      const auto t1 = std::chrono::steady_clock::now();
-      CORUN_CHECK_MSG(plan.to_string(ctx.job_names()) ==
-                          strong_plans[i].to_string(ctx.job_names()),
-                      "repair-hinted search changed the schedule");
-      repair_ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-  }
-  const double p50 = percentile(repair_ms, 0.50);
-  const double p90 = percentile(repair_ms, 0.90);
-
   std::printf("strong search throughput: %.1f plans/s (11-cap ladder)\n",
               best_rate);
-  std::printf("repair latency: p50 %.3f ms, p90 %.3f ms (%zu replans)\n",
-              p50, p90, repair_ms.size());
 
   char buf[1024];
   std::snprintf(buf, sizeof(buf),
@@ -292,14 +251,11 @@ int main(int argc, char** argv) {
                 "  \"uniform_legacy_bnb_nodes\": %zu,\n"
                 "  \"uniform_strong_bnb_nodes\": %zu,\n"
                 "  \"uniform_node_reduction_x\": %.1f,\n"
-                "  \"strong_plans_per_wall\": %.1f,\n"
-                "  \"repair_p50_ms\": %.3f,\n"
-                "  \"repair_p90_ms\": %.3f\n}\n",
+                "  \"strong_plans_per_wall\": %.1f\n}\n",
                 legacy_nodes, strong_nodes, node_reduction_x, dominance_prunes,
                 clone_legacy_nodes, clone_strong_nodes, clone_node_reduction_x,
                 clone_dominance_prunes, uniform_legacy_nodes,
-                uniform_strong_nodes, uniform_node_reduction_x, best_rate, p50,
-                p90);
+                uniform_strong_nodes, uniform_node_reduction_x, best_rate);
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());

@@ -531,7 +531,6 @@ Expected<FleetReport> Fleet::execute(
         d.record_power_trace = true;
         d.scheduler = options_.scheduler;
         d.plan_cache = options_.plan_cache;
-        d.plan_repair = options_.plan_repair;
         const runtime::DynamicRuntime rt(config_, d);
         sim::FaultPlan fp;
         fp.events = ms[m].events;

@@ -16,7 +16,7 @@
 //      re-divides the budget over the live machines' demand estimates and
 //      the new caps are appended as kCapSet events — each machine then
 //      replans through the ordinary DynamicRuntime cap-change path (plan
-//      repair, plan cache, degradation ladder), completely unchanged.
+//      cache, degradation ladder), completely unchanged.
 //   2. *Execute.* All N machines run independently — per-machine seed
 //      task_seed(options.seed, m) — fanned out on the shared TaskPool with
 //      ordered-merge discipline, so the FleetReport is byte-identical at
@@ -165,7 +165,6 @@ struct FleetOptions {
   sim::EngineMode engine_mode = sim::default_engine_mode();
   sim::BackendSpec backend = sim::default_backend_spec();
   std::string scheduler = "hcs+";
-  bool plan_repair = true;
   std::shared_ptr<sched::PlanCache> plan_cache;  ///< shared across machines
   Seconds sample_interval = 1.0;
 

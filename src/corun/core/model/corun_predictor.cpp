@@ -3,25 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <vector>
 
 #include "corun/common/check.hpp"
 #include "corun/common/trace/trace.hpp"
 
 namespace corun::model {
-
-bool default_analytic_tables() {
-  static const bool value = [] {
-    const char* env = std::getenv("CORUN_ANALYTIC_EVAL");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off" || v == "false");
-  }();
-  return value;
-}
 
 /// The dense analytic tables. Rows exist only for (job, device) pairs the
 /// DB has profiles for; everything else falls back to the legacy on-demand

@@ -25,10 +25,6 @@
 
 namespace corun::model {
 
-/// Default for PredictorOptions::analytic_tables: on, unless the
-/// CORUN_ANALYTIC_EVAL environment variable is 0/off/false.
-[[nodiscard]] bool default_analytic_tables();
-
 /// Evaluation-backend knobs for the predictor.
 struct PredictorOptions {
   /// Route the point queries (standalone_*, predict, predict_power) through
@@ -36,9 +32,9 @@ struct PredictorOptions {
   /// evaluation fast path the search leans on. The table cells are computed
   /// by the exact legacy arithmetic (entry_at + staged interpolation), so
   /// every answer is byte-identical to the on-demand path; the toggle
-  /// exists so A/B pinning (BranchAndBoundOptions::analytic_eval, the
-  /// fidelity bench) can run both sides of that equality.
-  bool analytic_tables = default_analytic_tables();
+  /// exists so the equivalence tests and the fidelity bench can run both
+  /// sides of that equality.
+  bool analytic_tables = true;
 };
 
 /// A CPU/GPU frequency operating point.
@@ -71,8 +67,8 @@ class CoRunPredictor {
                           PredictorOptions options = {});
 
   /// Copy-view: a second predictor over the same DB/grid/machine with
-  /// different evaluation options and fresh caches. Lets a search opt out
-  /// of the analytic tables (analytic_eval=false) without re-profiling.
+  /// different evaluation options and fresh caches. Lets a caller opt out
+  /// of the analytic tables without re-profiling.
   CoRunPredictor(const CoRunPredictor& other, PredictorOptions options);
 
   ~CoRunPredictor();

@@ -317,70 +317,6 @@ class Executor {
     cursor(d).pending.push_back({rec, config_.ladder(d).max_level()});
   }
 
-  /// Locally repairs the plan being executed for the new pending set:
-  /// survivors keep the device the previous plan gave them (their spots in
-  /// the device queues), jobs the previous plan does not cover (arrivals,
-  /// jobs from a shared queue) join whichever device runs them fastest solo
-  /// under the current cap, GPU winning ties. The result is a valid
-  /// schedule for exactly the new sub-batch — a warm-start donor the search
-  /// re-encodes into leaf space, never a returned plan — so repairing can
-  /// only accelerate the search, not change its answer. Returns nullopt
-  /// when a job has no cap-feasible device (the search itself will reject
-  /// the sub-batch and the fallback ladder takes over).
-  std::optional<sched::Schedule> repair_donor(
-      const std::vector<std::size_t>& subset) const {
-    std::map<std::size_t, sim::DeviceKind> prev_device;
-    for (const QueuedJob& q : cpu_.pending) {
-      prev_device[q.rec] = sim::DeviceKind::kCpu;
-    }
-    for (const QueuedJob& q : gpu_.pending) {
-      prev_device[q.rec] = sim::DeviceKind::kGpu;
-    }
-    if (prev_device.empty()) return std::nullopt;  // nothing to repair from
-
-    const model::CoRunPredictor& m = *predictor_;
-    sched::Schedule donor;
-    donor.model_dvfs = true;
-    for (std::size_t j = 0; j < subset.size(); ++j) {
-      const std::string& name = recs_[subset[j]].name;
-      const auto cpu_level =
-          m.best_solo_level(name, sim::DeviceKind::kCpu, current_cap_);
-      const auto gpu_level =
-          m.best_solo_level(name, sim::DeviceKind::kGpu, current_cap_);
-      std::optional<sim::DeviceKind> device;
-      if (const auto it = prev_device.find(subset[j]);
-          it != prev_device.end()) {
-        // Keep the survivor's device — unless the cap moved it out of
-        // reach, in which case the job is re-placed like an arrival.
-        const bool still_feasible =
-            it->second == sim::DeviceKind::kCpu ? cpu_level.has_value()
-                                                : gpu_level.has_value();
-        if (still_feasible) device = it->second;
-      }
-      if (!device) {
-        if (cpu_level && gpu_level) {
-          const Seconds tc =
-              m.standalone_time(name, sim::DeviceKind::kCpu, *cpu_level);
-          const Seconds tg =
-              m.standalone_time(name, sim::DeviceKind::kGpu, *gpu_level);
-          device = tc < tg ? sim::DeviceKind::kCpu : sim::DeviceKind::kGpu;
-        } else if (cpu_level) {
-          device = sim::DeviceKind::kCpu;
-        } else if (gpu_level) {
-          device = sim::DeviceKind::kGpu;
-        } else {
-          return std::nullopt;  // infeasible job; let the planner decide
-        }
-      }
-      if (*device == sim::DeviceKind::kCpu) {
-        donor.cpu.push_back({j, *cpu_level});
-      } else {
-        donor.gpu.push_back({j, *gpu_level});
-      }
-    }
-    return donor;
-  }
-
   void replan(bool count_as_replan) {
     const std::vector<std::size_t> subset = unstarted();
     if (subset.empty()) return;
@@ -395,17 +331,6 @@ class Executor {
     ctx.predictor = predictor_.get();
     ctx.cap = current_cap_;
     ctx.policy = options_.policy;
-
-    // Incremental repair, for B&B re-plans only: the initial plan has no
-    // predecessor, and other planners ignore the hint. Built before the
-    // queues are cleared by install().
-    if (count_as_replan && options_.plan_repair &&
-        options_.scheduler == "bnb") {
-      if (auto donor = repair_donor(subset)) {
-        ctx.incumbent_hint = std::move(donor);
-        ctx.hint_kind = sched::SchedulerContext::HintKind::kRepair;
-      }
-    }
     if (count_as_replan) ++report_.replans;
 
     // The per-replan seed keeps stochastic planners (random) deterministic
@@ -420,10 +345,10 @@ class Executor {
         plan.validate(sub.size());
         install(plan, subset);
         // Per-plan search telemetry: budget truncation (the run's
-        // determinism guarantees are off the table when set) and repair
-        // activity. An exact cache hit skips the search entirely, leaving
-        // the inner planner's accessors describing a *previous* request —
-        // so they are only read when the search actually ran.
+        // determinism guarantees are off the table when set). An exact
+        // cache hit skips the search entirely, leaving the inner planner's
+        // accessors describing a *previous* request — so they are only read
+        // when the search actually ran.
         const sched::Scheduler* algo = scheduler.get();
         bool searched = true;
         if (const auto* caching =
@@ -433,10 +358,8 @@ class Executor {
         }
         if (const auto* bnb =
                 dynamic_cast<const sched::BranchAndBoundScheduler*>(algo);
-            bnb != nullptr && searched) {
-          if (bnb->exhausted_budget()) ++report_.bnb_budget_exhausted;
-          if (bnb->repair_hint_used()) ++report_.plan_repairs;
-          if (bnb->repair_fallback()) ++report_.repair_fallbacks;
+            bnb != nullptr && searched && bnb->exhausted_budget()) {
+          ++report_.bnb_budget_exhausted;
         }
         return true;
       } catch (const ContractViolation&) {
@@ -739,8 +662,6 @@ class Executor {
       const sched::PlanCacheStats now = options_.plan_cache->stats();
       report_.plan_cache_hits = now.hits - cache_stats_at_start_.hits;
       report_.plan_cache_misses = now.misses - cache_stats_at_start_.misses;
-      report_.plan_cache_warm_hits =
-          now.warm_hits - cache_stats_at_start_.warm_hits;
     }
     if (recorder_ != nullptr) {
       const auto saved = sim::save_demand_trace(recorder_->trace(),

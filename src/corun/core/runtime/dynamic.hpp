@@ -74,27 +74,16 @@ struct DynamicOptions {
 
   /// Memoized plan cache consulted before every (re-)plan; null = off. May
   /// be shared across runs — repeated sub-problems (same pending set at the
-  /// same cap) then skip the search entirely, and near hits warm-start the
-  /// branch-and-bound incumbent. Cache state never changes the schedules
-  /// or reports produced (exact hits replay identical requests; warm hints
-  /// only tighten pruning and are disabled whenever the B&B node budget
-  /// could truncate the search), so runs stay byte-identical with it on or
-  /// off as long as every search ran to completion — a truncated B&B is
-  /// interleaving-dependent with or without a cache, and the report flags
-  /// it via `bnb_budget_exhausted`. The default budget can never bind for
-  /// batches within the default job limit.
+  /// same cap) then skip the search entirely. Cache state never changes the
+  /// schedules or reports produced (exact hits replay identical requests),
+  /// so runs stay byte-identical with it on or off as long as every search
+  /// ran to completion — a truncated B&B is interleaving-dependent with or
+  /// without a cache, and the report flags it via `bnb_budget_exhausted`.
+  /// The default budget can never bind for batches within the default job
+  /// limit.
   std::shared_ptr<sched::PlanCache> plan_cache;
 
-  /// Incremental plan repair for branch-and-bound re-plans. On an event
-  /// touching k of n pending jobs, the executor locally repairs the plan
-  /// it was executing — survivors keep their device, arrivals join their
-  /// best solo device — and donates the repaired schedule to the search as
-  /// an incumbent hint. The search re-encodes it into leaf space and falls
-  /// back to the full result only when a strictly better leaf exists
-  /// (DynamicReport::repair_fallbacks counts those). Like the plan cache's
-  /// warm starts, repair never changes the schedules or reports produced —
-  /// runs are byte-identical with it on or off — it only lets the search
-  /// start from a near-optimal bound and prune most of the tree.
+  /// Has no effect; kept so existing callers that set it still compile.
   bool plan_repair = true;
 };
 
@@ -142,7 +131,6 @@ struct DynamicReport {
   /// byte-identical on stdout.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-  std::uint64_t plan_cache_warm_hits = 0;
 
   /// Plans where branch-and-bound stopped on its node budget. Non-zero
   /// means those searches were truncated: the schedules are still valid
@@ -150,15 +138,6 @@ struct DynamicReport {
   /// engine modes, and plan-cache state are scoped to runs where this
   /// stays zero (always true at the default budget and job limit).
   std::size_t bnb_budget_exhausted = 0;
-
-  /// Re-plans where the branch-and-bound search accepted a repaired
-  /// previous plan as its incumbent hint, and how many of those repairs
-  /// the search then beat with a strictly better leaf (the repair
-  /// "fallbacks"). Reported separately from summary() — like the
-  /// plan-cache counters — so repair on/off runs stay byte-identical on
-  /// stdout.
-  std::size_t plan_repairs = 0;
-  std::size_t repair_fallbacks = 0;
 
   [[nodiscard]] std::string summary() const;
 };

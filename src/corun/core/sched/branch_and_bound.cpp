@@ -44,20 +44,6 @@ BranchAndBoundScheduler::BranchAndBoundScheduler(BranchAndBoundOptions options)
     : options_(options) {}
 
 Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
-  // Analytic-eval opt-out: re-plan against a legacy copy-view of the
-  // predictor (same DB/grid/machine, tables off). The tables are
-  // byte-identical by construction, so this can only ever reproduce the
-  // same schedule — it exists to let tests and the fidelity bench prove
-  // that claim.
-  if (!options_.analytic_eval && ctx.predictor != nullptr &&
-      ctx.predictor->options().analytic_tables) {
-    const model::CoRunPredictor legacy(
-        *ctx.predictor, model::PredictorOptions{.analytic_tables = false});
-    SchedulerContext legacy_ctx = ctx;
-    legacy_ctx.predictor = &legacy;
-    return plan(legacy_ctx);
-  }
-
   CORUN_TRACE_SPAN("sched", "bnb.plan");
   const std::size_t n = ctx.jobs().size();
   CORUN_CHECK_MSG(n <= options_.max_jobs,
@@ -199,69 +185,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     root.remaining += std::min(t_cpu[i], t_gpu[i]);
   }
 
-  // A warm hint (plan-cache near hit, or a repaired previous plan from the
-  // dynamic runtime) donates a *schedule* for this job set. Its raw
-  // makespan is not a sound pruning bound: the donor was order-refined
-  // and/or levelled under a different cap, so it can lie strictly below
-  // every leaf this search enumerates (index-order sequences at the
-  // current cap's best solo levels) — seeding the strict `bound >
-  // incumbent` test with it would cut the path to the very leaf a cold
-  // run returns and silently fall back to the HCS+ seed. So the donor is
-  // re-encoded into leaf space first: keep only its *placement* (which
-  // device each job runs on), rebuild index order and current-cap levels,
-  // and evaluate that. The re-encoding is itself a reachable leaf, so its
-  // makespan upper-bounds no reachable leaf's minimum away, and strict
-  // pruning keeps every minimum-makespan leaf alive: the reduction below
-  // lands on the same first-found minimum as a cold run. Donors that do
-  // not map into leaf space (solo/shared/batch-launch forms, or a device
-  // the current cap makes infeasible) are dropped, as is the whole hint
-  // whenever the node budget could bind — a truncated search keeps leaves
-  // by visit order, which warm pruning would perturb. The full tree has
-  // at most 2^(n+1)-1 nodes, so the default budget never binds for
-  // default-sized batches and the hint stays active on the hot path.
-  Seconds hint = std::numeric_limits<Seconds>::infinity();
-  warm_started_ = false;
-  repair_hint_used_ = false;
-  repair_fallback_ = false;
-  const bool budget_cannot_bind =
-      n + 1 < 8 * sizeof(std::size_t) &&
-      options_.node_budget >= (std::size_t{1} << (n + 1)) - 1;
-  if (ctx.incumbent_hint && budget_cannot_bind) {
-    const Schedule& donor = *ctx.incumbent_hint;
-    const bool plain_corun = !donor.cpu_batch_launch && !donor.shared_queue &&
-                             donor.solo.empty() && donor.shared.empty() &&
-                             donor.cpu.size() + donor.gpu.size() == n;
-    if (plain_corun) {
-      SearchState encoded = root;
-      bool feasible = true;
-      auto place = [&](const std::vector<ScheduledJob>& jobs,
-                       const std::vector<Seconds>& t,
-                       std::vector<std::size_t>& device) {
-        for (const ScheduledJob& entry : jobs) {
-          if (entry.job >= n || encoded.placed[entry.job] ||
-              t[entry.job] >= 1e18) {
-            feasible = false;
-            return;
-          }
-          encoded.placed[entry.job] = true;
-          device.push_back(entry.job);
-        }
-        std::sort(device.begin(), device.end());
-      };
-      place(donor.cpu, t_cpu, encoded.cpu);
-      if (feasible) place(donor.gpu, t_gpu, encoded.gpu);
-      if (feasible) {
-        hint = evaluator.makespan(leaf_schedule(encoded));
-        warm_started_ = true;
-        CORUN_TRACE_INSTANT("sched", "bnb.warm_start");
-        if (ctx.hint_kind == SchedulerContext::HintKind::kRepair) {
-          repair_hint_used_ = true;
-          CORUN_TRACE_COUNTER("bnb.repairs", 1);
-        }
-      }
-    }
-  }
-
   // Shared search telemetry. The incumbent *value* is shared across
   // subtree tasks so every task prunes against the best schedule found
   // anywhere; incumbent *schedules* stay task-local and are reduced in
@@ -311,14 +234,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     }
     expand(s, [&](SearchState next) { frontier.push_back(std::move(next)); });
   }
-
-  // The warm hint joins only now, after the fan-out: the frontier
-  // decomposition above — and with it the deterministic reduction order
-  // that breaks ties between equal-makespan leaves — is built with the
-  // cold incumbent, so it is identical whether or not a hint exists.
-  // Tightening the shared bound from here on can only skip subtrees whose
-  // every leaf is strictly worse than the hint's leaf-space makespan.
-  if (warm_started_) atomic_min(incumbent, hint);
 
   // Depth-first search of one subtree over an incremental path cursor;
   // returns the subtree's best leaf. The recursion visits the GPU child
@@ -509,15 +424,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     }
   }
 
-  // A repair hint "survives" when nothing beat its re-encoded makespan: the
-  // repaired plan was already optimal in leaf space. Otherwise the full
-  // search was genuinely needed — the fallback the runtime's repair
-  // statistics report.
-  if (repair_hint_used_ && best < hint) {
-    repair_fallback_ = true;
-    CORUN_TRACE_COUNTER("bnb.repair_fallbacks", 1);
-  }
-
   nodes_ = nodes.load();
   bound_prunes_ = bound_prunes.load();
   dominance_prunes_ = dominance_prunes.load();
@@ -531,7 +437,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   CORUN_TRACE_COUNTER("bnb.dominance_prunes", dominance_prunes_);
   CORUN_TRACE_COUNTER("bnb.leaves", leaves_);
   CORUN_TRACE_COUNTER("bnb.incumbent_updates", incumbent_updates_);
-  if (warm_started_) CORUN_TRACE_COUNTER("bnb.warm_started_nodes", nodes_);
   if (budget_exhausted_) CORUN_TRACE_COUNTER("bnb.budget_exhausted", 1);
 
   // Polish the winning placement's per-device order.

@@ -45,12 +45,6 @@ struct BranchAndBoundOptions {
   std::size_t node_budget = 200000; ///< DFS nodes before settling
   bool strong_bound = true;  ///< IncrementalBound in the subtree search
   bool dominance = true;     ///< equivalence dominance in the subtree search
-  /// Evaluate leaves through the predictor's dense analytic tables
-  /// (PredictorOptions::analytic_tables). The tables return byte-identical
-  /// values, so this never changes the planned schedule; turning it off
-  /// makes the search query the legacy on-demand path — the A/B switch the
-  /// equivalence tests and the backend fidelity bench pin the identity with.
-  bool analytic_eval = true;
 };
 
 class BranchAndBoundScheduler : public Scheduler {
@@ -91,22 +85,6 @@ class BranchAndBoundScheduler : public Scheduler {
   [[nodiscard]] bool exhausted_budget() const noexcept {
     return budget_exhausted_;
   }
-  /// True when the last plan() accepted a SchedulerContext incumbent_hint
-  /// (plan-cache warm start or dynamic-runtime plan repair): the donor
-  /// mapped into the search's leaf space and the node budget provably
-  /// could not bind.
-  [[nodiscard]] bool warm_started() const noexcept { return warm_started_; }
-  /// True when the accepted hint was a dynamic-runtime plan repair
-  /// (hint_kind == kRepair).
-  [[nodiscard]] bool repair_hint_used() const noexcept {
-    return repair_hint_used_;
-  }
-  /// True when a repair hint was accepted but the search found a strictly
-  /// better leaf than the repaired plan's re-encoded makespan — i.e. the
-  /// repair did not survive and the full B&B result was needed.
-  [[nodiscard]] bool repair_fallback() const noexcept {
-    return repair_fallback_;
-  }
 
  private:
   BranchAndBoundOptions options_;
@@ -117,9 +95,6 @@ class BranchAndBoundScheduler : public Scheduler {
   std::size_t leaves_ = 0;
   std::size_t incumbent_updates_ = 0;
   bool budget_exhausted_ = false;
-  bool warm_started_ = false;
-  bool repair_hint_used_ = false;
-  bool repair_fallback_ = false;
 };
 
 }  // namespace corun::sched

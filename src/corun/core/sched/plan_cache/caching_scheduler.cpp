@@ -4,7 +4,6 @@
 
 #include "corun/common/check.hpp"
 #include "corun/common/trace/trace.hpp"
-#include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/registry.hpp"
 
 namespace corun::sched {
@@ -39,37 +38,8 @@ Schedule CachingScheduler::plan(const SchedulerContext& ctx) {
     return std::move(*hit);
   }
 
-  SchedulerContext warmed = ctx;
-  // A caller-provided hint (the dynamic runtime's repaired plan) takes
-  // precedence over a near-hit donation — the repair derives from the very
-  // plan that was executing, so it is at least as close to the new optimum
-  // as an arbitrary family neighbour — and the near lookup is skipped so
-  // warm-hit statistics only count donations that were actually offered.
-  // Either way the search re-encodes before pruning, so the choice never
-  // affects the returned schedule.
-  if (!warmed.incumbent_hint) {
-    if (auto near = cache_->near_lookup(sig, batch_names)) {
-      // The candidate is a real, valid schedule for this very job set, but
-      // its makespan is *not* handed over directly: the donor was refined
-      // (and possibly levelled under a different cap), so its value can
-      // undercut every solution the inner search enumerates. The search
-      // re-encodes the donor into its own solution space before pruning
-      // against it — and drops donors that do not map — which is what keeps
-      // warm runs byte-identical to cold ones (see branch_and_bound.cpp).
-      warmed.incumbent_hint = std::move(near->schedule);
-    }
-  }
-
-  Schedule planned = inner_->plan(warmed);
-  Seconds makespan = 0.0;
-  try {
-    const MakespanEvaluator evaluator(ctx);
-    makespan = evaluator.makespan(planned);
-  } catch (const ContractViolation&) {
-    // A plan the evaluator cannot replay is still returnable, just not a
-    // useful warm-start donor; store it with a zero advisory makespan.
-  }
-  cache_->store(sig, planned, batch_names, makespan);
+  Schedule planned = inner_->plan(ctx);
+  cache_->store(sig, planned, batch_names);
   return planned;
 }
 

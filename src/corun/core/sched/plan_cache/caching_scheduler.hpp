@@ -3,21 +3,15 @@
 // Wraps an inner Scheduler and a shared PlanCache. plan() first consults
 // the cache with the request's canonical signature: an exact hit returns
 // the cached schedule (remapped to the requesting batch's indices) without
-// invoking the inner search; a near hit (same family at a different cap,
-// or a cached superset batch) donates its schedule to the inner search as
-// SchedulerContext::incumbent_hint — branch-and-bound re-encodes it into
-// its own leaf space and uses the result to start pruning tight. Misses
-// run the inner search and store its result.
+// invoking the inner search; a miss runs the inner search cold and stores
+// its result.
 //
 // Invariant: with the cache attached, the returned schedule is always
 // byte-identical to what the inner scheduler would have produced cold —
-// exact hits replay the stored result of the identical request, and warm
-// hints only tighten the B&B incumbent value (after leaf-space
-// re-encoding, and only when the node budget provably cannot truncate the
-// search) without ever being returned themselves. Stochastic planners
-// whose output depends on batch *order* (the "random" baseline) bypass
-// the cache entirely, because the order-invariant signature would alias
-// their order-sensitive results.
+// exact hits replay the stored result of the identical request. Stochastic
+// planners whose output depends on batch *order* (the "random" baseline)
+// bypass the cache entirely, because the order-invariant signature would
+// alias their order-sensitive results.
 #pragma once
 
 #include <memory>

@@ -8,11 +8,10 @@
 //     the family hash selects one of `shards` independent shards, each with
 //     its own mutex, LRU list, index, and atomic counters, so concurrent
 //     requests from a serving loop only contend when they share a family.
-//     Entries of one family always colocate in one shard — the invariant
-//     near-hit scans rely on. Each shard holds up to `capacity` entries
-//     before evicting, least recently touched first; eviction order within
-//     a shard is strictly deterministic because it depends only on that
-//     shard's own operation sequence, never on cross-shard interleaving;
+//     Each shard holds up to `capacity` entries before evicting, least
+//     recently touched first; eviction order within a shard is strictly
+//     deterministic because it depends only on that shard's own operation
+//     sequence, never on cross-shard interleaving;
 //   - an optional persistent tier: one CSV file per entry under `dir`,
 //     named by the 64-bit FNV-1a of the canonical signature and carrying
 //     the full signature for verification, so a hash collision or a stale
@@ -20,19 +19,7 @@
 //     %.17g convention and round-trip exactly.
 //
 // Exact hits return the cached schedule without invoking the wrapped
-// search. Near hits — same family (scheduler + model artifacts) with a
-// different cap, or a cached superset of the requested job set — do not
-// short-circuit the search; they donate their *schedule* as a warm-start
-// candidate. Branch-and-bound re-encodes the donor into its own leaf
-// space (placement kept, order and levels rebuilt for the current cap)
-// and seeds its incumbent with the re-encoded makespan, so pruning starts
-// tight instead of from the heuristic seed alone; the donor's raw
-// makespan is never used, because a refined or differently-capped donor
-// can undercut every leaf the search enumerates. Warm starts tighten only
-// the incumbent *value*, never replace the returned schedule — behaviour
-// stays byte-identical to a cold search whenever the search runs to
-// completion, which the hint itself guarantees by disabling warm starts
-// when the node budget could bind (see branch_and_bound.cpp).
+// search; anything else is a miss.
 //
 // Thread safety: every public method is safe to call concurrently. The
 // stats counters are atomics updated with relaxed ordering — `stats()`
@@ -72,18 +59,10 @@ struct PlanCacheConfig {
 struct PlanCacheStats {
   std::uint64_t hits = 0;         ///< exact hits (search skipped)
   std::uint64_t misses = 0;       ///< neither tier had the exact entry
-  std::uint64_t warm_hits = 0;    ///< near hit donated a warm-start seed
   std::uint64_t evictions = 0;    ///< LRU evictions from the memory tier
   std::uint64_t disk_hits = 0;    ///< exact hits served by the disk tier
   std::uint64_t stores = 0;       ///< entries written
   std::uint64_t io_failures = 0;  ///< unreadable/unwritable tier files
-};
-
-/// A near hit: a cached schedule covering (at least) the requested job set,
-/// restricted to it and remapped to the requesting batch's indices.
-struct WarmStartCandidate {
-  Schedule schedule;
-  Seconds cached_makespan = 0.0;  ///< under the *cached* context; advisory
 };
 
 class PlanCache {
@@ -105,17 +84,10 @@ class PlanCache {
   [[nodiscard]] std::optional<Schedule> lookup(
       const PlanSignature& sig, const std::vector<std::string>& batch_names);
 
-  /// Near lookup for warm starts: the most recently stored family entry
-  /// whose job set contains every requested name (a different cap, or a
-  /// superset batch). Returns the restricted, remapped schedule. Does not
-  /// count as a hit or miss; counts warm_hits when it yields a candidate.
-  [[nodiscard]] std::optional<WarmStartCandidate> near_lookup(
-      const PlanSignature& sig, const std::vector<std::string>& batch_names);
-
-  /// Records a planning result. `makespan` is the schedule's predicted
-  /// makespan under the request's own context.
+  /// Records a planning result; `batch_names` resolves the schedule's
+  /// indices to the instance names it is stored under.
   void store(const PlanSignature& sig, const Schedule& schedule,
-             const std::vector<std::string>& batch_names, Seconds makespan);
+             const std::vector<std::string>& batch_names);
 
   [[nodiscard]] PlanCacheStats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -138,10 +110,7 @@ class PlanCache {
  private:
   struct Entry {
     std::string canonical;
-    std::string family;
-    std::vector<std::string> job_names;  ///< sorted
-    std::string schedule_csv;            ///< by-name serialization
-    Seconds makespan = 0.0;
+    std::string schedule_csv;  ///< by-name serialization
   };
 
   /// Live counters for one shard. Relaxed ordering everywhere: each counter
@@ -150,7 +119,6 @@ class PlanCache {
   struct ShardStats {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> warm_hits{0};
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> disk_hits{0};
     std::atomic<std::uint64_t> stores{0};
@@ -180,16 +148,14 @@ class PlanCache {
   std::vector<Shard> shards_;
 };
 
-/// Serializes one cache entry to its persistent CSV form / parses it back.
-/// Exposed for the round-trip tests. Schema:
+/// Serializes one cache entry to its persistent CSV form. Exposed for the
+/// round-trip tests. Schema:
 ///   sig,<canonical>
-///   family,<family>
-///   makespan,<%.17g>
-///   jobs,<name>,<name>,...
-/// followed by the schedule_to_csv rows (by instance name).
+/// followed by the schedule_to_csv rows (by instance name), whose `flags`
+/// row comes first. A file whose second row is anything else — such as
+/// the older layout's `family`, `makespan` and `jobs` rows — reads as a
+/// miss counted in io_failures.
 [[nodiscard]] std::string plan_cache_entry_to_csv(
-    const std::string& canonical, const std::string& family,
-    const std::vector<std::string>& job_names, const std::string& schedule_csv,
-    Seconds makespan);
+    const std::string& canonical, const std::string& schedule_csv);
 
 }  // namespace corun::sched

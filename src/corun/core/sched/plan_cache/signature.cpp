@@ -107,8 +107,8 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
                                  const std::string& idle_text,
                                  const JobHexFn& job_hex) {
   PlanSignature sig;
-  sig.job_names = ctx.job_names();
-  std::sort(sig.job_names.begin(), sig.job_names.end());
+  std::vector<std::string> job_names = ctx.job_names();
+  std::sort(job_names.begin(), job_names.end());
 
   std::ostringstream family;
   family << "v1;scheduler=" << scheduler_id << ";seed=" << seed << ";policy="
@@ -120,7 +120,7 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   std::ostringstream canonical;
   canonical << sig.family << ";cap=";
   canonical << (ctx.cap ? signature_double(*ctx.cap) : "none");
-  for (const std::string& name : sig.job_names) {
+  for (const std::string& name : job_names) {
     canonical << ";job{" << name << "|" << job_hex(name) << "}";
   }
   sig.canonical = canonical.str();

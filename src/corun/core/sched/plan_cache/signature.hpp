@@ -18,14 +18,13 @@
 //     invalidates stale entries instead of serving them;
 //   - two granularities: `canonical` identifies the exact request, while
 //     `family` drops the cap and the job set — entries of one family are
-//     re-plans of the same scheduler over the same model artifacts, which
-//     is exactly the population warm-start lookups search.
+//     re-plans of the same scheduler over the same model artifacts, and the
+//     cache keeps them in one shard.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "corun/core/sched/scheduler.hpp"
 
@@ -69,10 +68,9 @@ class Fnv64 {
 
 struct PlanSignature {
   std::string canonical;  ///< exact request identity
-  std::string family;     ///< canonical minus cap + job set (warm-start pool)
+  std::string family;     ///< canonical minus cap + job set (shard key)
   std::uint64_t hash = 0;        ///< FNV-1a of `canonical`
   std::uint64_t family_hash = 0; ///< FNV-1a of `family`
-  std::vector<std::string> job_names;  ///< request's instance names, sorted
 };
 
 /// Builds the signature of one request. `scheduler_id` is the registry name

@@ -22,26 +22,6 @@ struct SchedulerContext {
   std::optional<Watts> cap;
   sim::GovernorPolicy policy = sim::GovernorPolicy::kGpuBiased;
 
-  /// Provenance of `incumbent_hint`, for the search's telemetry only — it
-  /// never changes how the hint is used (re-encoded, then pruned against).
-  enum class HintKind {
-    kPlanCache,  ///< donated by a plan-cache near hit
-    kRepair,     ///< repaired previous plan from the dynamic runtime
-  };
-
-  /// Warm-start donor for bounded searches: a known-valid schedule for
-  /// this very job set (the plan cache donates these from near hits; the
-  /// dynamic runtime donates locally repaired previous plans). A
-  /// search must first re-encode the donor into its *own* solution space
-  /// before pruning against it — the donor's raw makespan may lie below
-  /// every solution the search can reach (e.g. a refined order, or levels
-  /// picked under a different cap), and seeding a strict pruning bound
-  /// with such a value silently discards the search's real optimum. Used
-  /// correctly the hint only accelerates the search; it is never a result
-  /// and must never change the returned schedule.
-  std::optional<Schedule> incumbent_hint;
-  HintKind hint_kind = HintKind::kPlanCache;
-
   [[nodiscard]] const workload::Batch& jobs() const;
   [[nodiscard]] const model::CoRunPredictor& model() const;
   [[nodiscard]] std::string job_name(std::size_t i) const;

@@ -246,34 +246,6 @@ TEST(DynamicRuntime, ReschedulingBeatsNaivePlacementOnMostScenarios) {
       << "rescheduling won or tied only " << wins_or_ties << "/" << kScenarios;
 }
 
-TEST(DynamicRuntimeRepair, RepairOnAndOffAreByteIdentical) {
-  // Incremental plan repair donates the previous plan (locally patched) to
-  // the B&B search as a warm-start hint. Like the plan cache's donations,
-  // it must never change what the run produces — only how much tree the
-  // search visits. Cap-change events exercise the pure repair-vs-full-
-  // replan case: the pending set is unchanged, only the constraint moved.
-  sim::FaultPlan plan;
-  sim::FaultEvent drop = fault_at(6.0, sim::FaultKind::kCapSet);
-  drop.cap = 12.0;
-  plan.events.push_back(drop);
-  sim::FaultEvent lift = fault_at(14.0, sim::FaultKind::kCapSet);
-  lift.cap = 16.0;
-  plan.events.push_back(lift);
-
-  DynamicOptions on = base_options();
-  on.scheduler = "bnb";
-  DynamicOptions off = on;
-  off.plan_repair = false;
-
-  const DynamicReport r_on = run(on, plan);
-  const DynamicReport r_off = run(off, plan);
-  EXPECT_EQ(digest(r_on), digest(r_off));
-  EXPECT_GT(r_on.plan_repairs, 0u);
-  EXPECT_EQ(r_off.plan_repairs, 0u);
-  EXPECT_EQ(r_off.repair_fallbacks, 0u);
-  EXPECT_LE(r_on.repair_fallbacks, r_on.plan_repairs);
-}
-
 /// digest() plus the thermal trace: temperatures and throttle allowances
 /// join the byte-identity contract when the thermal model is on.
 std::string thermal_digest(const DynamicReport& r) {

@@ -1,25 +1,23 @@
 // Plan cache: signature canonicalization, deterministic LRU behaviour,
 // persistent-tier round trips, and — the property everything else leans
 // on — cache-assisted planning returning byte-identical schedules to cold
-// planning, exact hit or warm start alike.
+// planning.
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "../support/fixtures.hpp"
+#include "corun/common/csv.hpp"
 #include "corun/core/runtime/dynamic.hpp"
 #include "corun/core/sched/branch_and_bound.hpp"
-#include "corun/core/sched/hcs.hpp"
-#include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/plan_cache/caching_scheduler.hpp"
 #include "corun/core/sched/plan_cache/signature.hpp"
-#include "corun/core/sched/refiner.hpp"
 #include "corun/core/sched/registry.hpp"
 #include "corun/sim/fault_injector.hpp"
 
@@ -59,8 +57,6 @@ TEST(PlanSignature, OrderInvariantAcrossBatchPermutations) {
   const PlanSignature b = make_signature(reversed_ctx, "bnb", 0);
   EXPECT_EQ(a.canonical, b.canonical);
   EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.job_names, b.job_names);
-  EXPECT_TRUE(std::is_sorted(a.job_names.begin(), a.job_names.end()));
 }
 
 TEST(PlanSignature, FamilySharedAcrossCapsButNotSchedulers) {
@@ -115,7 +111,7 @@ TEST(PlanCache, LruEvictionOrderIsDeterministic) {
   for (const Watts cap : caps) {
     const auto ctx = f.context(cap);
     sigs.push_back(make_signature(ctx, "bnb", 0));
-    cache->store(sigs.back(), bnb.plan(ctx), ctx.job_names(), 1.0);
+    cache->store(sigs.back(), bnb.plan(ctx), ctx.job_names());
   }
   // Capacity 2: storing the third entry evicts the first (LRU).
   EXPECT_EQ(cache->size(), 2u);
@@ -132,7 +128,7 @@ TEST(PlanCache, LruEvictionOrderIsDeterministic) {
             (std::vector<std::string>{sigs[2].canonical, sigs[1].canonical}));
   const auto ctx18 = f.context(18.0);
   cache->store(make_signature(ctx18, "bnb", 0), bnb.plan(ctx18),
-               ctx18.job_names(), 1.0);
+               ctx18.job_names());
   EXPECT_TRUE(cache->lookup(sigs[1], names).has_value());
   EXPECT_FALSE(cache->lookup(sigs[2], names).has_value());
 }
@@ -147,7 +143,7 @@ TEST_F(PlanCacheDirTest, PersistentTierRoundTripsExactly) {
 
   {
     auto writer = PlanCache::from_spec(spec).value();
-    writer->store(sig, planned, ctx.job_names(), 1.0 / 3.0);
+    writer->store(sig, planned, ctx.job_names());
     EXPECT_EQ(writer->stats().io_failures, 0u);
   }
   // One file, named by the canonical hash.
@@ -169,17 +165,50 @@ TEST_F(PlanCacheDirTest, PersistentTierRoundTripsExactly) {
   EXPECT_FALSE(reader->lookup(other, ctx.job_names()).has_value());
 }
 
-TEST(PlanCacheEntry, CsvCarriesFullSignatureAndExactMakespan) {
-  const std::string csv = plan_cache_entry_to_csv(
-      "v1;canonical", "v1;family", {"a", "b"}, "flags,0,0,0\n", 1.0 / 3.0);
-  EXPECT_NE(csv.find("sig,v1;canonical"), std::string::npos);
-  EXPECT_NE(csv.find("family,v1;family"), std::string::npos);
-  EXPECT_NE(csv.find("jobs,a,b"), std::string::npos);
-  // The %.17g convention: the stored makespan survives a strtod round trip.
-  EXPECT_NE(csv.find("makespan," + signature_double(1.0 / 3.0)),
-            std::string::npos);
-  EXPECT_EQ(std::strtod(signature_double(1.0 / 3.0).c_str(), nullptr),
-            1.0 / 3.0);
+TEST_F(PlanCacheDirTest, OldLayoutEntryIsAnIoFailureMissUntilRestored) {
+  // Entries written before the layout shrank carry family, makespan and
+  // jobs rows between the signature and the schedule. Such a file — even
+  // one for the exact requested signature — reads as a miss counted in
+  // io_failures, and the next store for that request overwrites it.
+  const auto& f = motivation_fixture();
+  const auto ctx = f.context(15.0);
+  const PlanSignature sig = make_signature(ctx, "bnb", 0);
+  const Schedule planned = BranchAndBoundScheduler().plan(ctx);
+  std::ostringstream schedule_csv;
+  schedule_to_csv(planned, ctx.job_names(), schedule_csv);
+  std::filesystem::create_directories(dir_);
+  const auto path = dir_ / ("plan_" + hex64(sig.hash) + ".csv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    CsvWriter writer(out);
+    writer.write_row({"sig", sig.canonical});
+    writer.write_row({"family", sig.family});
+    writer.write_row({"makespan", signature_double(1.0 / 3.0)});
+    std::vector<std::string> jobs_row{"jobs"};
+    for (const std::string& name : ctx.job_names()) jobs_row.push_back(name);
+    writer.write_row(jobs_row);
+    out << schedule_csv.str();
+  }
+
+  auto cache = PlanCache::from_spec("dir:" + dir_.string()).value();
+  EXPECT_FALSE(cache->lookup(sig, ctx.job_names()).has_value());
+  EXPECT_EQ(cache->stats().io_failures, 1u);
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_EQ(cache->stats().disk_hits, 0u);
+
+  cache->store(sig, planned, ctx.job_names());
+  auto reader = PlanCache::from_spec("dir:" + dir_.string()).value();
+  const auto hit = reader->lookup(sig, ctx.job_names());
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(plan_text(*hit, ctx), plan_text(planned, ctx));
+  EXPECT_EQ(reader->stats().io_failures, 0u);
+  EXPECT_EQ(reader->stats().disk_hits, 1u);
+}
+
+TEST(PlanCacheEntry, CsvCarriesFullSignatureThenScheduleRows) {
+  const std::string csv =
+      plan_cache_entry_to_csv("v1;canonical", "flags,0,0,0\n");
+  EXPECT_EQ(csv, "sig,v1;canonical\nflags,0,0,0\n");
 }
 
 TEST(CachingScheduler, ExactHitReplaysTheIdenticalSchedule) {
@@ -197,19 +226,6 @@ TEST(CachingScheduler, ExactHitReplaysTheIdenticalSchedule) {
   EXPECT_EQ(cache->stats().hits, 1u);
 }
 
-TEST(CachingScheduler, NearHitWarmStartsWithoutChangingTheSchedule) {
-  const auto& f = motivation_fixture();
-  auto cache = PlanCache::from_spec("mem").value();
-  auto cached = make_cached_scheduler("bnb", 42, cache);
-  auto cold = make_scheduler("bnb", 42);
-
-  (void)cached->plan(f.context(15.0));  // populate the family
-  const auto ctx = f.context(13.0);
-  const Schedule warm_plan = cached->plan(ctx);
-  EXPECT_GE(cache->stats().warm_hits, 1u);
-  EXPECT_EQ(plan_text(warm_plan, ctx), plan_text(cold->plan(ctx), ctx));
-}
-
 TEST(CachingScheduler, NullCacheAndRandomSchedulerBypass) {
   EXPECT_EQ(make_cached_scheduler("nonsense", 42, nullptr), nullptr);
   auto plain = make_cached_scheduler("bnb", 42, nullptr);
@@ -223,111 +239,6 @@ TEST(CachingScheduler, NullCacheAndRandomSchedulerBypass) {
   (void)random->plan(f.context(15.0));
   (void)random->plan(f.context(15.0));
   EXPECT_EQ(cache->stats().hits + cache->stats().misses, 0u);
-}
-
-TEST(WarmStart, EqualsColdBnbOnFiftySeededScenarios) {
-  const auto& f = motivation_fixture();
-  // Walk a 50-point cap ladder; each scenario donates the previous cap's
-  // *refined* schedule as the warm-start hint — exactly what a near hit
-  // feeds the search. The warm run may only prune harder, never land on a
-  // different schedule.
-  HcsPlusScheduler hcs_plus;
-  Schedule donor = hcs_plus.plan(f.context(10.0));
-  std::size_t cold_nodes = 0;
-  std::size_t warm_nodes = 0;
-  for (int i = 0; i < 50; ++i) {
-    const Watts cap = 10.0 + 0.2 * i;
-    const auto ctx = f.context(cap);
-
-    BranchAndBoundScheduler cold;
-    const Schedule cold_plan = cold.plan(ctx);
-    EXPECT_FALSE(cold.warm_started());
-
-    SchedulerContext warmed = ctx;
-    warmed.incumbent_hint = donor;
-    BranchAndBoundScheduler warm;
-    const Schedule warm_plan = warm.plan(warmed);
-    EXPECT_TRUE(warm.warm_started());
-
-    ASSERT_EQ(plan_text(warm_plan, ctx), plan_text(cold_plan, ctx))
-        << "warm-started B&B diverged at cap " << cap;
-    cold_nodes += cold.nodes_visited();
-    warm_nodes += warm.nodes_visited();
-    donor = cold_plan;
-  }
-  EXPECT_LE(warm_nodes, cold_nodes);
-}
-
-TEST(WarmStart, RefinedSameCapDonorCannotSteerTheSearch) {
-  // The adversarial donor: B&B's own output for the *same* request. Its
-  // order was polished by the post-search Refiner, so its makespan can lie
-  // strictly below every index-order leaf the search enumerates — fed
-  // straight into the strict pruning bound it would cut the path to the
-  // cold winner and degrade the result to the HCS+ seed. The leaf-space
-  // re-encoding must keep warm byte-identical to cold anyway.
-  const auto& f = motivation_fixture();
-  for (const Watts cap : {11.0, 13.0, 15.0, 17.0}) {
-    const auto ctx = f.context(cap);
-    BranchAndBoundScheduler cold;
-    const Schedule cold_plan = cold.plan(ctx);
-
-    SchedulerContext warmed = ctx;
-    warmed.incumbent_hint = cold_plan;
-    BranchAndBoundScheduler warm;
-    const Schedule warm_plan = warm.plan(warmed);
-    EXPECT_TRUE(warm.warm_started());
-    ASSERT_EQ(plan_text(warm_plan, ctx), plan_text(cold_plan, ctx))
-        << "refined same-cap donor steered the search at cap " << cap;
-    EXPECT_LE(warm.nodes_visited(), cold.nodes_visited());
-  }
-}
-
-TEST(WarmStart, BudgetThatCouldBindDisablesTheHint) {
-  // With a node budget a full enumeration could exceed, warm pruning would
-  // shift which leaves the truncated search sees; the hint must turn
-  // itself off and the result must match the equally-budgeted cold run.
-  const auto& f = motivation_fixture();
-  const auto ctx = f.context(15.0);
-  BranchAndBoundOptions opts;
-  opts.node_budget = 16;  // 4 jobs: full tree is 2^5-1 = 31 > 16
-
-  BranchAndBoundScheduler cold(opts);
-  const Schedule cold_plan = cold.plan(ctx);
-
-  SchedulerContext warmed = ctx;
-  warmed.incumbent_hint = BranchAndBoundScheduler().plan(ctx);
-  BranchAndBoundScheduler warm(opts);
-  const Schedule warm_plan = warm.plan(warmed);
-  EXPECT_FALSE(warm.warm_started());
-  EXPECT_EQ(plan_text(warm_plan, ctx), plan_text(cold_plan, ctx));
-}
-
-TEST(CachingScheduler, SupersetDonorAtSameCapStaysByteIdentical) {
-  // The near-hit path most likely to produce an undercutting donor: a
-  // cached *superset* batch at the same cap, restricted to the requested
-  // subset and remapped. End-to-end through near_lookup, the warm-started
-  // plan must match the cold planner byte for byte.
-  const auto& f = motivation_fixture();
-  auto cache = PlanCache::from_spec("mem").value();
-  auto cached = make_cached_scheduler("bnb", 42, cache);
-  auto cold = make_scheduler("bnb", 42);
-
-  const auto full_ctx = f.context(15.0);
-  (void)cached->plan(full_ctx);  // cache the 4-job superset at this cap
-
-  workload::Batch subset;
-  for (std::size_t i = 0; i + 1 < f.batch.jobs().size(); ++i) {
-    const auto& job = f.batch.jobs()[i];
-    subset.add(job.descriptor, job.seed, job.instance_name);
-  }
-  SchedulerContext sub_ctx = f.context(15.0);
-  sub_ctx.batch = &subset;
-
-  const Schedule warm_plan = cached->plan(sub_ctx);
-  EXPECT_EQ(cache->stats().warm_hits, 1u);
-  EXPECT_EQ(cache->stats().hits, 0u);
-  EXPECT_EQ(plan_text(warm_plan, sub_ctx),
-            plan_text(cold->plan(sub_ctx), sub_ctx));
 }
 
 TEST(DynamicRuntimePlanCache, CacheOnAndOffAreByteIdentical) {

@@ -53,8 +53,7 @@ TEST(ShardedPlanCache, FamiliesColocateAndShardIndexIsFamilyHashModShards) {
   auto cache = PlanCache::from_spec("mem:4:8").value();
   ASSERT_EQ(cache->config().shards, 8u);
 
-  // Same family (seed), different caps: one shard. The near-hit scan
-  // depends on this colocation invariant.
+  // Same family (seed), different caps: one shard.
   const PlanSignature a = make_signature(f.context(12.0), "bnb", 7);
   const PlanSignature b = make_signature(f.context(18.0), "bnb", 7);
   EXPECT_EQ(a.family_hash, b.family_hash);
@@ -103,7 +102,7 @@ TEST(ShardedPlanCache, ConcurrentStoresUnderEvictionPressureKeepExactStats) {
   // every insert beyond a shard's capacity evicts exactly one entry.
   run_threads(kThreads, [&](std::size_t t) {
     for (std::size_t i = t; i < sigs.size(); i += kThreads) {
-      cache->store(sigs[i], schedule, names, 1.0);
+      cache->store(sigs[i], schedule, names);
     }
   });
 
@@ -149,12 +148,11 @@ TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
   const std::vector<PlanSignature> sigs = make_population(kFamilies, kCaps);
   ASSERT_EQ(sigs.size(), kFamilies * kCaps);
   for (std::size_t i = 0; i < sigs.size(); ++i) {
-    cache->store(sigs[i], schedules[i % kCaps], names, 1.0);
+    cache->store(sigs[i], schedules[i % kCaps], names);
   }
 
   // Never-stored signatures (an unseen cap per family): deterministic
-  // misses. Near probes reuse them — same family, different cap — so each
-  // yields exactly one warm-start candidate.
+  // misses.
   std::vector<PlanSignature> absent;
   for (std::size_t fam = 0; fam < kFamilies; ++fam) {
     absent.push_back(make_signature(f.context(99.0), "bnb", fam));
@@ -175,9 +173,6 @@ TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
       if (cache->lookup(sig, names).has_value()) {
         mismatches.fetch_add(1, std::memory_order_relaxed);
       }
-      if (!cache->near_lookup(sig, names).has_value()) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
     }
   });
 
@@ -186,19 +181,17 @@ TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
   EXPECT_EQ(stats.stores, sigs.size());
   EXPECT_EQ(stats.hits, kThreads * sigs.size());
   EXPECT_EQ(stats.misses, kThreads * absent.size());
-  EXPECT_EQ(stats.warm_hits, kThreads * absent.size());
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(cache->size(), sigs.size());
 }
 
 TEST(ShardedPlanCache, HammerMixedOperationsStayConsistent) {
-  // The everything-at-once hammer: concurrent stores, exact lookups, and
-  // near lookups over overlapping keys with real eviction pressure. No
-  // residency is guaranteed, so the assertions are the invariants that
-  // must survive any interleaving: a hit's bytes always match what was
-  // stored for that signature, sizes never exceed capacity, and the
-  // accounting identities hold. This is the tsan workout for the
-  // per-shard locking discipline.
+  // The everything-at-once hammer: concurrent stores and exact lookups over
+  // overlapping keys with real eviction pressure. No residency is
+  // guaranteed, so the assertions are the invariants that must survive any
+  // interleaving: a hit's bytes always match what was stored for that
+  // signature, sizes never exceed capacity, and the accounting identities
+  // hold. This is the tsan workout for the per-shard locking discipline.
   const auto& f = motivation_fixture();
   const auto names = f.context(15.0).job_names();
 
@@ -227,21 +220,13 @@ TEST(ShardedPlanCache, HammerMixedOperationsStayConsistent) {
       for (std::size_t i = 0; i < sigs.size(); ++i) {
         const std::size_t k = (i + t) % sigs.size();
         if ((round + t + k) % 3 == 0) {
-          cache->store(sigs[k], schedules[k % kCaps], names, 1.0);
+          cache->store(sigs[k], schedules[k % kCaps], names);
           store_calls.fetch_add(1, std::memory_order_relaxed);
-        } else if ((round + t + k) % 3 == 1) {
+        } else {
           const auto hit = cache->lookup(sigs[k], names);
           lookups.fetch_add(1, std::memory_order_relaxed);
           if (hit.has_value() && hit->to_string(names) !=
                                      text_by_canonical[sigs[k].canonical]) {
-            bad_bytes.fetch_add(1, std::memory_order_relaxed);
-          }
-        } else {
-          const auto near = cache->near_lookup(sigs[k], names);
-          // A donated candidate is restricted to the requested job set, so
-          // it must place exactly that many jobs.
-          if (near.has_value() &&
-              near->schedule.job_count() != names.size()) {
             bad_bytes.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -271,7 +256,7 @@ TEST(ShardedPlanCache, SnapshotDiffAroundAPhaseIsExact) {
   auto cache = PlanCache::from_spec("mem:8:2").value();
 
   const PlanSignature sig = make_signature(ctx, "bnb", 0);
-  cache->store(sig, schedule, names, 1.0);  // pre-phase warmth
+  cache->store(sig, schedule, names);  // pre-phase warmth
 
   const PlanCacheStats before = cache->stats();
   (void)cache->lookup(sig, names);                        // hit

@@ -157,7 +157,6 @@ TEST(SignatureBuilder, ByteIdenticalToMakeSignature) {
       EXPECT_EQ(a.family, b.family);
       EXPECT_EQ(a.hash, b.hash);
       EXPECT_EQ(a.family_hash, b.family_hash);
-      EXPECT_EQ(a.job_names, b.job_names);
     }
   }
 }

@@ -218,7 +218,7 @@ CORUN_PLAN_CACHE=dir:plancache "$TOOLS/corun-schedule" --batch batch.csv \
 cmp plain.out pc_env.out
 grep -q "plan-cache: hits=1" pc_env.err
 
-echo "== dynamic run with --plan-cache is byte-identical and warm-starts =="
+echo "== dynamic run with --plan-cache is byte-identical =="
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
     --cap 15 --scheduler bnb --events faults.csv > dyn_nocache.out
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
@@ -227,13 +227,12 @@ echo "== dynamic run with --plan-cache is byte-identical and warm-starts =="
 cmp dyn_nocache.out dyn_cache.out
 grep -q "plan-cache:" dyn_cache.err
 
-echo "== bnb plan repair reports on stderr, never on stdout =="
+echo "== bnb dynamic rerun is byte-identical and never truncated =="
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
     --cap 15 --scheduler bnb --events faults.csv \
-    > dyn_repair.out 2> dyn_repair.err
-cmp dyn_nocache.out dyn_repair.out
-grep -q "bnb repair:" dyn_repair.err
-if grep -q "budget-truncated" dyn_repair.err; then
+    > dyn_rerun.out 2> dyn_rerun.err
+cmp dyn_nocache.out dyn_rerun.out
+if grep -q "budget-truncated" dyn_rerun.err; then
   echo "unexpected truncation warning at the default node budget" >&2
   exit 1
 fi

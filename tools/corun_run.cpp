@@ -159,13 +159,7 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
     if (rc != 0) return rc;
   }
   // Search-side statistics go to stderr (like the plan-cache report) so
-  // stdout stays byte-identical whether repair or the cache is active.
-  if (report.plan_repairs > 0 || report.repair_fallbacks > 0) {
-    std::fprintf(stderr,
-                 "bnb repair: %zu re-plans warm-started from a repaired plan"
-                 " (%zu fell back to the full search)\n",
-                 report.plan_repairs, report.repair_fallbacks);
-  }
+  // stdout stays byte-identical whether the cache is active or not.
   if (report.bnb_budget_exhausted > 0) {
     std::fprintf(stderr,
                  "warning: %zu re-plan(s) served by a budget-truncated"

@@ -115,11 +115,10 @@ void report_plan_cache(const sched::PlanCache* cache) {
   if (cache == nullptr) return;
   const sched::PlanCacheStats s = cache->stats();
   std::fprintf(stderr,
-               "plan-cache: hits=%llu misses=%llu warm=%llu evictions=%llu "
+               "plan-cache: hits=%llu misses=%llu evictions=%llu "
                "stores=%llu disk_hits=%llu io_failures=%llu\n",
                static_cast<unsigned long long>(s.hits),
                static_cast<unsigned long long>(s.misses),
-               static_cast<unsigned long long>(s.warm_hits),
                static_cast<unsigned long long>(s.evictions),
                static_cast<unsigned long long>(s.stores),
                static_cast<unsigned long long>(s.disk_hits),

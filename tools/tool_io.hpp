@@ -68,11 +68,8 @@ bool finish_trace(const std::string& path);
 /// (falling back to the CORUN_PLAN_CACHE environment variable; default
 /// off). Returns the constructed cache, null when caching stays off, or a
 /// parse error for a malformed spec. Cache state never changes emitted
-/// schedules or reports — only how much search work they cost. (Exact hits
-/// replay identical requests; warm starts re-encode the donor into the
-/// B&B leaf space and disable themselves when the node budget could
-/// truncate the search, so the guarantee holds unconditionally at the
-/// default budget and job limit.)
+/// schedules or reports — only how much search work they cost, since exact
+/// hits replay identical requests.
 /// `default_spec` applies when neither the flag nor the environment picks a
 /// spec: one-shot tools keep the historical "" (off); the serving daemon
 /// passes "mem" so a bare `corun-served` answers exact repeats from cache.
