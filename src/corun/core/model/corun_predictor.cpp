@@ -1,8 +1,8 @@
 #include "corun/core/model/corun_predictor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -11,19 +11,45 @@
 
 namespace corun::model {
 
-/// The dense analytic tables. Rows exist only for (job, device) pairs the
-/// DB has profiles for; everything else falls back to the legacy on-demand
-/// path. Cells are computed with the exact legacy arithmetic (entry_at +
-/// staged interpolation), so a table answer and a fallback answer are the
-/// same bits.
-struct CoRunPredictor::AnalyticCore {
+namespace {
+
+/// The cap test every search and feasibility query applies to a cell.
+bool fits(Watts power, std::optional<Watts> cap) {
+  return !cap || power <= *cap;
+}
+
+/// Row of `job` in one device's index; a job without profiles on that
+/// device fails exactly as the on-demand path's entry_at does.
+std::size_t row_of(const std::unordered_map<std::string, std::size_t>& index,
+                   const std::string& job) {
+  const auto it = index.find(job);
+  CORUN_CHECK_MSG(it != index.end(), "no profiles for " + job);
+  return it->second;
+}
+
+}  // namespace
+
+/// Rows exist only for (job, device) pairs the DB has profiles for. A job
+/// outside them fails the same check the on-demand entry_at applies (the
+/// standalone and power queries by falling back to that path). Table cells
+/// are computed with the exact legacy arithmetic (entry_at + combine), so
+/// a table answer and an on-demand answer are the same bits.
+struct CoRunPredictor::Core {
   std::unordered_map<std::string, std::size_t> cpu_index;  ///< job -> row
   std::unordered_map<std::string, std::size_t> gpu_index;
   std::size_t cpu_levels = 0;  ///< ladder size (max_level + 1)
   std::size_t gpu_levels = 0;
+
+  // The tables; empty with options_.analytic_tables off.
   std::vector<profile::ProfileEntry> cpu_entries;  ///< [row][level]
   std::vector<profile::ProfileEntry> gpu_entries;
-  std::vector<PairPrediction> pairs;  ///< [cpu row][cl][gpu row][gl]
+  /// Pair blocks [cpu row][gpu row], each [cpu level][gpu level]. A block
+  /// is filled under fill_mutex into block_storage and published through
+  /// its acquire/release pointer.
+  std::vector<std::atomic<const PairPrediction*>> blocks;
+  std::vector<std::unique_ptr<PairPrediction[]>> block_storage;
+  std::mutex fill_mutex;
+  std::size_t filled_blocks = 0;  ///< under fill_mutex
 
   [[nodiscard]] const profile::ProfileEntry* entry(
       sim::DeviceKind device, const std::string& job,
@@ -37,29 +63,50 @@ struct CoRunPredictor::AnalyticCore {
     const auto& entries = cpu ? cpu_entries : gpu_entries;
     return &entries[it->second * n + static_cast<std::size_t>(level)];
   }
+};
 
-  [[nodiscard]] const PairPrediction* pair(const std::string& cpu_job,
-                                           sim::FreqLevel cpu_level,
-                                           const std::string& gpu_job,
-                                           sim::FreqLevel gpu_level) const {
-    if (cpu_level < 0 ||
-        static_cast<std::size_t>(cpu_level) >= cpu_levels ||
-        gpu_level < 0 || static_cast<std::size_t>(gpu_level) >= gpu_levels) {
-      return nullptr;
+struct CoRunPredictor::PairCells {
+  const CoRunPredictor* self = nullptr;
+  const std::string* cpu_job = nullptr;
+  const std::string* gpu_job = nullptr;
+  std::size_t block = 0;  ///< the memo key's pair: cpu row * gpu rows + gpu row
+  sim::FreqLevel cpu_max = 0;
+  sim::FreqLevel gpu_max = 0;
+  const PairPrediction* table = nullptr;  ///< nullptr: tables off
+
+  [[nodiscard]] PairPrediction at(sim::FreqLevel cpu_level,
+                                  sim::FreqLevel gpu_level) const {
+    if (table != nullptr) {
+      return table[static_cast<std::size_t>(cpu_level) *
+                       static_cast<std::size_t>(gpu_max + 1) +
+                   static_cast<std::size_t>(gpu_level)];
     }
-    const auto ci = cpu_index.find(cpu_job);
-    if (ci == cpu_index.end()) return nullptr;
-    const auto gi = gpu_index.find(gpu_job);
-    if (gi == gpu_index.end()) return nullptr;
-    const std::size_t idx =
-        ((ci->second * cpu_levels + static_cast<std::size_t>(cpu_level)) *
-             gpu_index.size() +
-         gi->second) *
-            gpu_levels +
-        static_cast<std::size_t>(gpu_level);
-    return &pairs[idx];
+    return self->predict_legacy(*cpu_job, cpu_level, *gpu_job, gpu_level);
+  }
+
+  /// Calls fn(cpu level, gpu level, cell) for every cell, CPU level outer —
+  /// the legacy searches' scan order — counting one table hit per scan.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    if (table != nullptr) self->count_analytic_hit();
+    for (sim::FreqLevel fc = 0; fc <= cpu_max; ++fc) {
+      for (sim::FreqLevel fg = 0; fg <= gpu_max; ++fg) {
+        fn(fc, fg, at(fc, fg));
+      }
+    }
   }
 };
+
+std::size_t CoRunPredictor::SearchKeyHash::operator()(
+    const SearchKey& key) const noexcept {
+  std::uint64_t h = key.block;
+  h = h * 0x9E3779B97F4A7C15ULL + key.cap_bits;
+  h = h * 0x9E3779B97F4A7C15ULL + static_cast<std::uint32_t>(key.variant);
+  h = h * 2 + (key.capped ? 1 : 0);
+  h ^= h >> 31;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
 
 CoRunPredictor::CoRunPredictor(const profile::ProfileDB& db,
                                DegradationGrid grid, sim::MachineConfig config,
@@ -84,71 +131,104 @@ CoRunPredictor::~CoRunPredictor() {
   if (hits != 0) {
     trace::counter_add("backend.analytic_hits", static_cast<double>(hits));
   }
+  if (core_storage_ != nullptr && core_storage_->filled_blocks != 0) {
+    trace::counter_add("backend.analytic_blocks",
+                       static_cast<double>(core_storage_->filled_blocks));
+  }
 }
 
-std::unique_ptr<CoRunPredictor::AnalyticCore> CoRunPredictor::build_core()
-    const {
-  auto core = std::make_unique<AnalyticCore>();
+std::unique_ptr<CoRunPredictor::Core> CoRunPredictor::build_core() const {
+  auto core = std::make_unique<Core>();
   core->cpu_levels =
       static_cast<std::size_t>(config_.cpu_ladder.max_level()) + 1;
   core->gpu_levels =
       static_cast<std::size_t>(config_.gpu_ladder.max_level()) + 1;
+  // Row order follows db_.jobs(), which is sorted, so the layout is
+  // deterministic.
   for (const std::string& job : db_.jobs()) {
     for (const sim::DeviceKind device :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
       if (db_.levels(job, device).empty()) continue;
       const bool cpu = device == sim::DeviceKind::kCpu;
       auto& index = cpu ? core->cpu_index : core->gpu_index;
+      index.emplace(job, index.size());
+      if (!options_.analytic_tables) continue;
       auto& entries = cpu ? core->cpu_entries : core->gpu_entries;
       const std::size_t n = cpu ? core->cpu_levels : core->gpu_levels;
-      index.emplace(job, index.size());
       for (std::size_t l = 0; l < n; ++l) {
         entries.push_back(
             entry_at(job, device, static_cast<sim::FreqLevel>(l)));
       }
     }
   }
-  const std::size_t n_cpu = core->cpu_index.size();
-  const std::size_t n_gpu = core->gpu_index.size();
-  core->pairs.resize(n_cpu * core->cpu_levels * n_gpu * core->gpu_levels);
-  std::size_t idx = 0;
-  // Row order follows entry storage, which follows the insertion order of
-  // the index maps (db_.jobs() is sorted, so the layout is deterministic).
-  for (std::size_t ci = 0; ci < n_cpu; ++ci) {
-    for (std::size_t cl = 0; cl < core->cpu_levels; ++cl) {
-      const profile::ProfileEntry& ce =
-          core->cpu_entries[ci * core->cpu_levels + cl];
-      for (std::size_t gi = 0; gi < n_gpu; ++gi) {
-        for (std::size_t gl = 0; gl < core->gpu_levels; ++gl) {
-          const profile::ProfileEntry& ge =
-              core->gpu_entries[gi * core->gpu_levels + gl];
-          PairPrediction& p = core->pairs[idx++];
-          p.cpu_degradation = interp_.cpu_degradation(ce.avg_bw, ge.avg_bw);
-          p.gpu_degradation = interp_.gpu_degradation(ce.avg_bw, ge.avg_bw);
-          p.cpu_solo_time = ce.time;
-          p.gpu_solo_time = ge.time;
-          p.cpu_time = ce.time * (1.0 + p.cpu_degradation);
-          p.gpu_time = ge.time * (1.0 + p.gpu_degradation);
-          p.power = ce.avg_power + ge.avg_power - db_.idle_power();
-        }
-      }
-    }
+  if (options_.analytic_tables) {
+    const std::size_t n_blocks =
+        core->cpu_index.size() * core->gpu_index.size();
+    core->blocks = std::vector<std::atomic<const PairPrediction*>>(n_blocks);
+    core->block_storage.resize(n_blocks);
   }
   return core;
 }
 
-const CoRunPredictor::AnalyticCore* CoRunPredictor::analytic_core() const {
-  if (!options_.analytic_tables) return nullptr;
-  if (const AnalyticCore* core = core_.load(std::memory_order_acquire)) {
-    return core;
-  }
+CoRunPredictor::Core& CoRunPredictor::core() const {
+  if (Core* core = core_.load(std::memory_order_acquire)) return *core;
   const std::lock_guard<std::mutex> lock(core_mutex_);
-  if (const AnalyticCore* core = core_.load(std::memory_order_relaxed)) {
-    return core;
-  }
+  if (Core* core = core_.load(std::memory_order_relaxed)) return *core;
   core_storage_ = build_core();
   core_.store(core_storage_.get(), std::memory_order_release);
-  return core_storage_.get();
+  return *core_storage_;
+}
+
+const PairPrediction* CoRunPredictor::pair_block(Core& core,
+                                                 std::size_t block) const {
+  std::atomic<const PairPrediction*>& published = core.blocks[block];
+  if (const PairPrediction* cells = published.load(std::memory_order_acquire)) {
+    return cells;
+  }
+  const std::lock_guard<std::mutex> lock(core.fill_mutex);
+  if (const PairPrediction* cells = published.load(std::memory_order_relaxed)) {
+    return cells;
+  }
+  // Each row is located on its grid axis once per block: cpu_levels +
+  // gpu_levels axis searches, then two blends per cell.
+  const std::size_t n_gpu = core.gpu_index.size();
+  const profile::ProfileEntry* cpu_row =
+      &core.cpu_entries[block / n_gpu * core.cpu_levels];
+  const profile::ProfileEntry* gpu_row =
+      &core.gpu_entries[block % n_gpu * core.gpu_levels];
+  std::vector<AxisPos> gpu_pos(core.gpu_levels);
+  for (std::size_t gl = 0; gl < core.gpu_levels; ++gl) {
+    gpu_pos[gl] = interp_.locate_gpu(gpu_row[gl].avg_bw);
+  }
+  auto cells =
+      std::make_unique<PairPrediction[]>(core.cpu_levels * core.gpu_levels);
+  PairPrediction* cell = cells.get();
+  for (std::size_t cl = 0; cl < core.cpu_levels; ++cl) {
+    const AxisPos cpu_pos = interp_.locate_cpu(cpu_row[cl].avg_bw);
+    for (std::size_t gl = 0; gl < core.gpu_levels; ++gl) {
+      *cell++ = combine(cpu_row[cl], cpu_pos, gpu_row[gl], gpu_pos[gl]);
+    }
+  }
+  const PairPrediction* filled = cells.get();
+  core.block_storage[block] = std::move(cells);
+  ++core.filled_blocks;
+  published.store(filled, std::memory_order_release);
+  return filled;
+}
+
+CoRunPredictor::PairCells CoRunPredictor::pair_cells(
+    const std::string& cpu_job, const std::string& gpu_job) const {
+  Core& c = core();
+  PairCells cells;
+  cells.self = this;
+  cells.cpu_job = &cpu_job;
+  cells.gpu_job = &gpu_job;
+  cells.block = row_of(c.cpu_index, cpu_job) * c.gpu_index.size() +
+                row_of(c.gpu_index, gpu_job);
+  cells.cpu_max = config_.cpu_ladder.max_level();
+  cells.gpu_max = config_.gpu_ladder.max_level();
+  if (options_.analytic_tables) cells.table = pair_block(c, cells.block);
+  return cells;
 }
 
 void CoRunPredictor::count_analytic_hit() const {
@@ -199,11 +279,41 @@ profile::ProfileEntry CoRunPredictor::entry_at(const std::string& job,
                                .energy = lerp(lo->energy, hi->energy)};
 }
 
+PairPrediction CoRunPredictor::combine(const profile::ProfileEntry& cpu,
+                                       AxisPos cpu_pos,
+                                       const profile::ProfileEntry& gpu,
+                                       AxisPos gpu_pos) const {
+  const DegradationGrid& grid = interp_.grid();
+  PairPrediction out;
+  out.cpu_degradation =
+      StagedInterpolator::blend(grid.cpu_deg, cpu_pos, gpu_pos);
+  out.gpu_degradation =
+      StagedInterpolator::blend(grid.gpu_deg, cpu_pos, gpu_pos);
+  out.cpu_solo_time = cpu.time;
+  out.gpu_solo_time = gpu.time;
+  out.cpu_time = cpu.time * (1.0 + out.cpu_degradation);
+  out.gpu_time = gpu.time * (1.0 + out.gpu_degradation);
+  out.power = cpu.avg_power + gpu.avg_power - db_.idle_power();
+  return out;
+}
+
+PairPrediction CoRunPredictor::predict_legacy(const std::string& cpu_job,
+                                              sim::FreqLevel cpu_level,
+                                              const std::string& gpu_job,
+                                              sim::FreqLevel gpu_level) const {
+  const profile::ProfileEntry cpu_entry =
+      entry_at(cpu_job, sim::DeviceKind::kCpu, cpu_level);
+  const profile::ProfileEntry gpu_entry =
+      entry_at(gpu_job, sim::DeviceKind::kGpu, gpu_level);
+  return combine(cpu_entry, interp_.locate_cpu(cpu_entry.avg_bw), gpu_entry,
+                 interp_.locate_gpu(gpu_entry.avg_bw));
+}
+
 Seconds CoRunPredictor::standalone_time(const std::string& job,
                                         sim::DeviceKind device,
                                         sim::FreqLevel level) const {
-  if (const AnalyticCore* core = analytic_core()) {
-    if (const profile::ProfileEntry* e = core->entry(device, job, level)) {
+  if (options_.analytic_tables) {
+    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
       count_analytic_hit();
       return e->time;
     }
@@ -214,8 +324,8 @@ Seconds CoRunPredictor::standalone_time(const std::string& job,
 GBps CoRunPredictor::standalone_bw(const std::string& job,
                                    sim::DeviceKind device,
                                    sim::FreqLevel level) const {
-  if (const AnalyticCore* core = analytic_core()) {
-    if (const profile::ProfileEntry* e = core->entry(device, job, level)) {
+  if (options_.analytic_tables) {
+    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
       count_analytic_hit();
       return e->avg_bw;
     }
@@ -226,8 +336,8 @@ GBps CoRunPredictor::standalone_bw(const std::string& job,
 Watts CoRunPredictor::standalone_power(const std::string& job,
                                        sim::DeviceKind device,
                                        sim::FreqLevel level) const {
-  if (const AnalyticCore* core = analytic_core()) {
-    if (const profile::ProfileEntry* e = core->entry(device, job, level)) {
+  if (options_.analytic_tables) {
+    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
       count_analytic_hit();
       return e->avg_power;
     }
@@ -239,40 +349,27 @@ PairPrediction CoRunPredictor::predict(const std::string& cpu_job,
                                        sim::FreqLevel cpu_level,
                                        const std::string& gpu_job,
                                        sim::FreqLevel gpu_level) const {
-  if (const AnalyticCore* core = analytic_core()) {
-    if (const PairPrediction* p =
-            core->pair(cpu_job, cpu_level, gpu_job, gpu_level)) {
-      count_analytic_hit();
-      return *p;
-    }
+  // Off-ladder levels have no table cell; the on-demand path clamps them.
+  if (options_.analytic_tables && cpu_level >= 0 &&
+      cpu_level <= config_.cpu_ladder.max_level() && gpu_level >= 0 &&
+      gpu_level <= config_.gpu_ladder.max_level()) {
+    const PairCells cells = pair_cells(cpu_job, gpu_job);
+    count_analytic_hit();
+    return cells.at(cpu_level, gpu_level);
   }
-  const profile::ProfileEntry cpu_entry =
-      entry_at(cpu_job, sim::DeviceKind::kCpu, cpu_level);
-  const profile::ProfileEntry gpu_entry =
-      entry_at(gpu_job, sim::DeviceKind::kGpu, gpu_level);
-
-  PairPrediction out;
-  out.cpu_degradation =
-      interp_.cpu_degradation(cpu_entry.avg_bw, gpu_entry.avg_bw);
-  out.gpu_degradation =
-      interp_.gpu_degradation(cpu_entry.avg_bw, gpu_entry.avg_bw);
-  out.cpu_solo_time = cpu_entry.time;
-  out.gpu_solo_time = gpu_entry.time;
-  out.cpu_time = cpu_entry.time * (1.0 + out.cpu_degradation);
-  out.gpu_time = gpu_entry.time * (1.0 + out.gpu_degradation);
-  out.power = cpu_entry.avg_power + gpu_entry.avg_power - db_.idle_power();
-  return out;
+  return predict_legacy(cpu_job, cpu_level, gpu_job, gpu_level);
 }
 
 Watts CoRunPredictor::predict_power(const std::string& cpu_job,
                                     sim::FreqLevel cpu_level,
                                     const std::string& gpu_job,
                                     sim::FreqLevel gpu_level) const {
-  if (const AnalyticCore* core = analytic_core()) {
+  if (options_.analytic_tables) {
+    const Core& c = core();
     const profile::ProfileEntry* ce =
-        core->entry(sim::DeviceKind::kCpu, cpu_job, cpu_level);
+        c.entry(sim::DeviceKind::kCpu, cpu_job, cpu_level);
     const profile::ProfileEntry* ge =
-        core->entry(sim::DeviceKind::kGpu, gpu_job, gpu_level);
+        c.entry(sim::DeviceKind::kGpu, gpu_job, gpu_level);
     if (ce != nullptr && ge != nullptr) {
       count_analytic_hit();
       return ce->avg_power + ge->avg_power - db_.idle_power();
@@ -289,40 +386,61 @@ bool CoRunPredictor::corun_feasible(const std::string& cpu_job,
                                     sim::FreqLevel gpu_level,
                                     std::optional<Watts> cap) const {
   if (!cap) return true;
-  return predict_power(cpu_job, cpu_level, gpu_job, gpu_level) <= *cap;
+  return fits(predict_power(cpu_job, cpu_level, gpu_job, gpu_level), cap);
 }
 
 bool CoRunPredictor::solo_feasible(const std::string& job,
                                    sim::DeviceKind device, sim::FreqLevel level,
                                    std::optional<Watts> cap) const {
   if (!cap) return true;
-  return standalone_power(job, device, level) <= *cap;
+  return fits(standalone_power(job, device, level), cap);
 }
 
-std::optional<sim::FreqLevel> CoRunPredictor::best_solo_level(
+std::optional<std::pair<sim::FreqLevel, Seconds>> CoRunPredictor::best_solo(
     const std::string& job, sim::DeviceKind device,
     std::optional<Watts> cap) const {
-  const sim::FrequencyLadder& ladder = config_.ladder(device);
-  std::optional<sim::FreqLevel> best;
+  // A job without profiles on `device` has no table row; entry_at reports
+  // it.
+  const profile::ProfileEntry* row =
+      options_.analytic_tables ? core().entry(device, job, 0) : nullptr;
+  if (row != nullptr) count_analytic_hit();
+  std::optional<std::pair<sim::FreqLevel, Seconds>> best;
   Seconds best_time = std::numeric_limits<Seconds>::infinity();
-  for (sim::FreqLevel l = 0; l <= ladder.max_level(); ++l) {
-    if (!solo_feasible(job, device, l, cap)) continue;
-    const Seconds t = standalone_time(job, device, l);
-    if (t < best_time) {
-      best_time = t;
-      best = l;
+  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
+    const profile::ProfileEntry e =
+        row != nullptr ? row[l] : entry_at(job, device, l);
+    if (!fits(e.avg_power, cap)) continue;
+    if (e.time < best_time) {
+      best_time = e.time;
+      best = {l, e.time};
     }
   }
   return best;
 }
 
+std::optional<sim::FreqLevel> CoRunPredictor::best_solo_level(
+    const std::string& job, sim::DeviceKind device,
+    std::optional<Watts> cap) const {
+  const auto best = best_solo(job, device, cap);
+  if (!best) return std::nullopt;
+  return best->first;
+}
+
 Seconds CoRunPredictor::best_solo_time(const std::string& job,
                                        sim::DeviceKind device,
                                        std::optional<Watts> cap) const {
-  const auto level = best_solo_level(job, device, cap);
-  CORUN_CHECK_MSG(level.has_value(),
+  const auto best = best_solo(job, device, cap);
+  CORUN_CHECK_MSG(best.has_value(),
                   "no cap-feasible standalone level for " + job);
-  return standalone_time(job, device, *level);
+  return best->second;
+}
+
+CoRunPredictor::SearchKey CoRunPredictor::SearchKey::of(
+    std::size_t block, std::optional<Watts> cap, int variant) {
+  return {.block = block,
+          .cap_bits = cap ? std::bit_cast<std::uint64_t>(*cap) : 0,
+          .capped = cap.has_value(),
+          .variant = variant};
 }
 
 Seconds CoRunPredictor::min_corun_time(const std::string& job,
@@ -330,21 +448,13 @@ Seconds CoRunPredictor::min_corun_time(const std::string& job,
                                        const std::string& partner,
                                        std::optional<Watts> cap,
                                        bool include_floor_pair) const {
-  // Exact cap rendering (%.17g, not a quantized bucket): the minimum feeds
-  // admissible lower bounds, where serving a neighbouring cap's value would
-  // silently change pruning decisions.
-  char cap_buf[64];
-  if (cap) {
-    std::snprintf(cap_buf, sizeof(cap_buf), "%.17g", *cap);
-  } else {
-    std::snprintf(cap_buf, sizeof(cap_buf), "none");
-  }
-  std::string key = job;
-  key += device == sim::DeviceKind::kCpu ? "|c|" : "|g|";
-  key += partner;
-  key += '|';
-  key += cap_buf;
-  key += include_floor_pair ? "|f" : "|s";
+  const bool on_cpu = device == sim::DeviceKind::kCpu;
+  const PairCells cells =
+      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job);
+  // Exact cap: the minimum feeds admissible lower bounds, where serving a
+  // neighbouring cap's value would silently change pruning decisions.
+  const SearchKey key = SearchKey::of(
+      cells.block, cap, (on_cpu ? 2 : 0) + (include_floor_pair ? 1 : 0));
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
     if (const auto it = corun_min_cache_.find(key);
@@ -353,23 +463,17 @@ Seconds CoRunPredictor::min_corun_time(const std::string& job,
     }
   }
 
-  const std::string& cpu_job = device == sim::DeviceKind::kCpu ? job : partner;
-  const std::string& gpu_job = device == sim::DeviceKind::kCpu ? partner : job;
   Seconds best = std::numeric_limits<Seconds>::infinity();
-  for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
-    for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap) &&
-          !(include_floor_pair && fc == 0 && fg == 0)) {
-        continue;
-      }
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
-      best = std::min(best,
-                      device == sim::DeviceKind::kCpu ? p.cpu_time : p.gpu_time);
+  cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
+                     const PairPrediction& p) {
+    if (!fits(p.power, cap) && !(include_floor_pair && fc == 0 && fg == 0)) {
+      return;
     }
-  }
+    best = std::min(best, on_cpu ? p.cpu_time : p.gpu_time);
+  });
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    corun_min_cache_.emplace(std::move(key), best);
+    corun_min_cache_.emplace(key, best);
   }
   return best;
 }
@@ -387,48 +491,38 @@ std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
 
   // Only the weight ratio matters; quantize it to quarter-octaves (clamped
   // to +-6 octaves) so repeated near-identical queries hit the memo cache.
+  // The cap, by contrast, keys exactly: feasibility is tested against it.
   const double log_ratio =
       std::clamp(std::log2(gpu_weight / cpu_weight), -6.0, 6.0);
   const int bucket = static_cast<int>(std::lround(log_ratio * 4.0));
-  const double wc = 1.0;
-  const double wg = std::exp2(static_cast<double>(bucket) / 4.0);
-  std::string key = cpu_job;
-  key += '|';
-  key += gpu_job;
-  key += '|';
-  key += std::to_string(
-      cap ? static_cast<long long>(std::llround(*cap * 100.0)) : -1LL);
-  key += '|';
-  key += std::to_string(bucket);
+  const PairCells cells = pair_cells(cpu_job, gpu_job);
+  const SearchKey key = SearchKey::of(cells.block, cap, bucket);
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
     if (const auto it = pair_cache_.find(key); it != pair_cache_.end()) {
       return it->second;
     }
   }
-  const double cpu_weight_q = wc;
-  const double gpu_weight_q = wg;
+  const double wc = 1.0;
+  const double wg = std::exp2(static_cast<double>(bucket) / 4.0);
 
   std::optional<FreqPair> best;
   double best_metric = std::numeric_limits<double>::infinity();
-  for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
-    for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
-      // Tiny secondary objective: among near-equal maxima prefer the pair
-      // that also finishes the lighter side sooner.
-      const double metric =
-          std::max(cpu_weight_q * p.cpu_time, gpu_weight_q * p.gpu_time) +
-          1e-4 * (cpu_weight_q * p.cpu_time + gpu_weight_q * p.gpu_time);
-      if (metric < best_metric) {
-        best_metric = metric;
-        best = FreqPair{fc, fg};
-      }
+  cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
+                     const PairPrediction& p) {
+    if (!fits(p.power, cap)) return;
+    // Tiny secondary objective: among near-equal maxima prefer the pair
+    // that also finishes the lighter side sooner.
+    const double metric = std::max(wc * p.cpu_time, wg * p.gpu_time) +
+                          1e-4 * (wc * p.cpu_time + wg * p.gpu_time);
+    if (metric < best_metric) {
+      best_metric = metric;
+      best = FreqPair{fc, fg};
     }
-  }
+  });
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    pair_cache_.emplace(std::move(key), best);
+    pair_cache_.emplace(key, best);
   }
   return best;
 }
@@ -438,39 +532,43 @@ std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
     std::optional<Watts> cap) const {
   std::optional<FreqPair> best;
   double best_metric = std::numeric_limits<double>::infinity();
-  for (sim::FreqLevel fc = 0; fc <= config_.cpu_ladder.max_level(); ++fc) {
-    for (sim::FreqLevel fg = 0; fg <= config_.gpu_ladder.max_level(); ++fg) {
-      if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-      const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
-      // Among equal degradations prefer the higher-frequency (faster) pair;
-      // folding a small negative frequency bonus into the metric does that
-      // without a separate tie-break pass.
-      const double freq_bonus =
-          1e-3 * (config_.cpu_ladder.fraction(fc) + config_.gpu_ladder.fraction(fg));
-      const double metric = p.cpu_degradation + p.gpu_degradation - freq_bonus;
-      if (metric < best_metric) {
-        best_metric = metric;
-        best = FreqPair{fc, fg};
-      }
-    }
-  }
+  pair_cells(cpu_job, gpu_job)
+      .for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
+                    const PairPrediction& p) {
+        if (!fits(p.power, cap)) return;
+        // Among equal degradations prefer the higher-frequency (faster)
+        // pair; folding a small negative frequency bonus into the metric
+        // does that without a separate tie-break pass.
+        const double freq_bonus = 1e-3 * (config_.cpu_ladder.fraction(fc) +
+                                          config_.gpu_ladder.fraction(fg));
+        const double metric =
+            p.cpu_degradation + p.gpu_degradation - freq_bonus;
+        if (metric < best_metric) {
+          best_metric = metric;
+          best = FreqPair{fc, fg};
+        }
+      });
   return best;
 }
 
 std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
     const std::string& job, sim::DeviceKind device, const std::string& partner,
     sim::FreqLevel partner_level, std::optional<Watts> cap) const {
-  const sim::FrequencyLadder& ladder = config_.ladder(device);
+  const bool on_cpu = device == sim::DeviceKind::kCpu;
+  PairCells cells =
+      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job);
+  // An off-ladder partner level has no table cell; the on-demand path
+  // clamps it.
+  const sim::FreqLevel partner_max = on_cpu ? cells.gpu_max : cells.cpu_max;
+  if (partner_level < 0 || partner_level > partner_max) cells.table = nullptr;
+  if (cells.table != nullptr) count_analytic_hit();
   std::optional<sim::FreqLevel> best;
   double best_time = std::numeric_limits<double>::infinity();
-  for (sim::FreqLevel l = 0; l <= ladder.max_level(); ++l) {
-    const std::string& cpu_job = device == sim::DeviceKind::kCpu ? job : partner;
-    const std::string& gpu_job = device == sim::DeviceKind::kCpu ? partner : job;
-    const sim::FreqLevel fc = device == sim::DeviceKind::kCpu ? l : partner_level;
-    const sim::FreqLevel fg = device == sim::DeviceKind::kCpu ? partner_level : l;
-    if (!corun_feasible(cpu_job, fc, gpu_job, fg, cap)) continue;
-    const PairPrediction p = predict(cpu_job, fc, gpu_job, fg);
-    const double t = device == sim::DeviceKind::kCpu ? p.cpu_time : p.gpu_time;
+  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
+    const PairPrediction p = on_cpu ? cells.at(l, partner_level)
+                                    : cells.at(partner_level, l);
+    if (!fits(p.power, cap)) continue;
+    const double t = on_cpu ? p.cpu_time : p.gpu_time;
     if (t < best_time) {
       best_time = t;
       best = l;

@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "corun/common/units.hpp"
 #include "corun/core/model/interpolator.hpp"
@@ -27,13 +28,13 @@ namespace corun::model {
 
 /// Evaluation-backend knobs for the predictor.
 struct PredictorOptions {
-  /// Route the point queries (standalone_*, predict, predict_power) through
-  /// dense cap-independent tables built once per predictor — the analytic
-  /// evaluation fast path the search leans on. The table cells are computed
-  /// by the exact legacy arithmetic (entry_at + staged interpolation), so
-  /// every answer is byte-identical to the on-demand path; the toggle
-  /// exists so the equivalence tests and the fidelity bench can run both
-  /// sides of that equality.
+  /// Answer the point queries (standalone_*, predict, predict_power) and
+  /// the searches (best_*, min_corun_time) from dense cap-independent
+  /// tables — the analytic evaluation fast path the schedulers lean on.
+  /// The table cells are computed by the exact legacy arithmetic (entry_at
+  /// + staged interpolation), so every answer is byte-identical to the
+  /// on-demand path; the toggle exists so the equivalence tests and the
+  /// fidelity bench can run both sides of that equality.
   bool analytic_tables = true;
 };
 
@@ -170,23 +171,68 @@ class CoRunPredictor {
   }
 
  private:
-  /// Dense cap-independent tables: one ProfileEntry per profiled
-  /// (job, device, level) and one PairPrediction per
-  /// (cpu job, cpu level, gpu job, gpu level) cell. Built lazily on first
-  /// query under core_mutex_ and published through an acquire/release
-  /// pointer, so the parallel schedule searches race-freely share one copy.
-  struct AnalyticCore;
+  /// Built once on first query and published through an acquire/release
+  /// pointer, so the parallel schedule searches race-freely share it. It
+  /// holds the job rows every search resolves its names to (on both paths:
+  /// the search memos key on them) and, with options_.analytic_tables, the
+  /// dense cap-independent tables — one ProfileEntry per profiled (job,
+  /// device, level), filled eagerly, and one pair block of PairPredictions
+  /// per (cpu job, gpu job), covering every (cpu level, gpu level) cell,
+  /// filled on first use.
+  struct Core;
+  /// One (cpu job, gpu job) pair's cells, at every level pair.
+  struct PairCells;
 
-  /// The published tables, building them on first use; nullptr when
-  /// options_.analytic_tables is off.
-  [[nodiscard]] const AnalyticCore* analytic_core() const;
-  [[nodiscard]] std::unique_ptr<AnalyticCore> build_core() const;
+  /// Memo key of one pair search: the pair's block, the exact cap (its
+  /// bits, so caps a hair apart never share an answer) and the search's own
+  /// discriminator (the weight-ratio bucket, or the side and floor flag).
+  struct SearchKey {
+    std::size_t block = 0;
+    std::uint64_t cap_bits = 0;
+    bool capped = false;
+    int variant = 0;
+
+    [[nodiscard]] static SearchKey of(std::size_t block,
+                                      std::optional<Watts> cap, int variant);
+    friend bool operator==(const SearchKey&, const SearchKey&) = default;
+  };
+  struct SearchKeyHash {
+    [[nodiscard]] std::size_t operator()(const SearchKey& key) const noexcept;
+  };
+
+  [[nodiscard]] Core& core() const;
+  [[nodiscard]] std::unique_ptr<Core> build_core() const;
+  /// The block of `block` = cpu row * gpu rows + gpu row, filled on first
+  /// use.
+  [[nodiscard]] const PairPrediction* pair_block(Core& core,
+                                                 std::size_t block) const;
+  /// Resolves both names once. The cells come from the pair's table block,
+  /// or, with the tables off, from predict_legacy on access.
+  [[nodiscard]] PairCells pair_cells(const std::string& cpu_job,
+                                     const std::string& gpu_job) const;
+  /// Fastest cap-feasible standalone level and its time, scanning the
+  /// job's entry row.
+  [[nodiscard]] std::optional<std::pair<sim::FreqLevel, Seconds>> best_solo(
+      const std::string& job, sim::DeviceKind device,
+      std::optional<Watts> cap) const;
   void count_analytic_hit() const;
 
   /// Linear interpolation of a profiled quantity across frequency.
   [[nodiscard]] profile::ProfileEntry entry_at(const std::string& job,
                                                sim::DeviceKind device,
                                                sim::FreqLevel level) const;
+  /// One cell from its two entries and their grid-axis positions: the
+  /// single implementation of the co-run arithmetic, shared by the legacy
+  /// path and the table fill.
+  [[nodiscard]] PairPrediction combine(const profile::ProfileEntry& cpu,
+                                       AxisPos cpu_pos,
+                                       const profile::ProfileEntry& gpu,
+                                       AxisPos gpu_pos) const;
+  /// The on-demand (table-free) prediction of one cell.
+  [[nodiscard]] PairPrediction predict_legacy(const std::string& cpu_job,
+                                              sim::FreqLevel cpu_level,
+                                              const std::string& gpu_job,
+                                              sim::FreqLevel gpu_level) const;
 
   const profile::ProfileDB& db_;
   StagedInterpolator interp_;
@@ -194,21 +240,23 @@ class CoRunPredictor {
   PredictorOptions options_;
 
   mutable std::mutex core_mutex_;
-  mutable std::unique_ptr<AnalyticCore> core_storage_;
-  mutable std::atomic<const AnalyticCore*> core_{nullptr};
+  mutable std::unique_ptr<Core> core_storage_;
+  mutable std::atomic<Core*> core_{nullptr};
   mutable std::atomic<std::uint64_t> analytic_hits_{0};
 
   // Pair-search memoization. Only the weight *ratio* affects the argmin
-  // (scaling both weights scales the whole metric), so the cache keys on
-  // the log-ratio quantized to quarter-octaves — schedulers issue the same
-  // queries thousands of times during refinement. The cache is a pure
-  // function of (jobs, cap, ratio bucket), so concurrent fills from the
-  // parallel schedule searches always agree on the value; the mutex only
-  // protects the map structure (lookups and inserts are brief, the search
-  // itself runs unlocked and may rarely be duplicated).
+  // (scaling both weights scales the whole metric), so the pair cache keys
+  // on the log-ratio quantized to quarter-octaves — schedulers issue the
+  // same queries thousands of times during refinement. Both caches are pure
+  // functions of their keys, so concurrent fills from the parallel schedule
+  // searches always agree on the value; the mutex only protects the map
+  // structure (lookups and inserts are brief, the search itself runs
+  // unlocked and may rarely be duplicated).
   mutable std::mutex pair_cache_mutex_;
-  mutable std::unordered_map<std::string, std::optional<FreqPair>> pair_cache_;
-  mutable std::unordered_map<std::string, Seconds> corun_min_cache_;
+  mutable std::unordered_map<SearchKey, std::optional<FreqPair>, SearchKeyHash>
+      pair_cache_;
+  mutable std::unordered_map<SearchKey, Seconds, SearchKeyHash>
+      corun_min_cache_;
 };
 
 }  // namespace corun::model

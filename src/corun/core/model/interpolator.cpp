@@ -9,12 +9,6 @@ namespace {
 
 /// Finds the cell [k, k+1] containing v (clamped) and the fractional
 /// position within it.
-struct AxisPos {
-  std::size_t lo;
-  std::size_t hi;
-  double frac;
-};
-
 AxisPos locate(const std::vector<double>& axis, double v) {
   CORUN_CHECK(axis.size() >= 1);
   if (axis.size() == 1 || v <= axis.front()) return {0, 0, 0.0};
@@ -39,26 +33,32 @@ StagedInterpolator::StagedInterpolator(DegradationGrid grid)
   CORUN_CHECK(std::is_sorted(grid_.gpu_axis.begin(), grid_.gpu_axis.end()));
 }
 
-double StagedInterpolator::interpolate(
-    const std::vector<std::vector<double>>& surface, GBps cpu_bw,
-    GBps gpu_bw) const {
-  const AxisPos ci = locate(grid_.cpu_axis, cpu_bw);
-  const AxisPos gj = locate(grid_.gpu_axis, gpu_bw);
-  const double d00 = surface[ci.lo][gj.lo];
-  const double d01 = surface[ci.lo][gj.hi];
-  const double d10 = surface[ci.hi][gj.lo];
-  const double d11 = surface[ci.hi][gj.hi];
-  const double lo = d00 * (1.0 - gj.frac) + d01 * gj.frac;
-  const double hi = d10 * (1.0 - gj.frac) + d11 * gj.frac;
-  return lo * (1.0 - ci.frac) + hi * ci.frac;
+AxisPos StagedInterpolator::locate_cpu(GBps cpu_bw) const {
+  return locate(grid_.cpu_axis, cpu_bw);
+}
+
+AxisPos StagedInterpolator::locate_gpu(GBps gpu_bw) const {
+  return locate(grid_.gpu_axis, gpu_bw);
+}
+
+double StagedInterpolator::blend(
+    const std::vector<std::vector<double>>& surface, AxisPos cpu,
+    AxisPos gpu) {
+  const double d00 = surface[cpu.lo][gpu.lo];
+  const double d01 = surface[cpu.lo][gpu.hi];
+  const double d10 = surface[cpu.hi][gpu.lo];
+  const double d11 = surface[cpu.hi][gpu.hi];
+  const double lo = d00 * (1.0 - gpu.frac) + d01 * gpu.frac;
+  const double hi = d10 * (1.0 - gpu.frac) + d11 * gpu.frac;
+  return lo * (1.0 - cpu.frac) + hi * cpu.frac;
 }
 
 double StagedInterpolator::cpu_degradation(GBps cpu_bw, GBps gpu_bw) const {
-  return interpolate(grid_.cpu_deg, cpu_bw, gpu_bw);
+  return blend(grid_.cpu_deg, locate_cpu(cpu_bw), locate_gpu(gpu_bw));
 }
 
 double StagedInterpolator::gpu_degradation(GBps cpu_bw, GBps gpu_bw) const {
-  return interpolate(grid_.gpu_deg, cpu_bw, gpu_bw);
+  return blend(grid_.gpu_deg, locate_cpu(cpu_bw), locate_gpu(gpu_bw));
 }
 
 }  // namespace corun::model

@@ -9,10 +9,21 @@
 // standalone profiles plus one grid.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "corun/common/units.hpp"
 #include "corun/core/model/degradation_space.hpp"
 
 namespace corun::model {
+
+/// Where a bandwidth falls on one grid axis: the knots [lo, hi] of the cell
+/// containing it (clamped to the axis) and the fractional position within.
+struct AxisPos {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
 
 class StagedInterpolator {
  public:
@@ -26,13 +37,19 @@ class StagedInterpolator {
   /// Degradation of the GPU-side program, same coordinates.
   [[nodiscard]] double gpu_degradation(GBps cpu_bw, GBps gpu_bw) const;
 
+  /// Stage 2 in its two steps, for callers that place one bandwidth against
+  /// many partners: locate each side on its axis once, then blend either
+  /// surface (grid().cpu_deg or grid().gpu_deg) at the located pair. The
+  /// two *_degradation queries above are exactly these calls.
+  [[nodiscard]] AxisPos locate_cpu(GBps cpu_bw) const;
+  [[nodiscard]] AxisPos locate_gpu(GBps gpu_bw) const;
+  [[nodiscard]] static double blend(
+      const std::vector<std::vector<double>>& surface, AxisPos cpu,
+      AxisPos gpu);
+
   [[nodiscard]] const DegradationGrid& grid() const noexcept { return grid_; }
 
  private:
-  [[nodiscard]] double interpolate(
-      const std::vector<std::vector<double>>& surface, GBps cpu_bw,
-      GBps gpu_bw) const;
-
   DegradationGrid grid_;
 };
 

@@ -258,14 +258,13 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     for (std::size_t job = 0; job < entry_depth; ++job) {
       cur.push(job, prefix[job]);
     }
-    return entry_depth;
   };
 
   auto search_subtree = [&](const SearchState& subtree_root) {
     std::pair<Seconds, Schedule> local{
         std::numeric_limits<Seconds>::infinity(), Schedule{}};
     IncrementalBound::Cursor cur = bound_model.cursor();
-    const std::size_t entry_depth = replay_prefix(subtree_root, cur);
+    replay_prefix(subtree_root, cur);
 
     // Root gate: a subtree whose root bound already exceeds the incumbent
     // contains only strictly worse leaves — skip it without entering (no

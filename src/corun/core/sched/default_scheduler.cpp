@@ -16,7 +16,7 @@ Schedule DefaultScheduler::plan(const SchedulerContext& ctx) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   auto ratio = [&](std::size_t job) {
-    const std::string name = ctx.job_name(job);
+    const std::string& name = ctx.job_name(job);
     return m.standalone_time(name, sim::DeviceKind::kCpu, cpu_max) /
            m.standalone_time(name, sim::DeviceKind::kGpu, gpu_max);
   };
@@ -30,7 +30,7 @@ Schedule DefaultScheduler::plan(const SchedulerContext& ctx) {
     Seconds gpu_sum = 0.0;
     Seconds cpu_sum = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
-      const std::string name = ctx.job_name(order[k]);
+      const std::string& name = ctx.job_name(order[k]);
       if (k < split) {
         gpu_sum += m.standalone_time(name, sim::DeviceKind::kGpu, gpu_max);
       } else {

@@ -44,8 +44,8 @@ std::optional<model::FreqPair> HcsScheduler::choose_pair(
 bool HcsScheduler::pair_beneficial(const SchedulerContext& ctx, std::size_t i,
                                    std::size_t j) const {
   const model::CoRunPredictor& m = ctx.model();
-  const std::string a = ctx.job_name(i);
-  const std::string b = ctx.job_name(j);
+  const std::string& a = ctx.job_name(i);
+  const std::string& b = ctx.job_name(j);
 
   // Sequential alternative: each job solo on its best cap-feasible device.
   auto best_solo = [&](const std::string& job) {
@@ -99,7 +99,7 @@ std::vector<bool> HcsScheduler::corun_partition(
 Preference HcsScheduler::categorize(const SchedulerContext& ctx,
                                     std::size_t job) const {
   const model::CoRunPredictor& m = ctx.model();
-  const std::string name = ctx.job_name(job);
+  const std::string& name = ctx.job_name(job);
   const auto cpu_level = m.best_solo_level(name, sim::DeviceKind::kCpu, ctx.cap);
   const auto gpu_level = m.best_solo_level(name, sim::DeviceKind::kGpu, ctx.cap);
   CORUN_CHECK_MSG(cpu_level || gpu_level,
@@ -454,7 +454,7 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
   }
   std::vector<SoloJob> solo;
   for (const std::size_t job : solo_jobs) {
-    const std::string name = ctx.job_name(job);
+    const std::string& name = ctx.job_name(job);
     sim::DeviceKind device = sim::DeviceKind::kCpu;
     Seconds best = std::numeric_limits<Seconds>::infinity();
     sim::FreqLevel level = 0;

@@ -25,7 +25,7 @@ DeviceOccupancy device_occupancy(const SchedulerContext& ctx, std::size_t i,
                                  sim::DeviceKind p, bool include_floor_pair) {
   const model::CoRunPredictor& m = ctx.model();
   const std::size_t n = ctx.jobs().size();
-  const std::string job = ctx.job_name(i);
+  const std::string& job = ctx.job_name(i);
 
   DeviceOccupancy out{kInf, kInf};
 

@@ -1,8 +1,10 @@
 #include "corun/core/sched/makespan_evaluator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
+#include <vector>
 
 #include "corun/common/check.hpp"
 
@@ -130,10 +132,17 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
   start_on(sim::DeviceKind::kCpu);
 
   // Standalone time at the device's max level: the normalization unit for
-  // backlog weighting.
+  // backlog weighting. Looked up on first use, so at most once per (job,
+  // device) and only on a device the job is queued on.
+  std::vector<Seconds> t_max_memo(2 * batch.size(),
+                                  std::numeric_limits<Seconds>::quiet_NaN());
   auto t_max = [&](std::size_t job, sim::DeviceKind d) {
-    return m.standalone_time(ctx_.job_name(job), d,
-                             m.machine().ladder(d).max_level());
+    Seconds& t = t_max_memo[2 * job + (d == sim::DeviceKind::kGpu ? 1 : 0)];
+    if (std::isnan(t)) {
+      t = m.standalone_time(ctx_.job_name(job), d,
+                            m.machine().ladder(d).max_level());
+    }
+    return t;
   };
 
   // Model-driven DVFS: re-derive the operating point for the current

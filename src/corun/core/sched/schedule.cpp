@@ -77,7 +77,7 @@ const model::CoRunPredictor& SchedulerContext::model() const {
   return *predictor;
 }
 
-std::string SchedulerContext::job_name(std::size_t i) const {
+const std::string& SchedulerContext::job_name(std::size_t i) const {
   return jobs().job(i).instance_name;
 }
 

@@ -24,7 +24,7 @@ struct SchedulerContext {
 
   [[nodiscard]] const workload::Batch& jobs() const;
   [[nodiscard]] const model::CoRunPredictor& model() const;
-  [[nodiscard]] std::string job_name(std::size_t i) const;
+  [[nodiscard]] const std::string& job_name(std::size_t i) const;
   [[nodiscard]] std::vector<std::string> job_names() const;
 };
 

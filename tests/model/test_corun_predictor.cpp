@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "corun/common/check.hpp"
+#include "corun/common/task_pool.hpp"
+#include "corun/common/trace/trace.hpp"
 #include "corun/core/model/degradation_space.hpp"
 #include "corun/profile/profiler.hpp"
+#include "corun/workload/batch.hpp"
 #include "corun/workload/rodinia.hpp"
 
 namespace corun::model {
@@ -214,6 +222,166 @@ TEST_F(CoRunPredictorTest, AnalyticTablesAreByteIdenticalToLegacy) {
       }
     }
   }
+
+  // Every search scans the same cells on both paths, so it must pick the
+  // same answer. Ratio buckets straddle both ends of the +-6-octave clamp.
+  const std::vector<std::optional<Watts>> caps = {std::nullopt, 9.0, 12.5,
+                                                  15.0, 20.0};
+  const std::vector<double> gpu_weights = {1.0 / 256.0, 1.0 / 64.0, 0.4, 1.0,
+                                           1.7, 64.0, 256.0};
+  for (const std::optional<Watts>& cap : caps) {
+    for (const std::string& job : jobs) {
+      for (const sim::DeviceKind d :
+           {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
+        EXPECT_EQ(tables.best_solo_level(job, d, cap),
+                  legacy.best_solo_level(job, d, cap))
+            << job;
+        if (legacy.best_solo_level(job, d, cap)) {
+          EXPECT_EQ(tables.best_solo_time(job, d, cap),
+                    legacy.best_solo_time(job, d, cap));
+        }
+      }
+    }
+    for (const std::string& cpu_job : jobs) {
+      for (const std::string& gpu_job : jobs) {
+        for (const double w : gpu_weights) {
+          EXPECT_EQ(tables.best_pair_weighted(cpu_job, gpu_job, cap, 1.0, w),
+                    legacy.best_pair_weighted(cpu_job, gpu_job, cap, 1.0, w))
+              << cpu_job << "/" << gpu_job << " weight " << w;
+        }
+        EXPECT_EQ(tables.best_pair_min_degradation(cpu_job, gpu_job, cap),
+                  legacy.best_pair_min_degradation(cpu_job, gpu_job, cap));
+        for (const bool floor : {false, true}) {
+          for (const sim::DeviceKind d :
+               {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
+            EXPECT_EQ(tables.min_corun_time(cpu_job, d, gpu_job, cap, floor),
+                      legacy.min_corun_time(cpu_job, d, gpu_job, cap, floor));
+          }
+        }
+        // 12 is off the GPU ladder: the CPU-side search clamps it.
+        for (const sim::FreqLevel partner : {0, 4, 9, 12}) {
+          EXPECT_EQ(tables.best_level_against(cpu_job, sim::DeviceKind::kCpu,
+                                              gpu_job, partner, cap),
+                    legacy.best_level_against(cpu_job, sim::DeviceKind::kCpu,
+                                              gpu_job, partner, cap));
+          EXPECT_EQ(tables.best_level_against(gpu_job, sim::DeviceKind::kGpu,
+                                              cpu_job, partner, cap),
+                    legacy.best_level_against(gpu_job, sim::DeviceKind::kGpu,
+                                              cpu_job, partner, cap));
+        }
+      }
+    }
+  }
+}
+
+/// The weighted pair search memoizes on the exact cap. Caps within one
+/// centiwatt of each other must not share an answer when a cell's power
+/// lies between them: here the unconstrained best pair is feasible at a cap
+/// equal to its power and infeasible one ulp below it.
+TEST_F(CoRunPredictorTest, PairMemoKeysOnTheExactCap) {
+  for (const bool analytic_tables : {true, false}) {
+    const PredictorOptions options{.analytic_tables = analytic_tables};
+    const CoRunPredictor fresh(*predictor_, options);
+    const auto best = fresh.best_pair_min_makespan("dwt2d", "streamcluster",
+                                                   std::nullopt);
+    ASSERT_TRUE(best.has_value());
+    const Watts at =
+        fresh.predict_power("dwt2d", best->cpu, "streamcluster", best->gpu);
+    const Watts below = std::nextafter(at, 0.0);
+    ASSERT_EQ(std::llround(at * 100.0), std::llround(below * 100.0));
+
+    const CoRunPredictor memo(*predictor_, options);
+    EXPECT_NE(memo.best_pair_min_makespan("dwt2d", "streamcluster", below),
+              best);
+    EXPECT_EQ(memo.best_pair_min_makespan("dwt2d", "streamcluster", at),
+              fresh.best_pair_min_makespan("dwt2d", "streamcluster", at));
+    EXPECT_EQ(memo.best_pair_min_makespan("dwt2d", "streamcluster", at), best);
+  }
+}
+
+/// Pair blocks are filled on first use by whichever search thread touches
+/// them first. Every pool worker races one fresh predictor over every job
+/// pair (each from a different starting pair); all must see the answers a
+/// serial predictor gives. Runs under TSan on the sanitizer leg.
+TEST_F(CoRunPredictorTest, FirstTouchOfPairBlocksIsRaceFree) {
+  const auto jobs = db_->jobs();
+  const std::size_t n = jobs.size() * jobs.size();
+  struct Answer {
+    std::optional<FreqPair> pair;
+    Seconds min_cpu = 0.0;
+    Seconds min_gpu = 0.0;
+    Seconds cpu_time = 0.0;
+    Watts power = 0.0;
+
+    bool operator==(const Answer&) const = default;
+  };
+  auto answer_all = [&](const CoRunPredictor& p, std::size_t start) {
+    std::vector<Answer> out(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = (start + k) % n;
+      const std::string& cpu_job = jobs[i / jobs.size()];
+      const std::string& gpu_job = jobs[i % jobs.size()];
+      out[i].pair = p.best_pair_weighted(cpu_job, gpu_job, 15.0, 1.0, 2.0);
+      out[i].min_cpu = p.min_corun_time(cpu_job, sim::DeviceKind::kCpu,
+                                        gpu_job, 12.5, false);
+      out[i].min_gpu = p.min_corun_time(gpu_job, sim::DeviceKind::kGpu,
+                                        cpu_job, 12.5, true);
+      const PairPrediction cell = p.predict(cpu_job, 7, gpu_job, 5);
+      out[i].cpu_time = cell.cpu_time;
+      out[i].power = cell.power;
+    }
+    return out;
+  };
+  const CoRunPredictor serial(*predictor_, PredictorOptions{});
+  const std::vector<Answer> expected = answer_all(serial, 0);
+
+  const CoRunPredictor shared(*predictor_, PredictorOptions{});
+  common::TaskPool pool(4);
+  std::vector<std::vector<Answer>> got(2 * pool.jobs());
+  pool.parallel_for_index(got.size(), [&](std::size_t t) {
+    got[t] = answer_all(shared, t * n / got.size());
+  });
+  for (const std::vector<Answer>& answers : got) {
+    EXPECT_TRUE(answers == expected);
+  }
+}
+
+/// Blocks are filled per (CPU job, GPU job) on first use, not as a whole
+/// grid: a predictor over the 16-job batch that is asked about two jobs
+/// fills only the blocks of the pairs it touched, and each search counts
+/// one table hit, not one per cell.
+TEST_F(CoRunPredictorTest, PairBlocksFillOnlyForTouchedPairs) {
+  profile::Profiler profiler(
+      *config_, profile::ProfilerOptions{.cpu_levels = {0},
+                                         .gpu_levels = {0}});
+  const profile::ProfileDB db16 =
+      profiler.profile_batch(workload::make_batch_16(42));
+  const auto jobs = db16.jobs();
+  ASSERT_EQ(jobs.size(), 16u);
+  const std::string& a = jobs[0];
+  const std::string& b = jobs[5];
+
+  trace::reset();
+  trace::set_enabled(true);
+  {
+    const CoRunPredictor p(db16, *grid_, *config_);
+    (void)p.best_pair_min_makespan(a, b, 15.0);   // fills (a, b)
+    (void)p.best_pair_min_makespan(a, b, 12.0);   // (a, b) again
+    (void)p.best_pair_min_makespan(a, b, 12.0);   // memo hit: no scan
+    (void)p.min_corun_time(a, sim::DeviceKind::kGpu, b, 15.0, true);  // (b, a)
+    (void)p.predict(a, 3, a, 2);                  // fills (a, a)
+    (void)p.best_solo_level(b, sim::DeviceKind::kCpu, 15.0);  // entry row
+  }
+  trace::set_enabled(false);
+  double blocks = 0.0;
+  double hits = 0.0;
+  for (const trace::CounterTotal& t : trace::counter_totals()) {
+    if (t.name == "backend.analytic_blocks") blocks = t.total;
+    if (t.name == "backend.analytic_hits") hits = t.total;
+  }
+  trace::reset();
+  EXPECT_EQ(blocks, 3.0);  // of 256
+  EXPECT_EQ(hits, 5.0);
 }
 
 /// Queries outside the table domain — unknown jobs, out-of-ladder levels —

@@ -5,6 +5,7 @@
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -33,10 +34,15 @@ std::string plan_text(const Schedule& s, const SchedulerContext& ctx) {
 /// A scratch directory for the persistent-tier tests, removed on teardown.
 class PlanCacheDirTest : public ::testing::Test {
  protected:
+  // One directory per test and process: ctest -j runs each test case in
+  // its own process, and a shared directory let one case's SetUp delete
+  // another's entries mid-test.
   void SetUp() override {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::temp_directory_path() /
-           ("corun_plan_cache_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+           ("corun_plan_cache_test_" + std::string(test->name()) + "_" +
+            std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -293,12 +293,14 @@ TEST_F(PlanServiceTest, ServeChunkOrdersBySeqAndTriagesOverloadHonestly) {
   }
 
   // Deadline: a request that aged past the budget is busy, not planned.
+  // The stale request is an hour old and the budget is a minute, so a
+  // loaded machine cannot age the fresh one past it.
   {
     ServeOptions options;
-    options.deadline_seconds = 0.001;
+    options.deadline_seconds = 60.0;
     ServeSession session(service_, options);
     TimedRequest stale = timed(1);
-    stale.arrival -= std::chrono::seconds(5);
+    stale.arrival -= std::chrono::hours(1);
     auto responses = session.serve_chunk({std::move(stale), timed(2)});
     ASSERT_EQ(responses.size(), 2u);
     EXPECT_EQ(responses[0].status, ResponseStatus::kBusy);

@@ -154,9 +154,11 @@ TEST(BackendFactory, StandaloneAgreesAcrossBackends) {
   const JobSpec job = random_corpus_job(rng, 0);
   for (const DeviceKind device : {DeviceKind::kCpu, DeviceKind::kGpu}) {
     const StandaloneResult event = run_standalone(
-        config, job, device, 12, 7, 42, BackendSpec{BackendKind::kEvent});
+        config, job, device, 12, 7, 42,
+        BackendSpec{.kind = BackendKind::kEvent, .replay_path = {}});
     const StandaloneResult analytic = run_standalone(
-        config, job, device, 12, 7, 42, BackendSpec{BackendKind::kAnalytic});
+        config, job, device, 12, 7, 42,
+        BackendSpec{.kind = BackendKind::kAnalytic, .replay_path = {}});
     const StandaloneResult tick =
         run_standalone(config, job, device, 12, 7, 42, EngineMode::kTick);
     EXPECT_NEAR(event.time, analytic.time, kEquivTol);
@@ -191,13 +193,15 @@ TEST(BackendFactory, ParseRoundTripsAndRejectsJunk) {
 TEST(BackendFactory, AnalyticSpecForcesAnalyticMode) {
   EngineOptions options;
   options.mode = EngineMode::kEvent;
-  const auto machine = make_machine_model(ivy_bridge(), options,
-                                          BackendSpec{BackendKind::kAnalytic});
+  const auto machine = make_machine_model(
+      ivy_bridge(), options,
+      BackendSpec{.kind = BackendKind::kAnalytic, .replay_path = {}});
   EXPECT_EQ(machine->options().mode, EngineMode::kAnalytic);
   // And the inverse: the event spec never runs the analytic core.
   options.mode = EngineMode::kAnalytic;
-  const auto event = make_machine_model(ivy_bridge(), options,
-                                        BackendSpec{BackendKind::kEvent});
+  const auto event = make_machine_model(
+      ivy_bridge(), options,
+      BackendSpec{.kind = BackendKind::kEvent, .replay_path = {}});
   EXPECT_EQ(event->options().mode, EngineMode::kEvent);
 }
 
