@@ -75,12 +75,10 @@ struct DynamicOptions {
   /// Memoized plan cache consulted before every (re-)plan; null = off. May
   /// be shared across runs — repeated sub-problems (same pending set at the
   /// same cap) then skip the search entirely. Cache state never changes the
-  /// schedules or reports produced (exact hits replay identical requests),
-  /// so runs stay byte-identical with it on or off as long as every search
-  /// ran to completion — a truncated B&B is interleaving-dependent with or
-  /// without a cache, and the report flags it via `bnb_budget_exhausted`.
-  /// The default budget can never bind for batches within the default job
-  /// limit.
+  /// schedules or reports produced (exact hits replay identical requests,
+  /// and every planner — a budget-truncated B&B included — is a
+  /// deterministic function of its request), so runs stay byte-identical
+  /// with it on or off.
   std::shared_ptr<sched::PlanCache> plan_cache;
 
   /// Has no effect; kept so existing callers that set it still compile.
@@ -134,9 +132,8 @@ struct DynamicReport {
 
   /// Plans where branch-and-bound stopped on its node budget. Non-zero
   /// means those searches were truncated: the schedules are still valid
-  /// ("HCS+ or better"), but the byte-identity guarantees across --jobs,
-  /// engine modes, and plan-cache state are scoped to runs where this
-  /// stays zero (always true at the default budget and job limit).
+  /// ("HCS+ or better") and deterministic, but may be worse than a full
+  /// search's. Always zero at the default budget and job limit.
   std::size_t bnb_budget_exhausted = 0;
 
   [[nodiscard]] std::string summary() const;

@@ -3,31 +3,30 @@
 // The optimal co-scheduling problem is NP-hard (Sec. IV), and the paper
 // positions A*-style search (Tian et al.) as the exact-but-expensive
 // alternative its heuristic replaces. This solver makes that comparison
-// concrete: a breadth-first fan-out into independent subtrees, then
-// depth-first construction of the two device sequences over an incremental
-// path cursor with two optimality-preserving pruning rules (see
-// docs/search.md for the full anatomy):
+// concrete: one serial depth-first search over placements (see
+// docs/search.md for the full anatomy).
 //
-//   - bound pruning against IncrementalBound: the fractional residual-load
-//     relaxation and the power-cap occupancy relaxation, maintained with
-//     O(1) push/pop per placement, floored by the historical load bound
-//     max(L_cpu, L_gpu, (L_cpu + L_gpu + R) / 2);
-//   - equivalence dominance: consecutive jobs with identical profile
-//     digests (a same-class index run) are interchangeable, so only the
-//     canonical GPU-before-CPU placement pattern within each run is
-//     explored, and frontier subtrees whose prefixes are within-run
-//     device permutations of an earlier subtree are skipped outright.
+// The contract. A *leaf* is a full placement: each device runs its jobs in
+// index order at their best cap-feasible solo levels. *Canonical order*
+// enumerates placements depth-first, deciding job 0 first and trying the
+// GPU before the CPU at every job. plan() returns the HCS+ seed unless some
+// leaf is strictly better; then it returns the first minimum-makespan leaf
+// in canonical order. Finally the Sec. IV-A.3 refiner polishes per-device
+// order, and its result is taken only if strictly better. The search is
+// serial, so the plan, the statistics and — when the node budget binds —
+// which prefix of the canonical order was searched are the same at any
+// --jobs count.
 //
-// Leaves are scored with the full analytic evaluator (model-driven DVFS,
-// degradations, partial overlap). The search enumerates placements (2^n
-// device assignments); per-device order is then polished by the
-// Sec. IV-A.3 local refinement, since placement dominates the makespan
-// while order is a local property. Both pruning rules preserve the exact
-// schedule the unpruned search returns — byte-identically, at any --jobs
-// count — which the `strong_bound`/`dominance` toggles exist to pin:
-// with both off, the search reproduces the historical bound and node
-// accounting bit-for-bit (the equivalence-sweep tests and the node
-// benchmark compare the two modes).
+// Two rules cut the tree without changing that answer:
+//
+//   - bound pruning: a node whose IncrementalBound value is strictly above
+//     the incumbent holds no leaf that could replace it (the bound is
+//     admissible, and a tie never replaces the incumbent);
+//   - equivalence dominance: consecutive jobs with bit-identical profile
+//     entries (a same-class index run) are interchangeable, so placing a
+//     run member on the GPU while an earlier member sits on the CPU builds
+//     a twin of a placement that comes earlier in canonical order with a
+//     bit-identical makespan — that GPU child is skipped.
 //
 // Anytime behaviour: the search is seeded with the HCS+ schedule as the
 // incumbent and respects a node budget, so it degrades gracefully into
@@ -42,9 +41,7 @@ namespace corun::sched {
 
 struct BranchAndBoundOptions {
   std::size_t max_jobs = 12;        ///< hard safety limit
-  std::size_t node_budget = 200000; ///< DFS nodes before settling
-  bool strong_bound = true;  ///< IncrementalBound in the subtree search
-  bool dominance = true;     ///< equivalence dominance in the subtree search
+  std::size_t node_budget = 200000; ///< nodes entered before settling
 };
 
 class BranchAndBoundScheduler : public Scheduler {
@@ -58,30 +55,27 @@ class BranchAndBoundScheduler : public Scheduler {
   [[nodiscard]] std::size_t nodes_visited() const noexcept { return nodes_; }
   /// Total prunes: bound prunes + dominance prunes.
   [[nodiscard]] std::size_t nodes_pruned() const noexcept { return pruned_; }
-  /// Nodes cut by the admissible bound. Prunes at entered nodes count as
-  /// visited (like the historical search); whole subtrees skipped by the
-  /// root gate are never entered and count here only.
+  /// Entered nodes cut by the admissible bound.
   [[nodiscard]] std::size_t bound_prunes() const noexcept {
     return bound_prunes_;
   }
-  /// Subtrees skipped by equivalence dominance (never visited or counted
-  /// in nodes_visited — the canonical twin covers them).
+  /// GPU children skipped by equivalence dominance (never entered, so
+  /// never counted in nodes_visited — the canonical twin covers them).
   [[nodiscard]] std::size_t dominance_prunes() const noexcept {
     return dominance_prunes_;
   }
   [[nodiscard]] std::size_t leaves_evaluated() const noexcept {
     return leaves_;
   }
-  /// Times a leaf strictly improved the shared incumbent bound.
+  /// Times a leaf strictly improved the incumbent.
   [[nodiscard]] std::size_t incumbent_updates() const noexcept {
     return incumbent_updates_;
   }
-  /// True when the last plan() stopped on its node budget. A truncated
-  /// search still returns a valid "HCS+ or better" schedule, but which
-  /// leaves it saw depends on task interleaving, so the byte-identity
-  /// guarantees (--jobs, plan cache on/off) are scoped to runs where this
-  /// stays false — which always holds at the default options, whose
-  /// budget exceeds the 2^(max_jobs+1)-1 node full tree.
+  /// True when the last plan() stopped on its node budget. The truncated
+  /// search still returns a valid "HCS+ or better" schedule: the best leaf
+  /// among the first node_budget nodes of the canonical order, so the
+  /// result is deterministic either way. The default budget exceeds the
+  /// 2^(max_jobs+1)-1 node full tree, so it never binds at default options.
   [[nodiscard]] bool exhausted_budget() const noexcept {
     return budget_exhausted_;
   }

@@ -14,9 +14,9 @@ constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
 
 /// One-sided rounding guard for the closed-form bound terms: a few ulps of
 /// accumulated rounding must never push an admissible bound above a leaf it
-/// ties, so the strong terms are shrunk by 1e-12 relative before entering
-/// the strict `bound > incumbent` pruning test. The legacy load bound is
-/// left untouched (bit-compatibility with the historical search).
+/// ties, so those terms are shrunk by 1e-12 relative before entering the
+/// strict `bound > incumbent` pruning test. The load bound, a plain sum of
+/// the optimistic times, is left untouched.
 constexpr double kRoundingGuard = 1.0 - 1e-12;
 
 }  // namespace
@@ -211,7 +211,7 @@ Seconds IncrementalBound::Cursor::bound() const {
   // device-specific occupancies), so the minimum over every reachable
   // completion is an admissible node bound. O(2^k * k) arithmetic on
   // doubles — no predictor calls — and k is small exactly where the
-  // search spends its nodes (at and below the fan-out frontier).
+  // search spends its nodes (the bottom levels of the tree).
   constexpr std::size_t kEnumLimit = 6;
   Seconds enumerated = kInf;
   if (suffix <= kEnumLimit) {

@@ -37,7 +37,7 @@
 //
 // Pops restore snapshots instead of subtracting deltas, so a node's bound
 // is a pure function of its path (no floating-point drift across sibling
-// traversals) — required for the search's byte-identity guarantees.
+// traversals) — required for deterministic pruning decisions.
 #pragma once
 
 #include <cstddef>
@@ -76,7 +76,7 @@ struct DeviceOccupancy {
 /// Immutable per-instance tables behind the search's incremental bound:
 /// optimistic solo times, per-device occupancies, and per-depth suffix
 /// structures for the fractional relaxation. Built once per plan() call;
-/// each search task walks it with its own Cursor.
+/// the search walks it with a Cursor.
 class IncrementalBound {
  public:
   /// `t_cpu`/`t_gpu` are the search's optimistic per-device solo times
@@ -105,9 +105,9 @@ class IncrementalBound {
       return path_[job];
     }
 
-    /// The pre-existing load bound: max(L_cpu, L_gpu, (L_cpu+L_gpu+R)/2).
-    /// Kept bit-exact with the historical search for the legacy comparison
-    /// mode and as the floor of the strong bound.
+    /// The load bound max(L_cpu, L_gpu, (L_cpu+L_gpu+R)/2): the floor of
+    /// bound(), and the weakest admissible form the bound tests check it
+    /// against.
     [[nodiscard]] Seconds load_bound() const;
 
     /// max(load_bound, fractional relaxation, occupancy/2, and — for

@@ -58,11 +58,9 @@ class Fnv64 {
 /// Digest of every profile row recorded for one job: the part of the
 /// predictor's state that is specific to that job. Times, bandwidths,
 /// powers and energies all feed scheduling decisions, so all four fields
-/// participate. Besides keying cache signatures, this is the search's
-/// job-type identity: the predictor (and with it the makespan evaluator)
-/// is a pure function of a job's profile rows, so two jobs with equal
-/// digests are interchangeable in any schedule — the equivalence dominance
-/// pruning exploits.
+/// participate. Keys cache signatures only: branch-and-bound finds
+/// profile-identical jobs by comparing their rows exactly, which is far
+/// cheaper than formatting and hashing every row on every plan.
 [[nodiscard]] std::uint64_t job_profile_digest(const profile::ProfileDB& db,
                                                const std::string& job);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../support/fixtures.hpp"
+#include "corun/common/task_pool.hpp"
 #include "corun/core/sched/exhaustive.hpp"
 #include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
@@ -68,6 +72,22 @@ TEST(BranchAndBound, BudgetExhaustionFallsBackGracefully) {
   const Schedule s = starved.plan(ctx);
   EXPECT_TRUE(starved.exhausted_budget());
   EXPECT_NO_THROW(s.validate(8));  // still returns the valid incumbent
+
+  // A truncated search covers a fixed prefix of the canonical order, so
+  // its plan and node count do not depend on the worker count either.
+  std::vector<std::string> plans;
+  std::vector<std::size_t> nodes;
+  for (const std::size_t jobs : {1, 4}) {
+    common::set_default_jobs(jobs);
+    BranchAndBoundScheduler truncated(
+        BranchAndBoundOptions{.node_budget = 40});
+    plans.push_back(truncated.plan(ctx).to_string(ctx.job_names()));
+    nodes.push_back(truncated.nodes_visited());
+    EXPECT_TRUE(truncated.exhausted_budget());
+  }
+  common::set_default_jobs(0);
+  EXPECT_EQ(plans[0], plans[1]);
+  EXPECT_EQ(nodes[0], nodes[1]);
 }
 
 TEST(BranchAndBound, AnalyticEvalOptOutIsByteIdentical) {

@@ -1,31 +1,35 @@
-// Search-core equivalence and property suite (see docs/search.md).
+// Search-core contract and property suite (see docs/search.md).
 //
-// The strengthened branch-and-bound (incremental power-aware lower bound +
-// equivalence dominance) must return byte-identical schedules to the
-// historical search — pruning is allowed to change how much of the tree is
+// Branch-and-bound returns the HCS+ seed unless some leaf is strictly
+// better, and then the first minimum-makespan leaf in canonical order,
+// polished by the refiner. Pruning may change how much of the tree is
 // visited, never which plan comes back. These tests pin that contract:
-//   - a 50-instance seeded cap sweep comparing strong vs legacy schedules
-//     byte for byte (and node counts, which must only shrink);
+//   - byte equality with a brute-force reference of the contract on
+//     distinct and clone batches across 25 caps, at one and four workers
+//     (node counts equal too);
 //   - agreement with the exhaustive scheduler on small batches;
 //   - push/pop exact-restore and admissibility properties of the
 //     IncrementalBound cursor;
-//   - dominance actually firing on a batch with identical twin jobs,
-//     without changing the returned plan;
-//   - the cross-subtree orbit fold collapsing a clone-heavy batch while
-//     staying byte-identical across a cap sweep.
+//   - equivalence dominance holding clone batches to their canonical run
+//     patterns, and firing on twin jobs at the top of the tree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "../support/fixtures.hpp"
 #include "corun/common/rng.hpp"
+#include "corun/common/task_pool.hpp"
 #include "corun/core/sched/branch_and_bound.hpp"
 #include "corun/core/sched/exhaustive.hpp"
 #include "corun/core/sched/lower_bound.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/plan_cache/signature.hpp"
+#include "corun/core/sched/refiner.hpp"
 
 namespace corun::sched {
 namespace {
@@ -35,13 +39,6 @@ using corun::testing::make_fixture;
 using corun::testing::motivation_fixture;
 
 constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-
-BranchAndBoundOptions legacy_options() {
-  BranchAndBoundOptions o;
-  o.strong_bound = false;
-  o.dominance = false;
-  return o;
-}
 
 /// The search's optimistic per-device times (best cap-feasible solo level).
 void solo_times(const SchedulerContext& ctx, std::vector<Seconds>& t_cpu,
@@ -62,42 +59,55 @@ void solo_times(const SchedulerContext& ctx, std::vector<Seconds>& t_cpu,
   }
 }
 
-TEST(SearchCore, StrongSearchIsByteIdenticalToLegacyAcrossSeededSweep) {
-  // 50 seeded instances: two batch shapes x 25 caps each. Every instance
-  // must return the same schedule bytes with all pruning on as the
-  // historical search, while visiting no more nodes.
-  std::size_t legacy_eight_total = 0;
-  std::size_t strong_eight_total = 0;
-  for (const testing::Fixture* f :
-       {&motivation_fixture(), &eight_program_fixture()}) {
-    for (int i = 0; i < 25; ++i) {
-      const Watts cap = 10.0 + 0.2 * i;
-      const auto ctx = f->context(cap);
-      BranchAndBoundScheduler legacy(legacy_options());
-      BranchAndBoundScheduler strong;
-      const Schedule legacy_plan = legacy.plan(ctx);
-      const Schedule strong_plan = strong.plan(ctx);
-      EXPECT_EQ(strong_plan.to_string(ctx.job_names()),
-                legacy_plan.to_string(ctx.job_names()))
-          << "cap=" << cap << " n=" << f->batch.size();
-      EXPECT_LE(strong.nodes_visited(), legacy.nodes_visited())
-          << "cap=" << cap << " n=" << f->batch.size();
-      EXPECT_EQ(strong.nodes_pruned(),
-                strong.bound_prunes() + strong.dominance_prunes());
-      if (f->batch.size() == 8) {
-        legacy_eight_total += legacy.nodes_visited();
-        strong_eight_total += strong.nodes_visited();
-      }
+/// The plan() contract, by brute force: the HCS+ seed, replaced by each
+/// strictly better leaf in canonical order (job 0 decided first, GPU before
+/// CPU), then by the refiner's polish if that is strictly better.
+Schedule reference_plan(const SchedulerContext& ctx) {
+  const model::CoRunPredictor& m = ctx.model();
+  const MakespanEvaluator evaluator(ctx);
+  const std::size_t n = ctx.jobs().size();
+  Schedule best_schedule = HcsPlusScheduler().plan(ctx);
+  Seconds best = evaluator.makespan(best_schedule);
+  // Bit n-1-j of `rank` set puts job j on the CPU, so ascending ranks walk
+  // the placements in canonical order.
+  for (std::uint32_t rank = 0; rank < (1u << n); ++rank) {
+    Schedule leaf;
+    leaf.model_dvfs = true;
+    bool feasible = true;
+    for (std::size_t job = 0; job < n && feasible; ++job) {
+      const bool cpu = (rank >> (n - 1 - job)) & 1u;
+      const sim::DeviceKind d =
+          cpu ? sim::DeviceKind::kCpu : sim::DeviceKind::kGpu;
+      const auto level = m.best_solo_level(ctx.job_name(job), d, ctx.cap);
+      feasible = level.has_value();
+      if (feasible) (cpu ? leaf.cpu : leaf.gpu).push_back({job, *level});
+    }
+    if (!feasible) continue;
+    const Seconds makespan = evaluator.makespan(leaf);
+    if (makespan < best) {
+      best = makespan;
+      best_schedule = std::move(leaf);
     }
   }
-  // The headline reduction is measured by bench_search_nodes; here just
-  // require the pruning to be decisively active on the 8-job instances.
-  // (The 4-job motivation instances complete inside the breadth-first
-  // fan-out, which intentionally runs the historical bound in both modes,
-  // so they contribute identical counts to both sides and would only
-  // dilute the ratio.)
-  EXPECT_LT(3 * strong_eight_total, 2 * legacy_eight_total)
-      << "strong=" << strong_eight_total << " legacy=" << legacy_eight_total;
+  Schedule refined = Refiner().refine(ctx, best_schedule);
+  if (evaluator.makespan(refined) < best) best_schedule = std::move(refined);
+  return best_schedule;
+}
+
+/// Contiguous identical instances of each (program, copies) entry — the
+/// batch-server shape, where same-class runs form.
+std::unique_ptr<testing::Fixture> clone_fixture(
+    const std::vector<std::pair<std::string, int>>& programs) {
+  workload::Batch batch;
+  std::uint64_t seed = 9001;
+  for (const auto& [program, copies] : programs) {
+    const auto desc = workload::rodinia_by_name(program).value();
+    for (int i = 0; i < copies; ++i) {
+      batch.add(desc, seed, program + "#" + std::to_string(i));
+    }
+    ++seed;
+  }
+  return make_fixture(std::move(batch));
 }
 
 TEST(SearchCore, MatchesExhaustiveOnSixJobSubBatch) {
@@ -230,82 +240,69 @@ TEST(SearchCore, BoundIsAdmissibleAtEveryLeafPrefix) {
   }
 }
 
-TEST(SearchCore, CloneBatchFoldIsByteIdenticalAcrossCapSweep) {
-  // Clone-heavy batch: two programs x four identical instances each,
-  // submitted contiguously (the batch-server shape: shards of the same
-  // kernel arrive together). This is where the historical search
-  // degenerates — tied leaves defeat the strict bound test — and exactly
-  // what the run-based dominance rules fold away: the in-subtree
-  // canonical form plus the cross-subtree orbit fold at the fan-out
-  // frontier. The contract stays byte-identity at every cap, now with a
-  // large node reduction.
-  workload::Batch clones;
-  const auto lud = workload::rodinia_by_name("lud");
-  const auto hotspot = workload::rodinia_by_name("hotspot");
-  ASSERT_TRUE(lud.has_value() && hotspot.has_value());
-  for (int i = 0; i < 4; ++i) {
-    clones.add(*lud, 9001, "lud#" + std::to_string(i));
+TEST(SearchCore, PlanIsTheFirstMinimumLeafInCanonicalOrderAtAnyJobs) {
+  // The plan() contract against the brute-force reference, on distinct
+  // and clone batches across 25 caps. With one and with four workers the
+  // bytes match the reference and the node counts match each other. Each
+  // case also caps the leaves scored: within a same-class run dominance
+  // leaves only the patterns "first k members on the GPU, the rest on the
+  // CPU", so runs of lengths L1, L2, ... score at most (L1+1)(L2+1)...
+  const auto clones = clone_fixture({{"lud", 4}, {"hotspot", 4}});
+  const auto uniform = clone_fixture({{"lud", 8}});
+  const std::pair<const testing::Fixture*, std::size_t> cases[] = {
+      {&motivation_fixture(), 16},
+      {&eight_program_fixture(), 256},
+      {clones.get(), 25},
+      {uniform.get(), 9}};
+  for (const auto& [f, max_leaves] : cases) {
+    for (int i = 0; i < 25; ++i) {
+      const Watts cap = 10.0 + 0.4 * i;
+      const auto ctx = f->context(cap);
+      const std::string expected =
+          reference_plan(ctx).to_string(ctx.job_names());
+      std::vector<std::size_t> nodes;
+      for (const std::size_t jobs : {1, 4}) {
+        common::set_default_jobs(jobs);
+        BranchAndBoundScheduler bnb;
+        EXPECT_EQ(bnb.plan(ctx).to_string(ctx.job_names()), expected)
+            << "cap=" << cap << " n=" << f->batch.size() << " jobs=" << jobs;
+        EXPECT_FALSE(bnb.exhausted_budget());
+        EXPECT_LE(bnb.leaves_evaluated(), max_leaves) << "cap=" << cap;
+        EXPECT_EQ(bnb.nodes_pruned(),
+                  bnb.bound_prunes() + bnb.dominance_prunes());
+        nodes.push_back(bnb.nodes_visited());
+      }
+      common::set_default_jobs(0);
+      EXPECT_EQ(nodes[0], nodes[1]) << "cap=" << cap;
+    }
   }
-  for (int i = 0; i < 4; ++i) {
-    clones.add(*hotspot, 9002, "hotspot#" + std::to_string(i));
-  }
-  const auto f = make_fixture(std::move(clones));
-
-  std::size_t legacy_total = 0;
-  std::size_t strong_total = 0;
-  for (const Watts cap : {11.0, 13.0, 15.0, 17.0, 19.0}) {
-    const auto ctx = f->context(cap);
-    BranchAndBoundScheduler legacy(legacy_options());
-    BranchAndBoundScheduler strong;
-    const Schedule legacy_plan = legacy.plan(ctx);
-    const Schedule strong_plan = strong.plan(ctx);
-    EXPECT_EQ(strong_plan.to_string(ctx.job_names()),
-              legacy_plan.to_string(ctx.job_names()))
-        << "cap=" << cap;
-    EXPECT_GT(strong.dominance_prunes(), 0u) << "cap=" << cap;
-    legacy_total += legacy.nodes_visited();
-    strong_total += strong.nodes_visited();
-  }
-  // The orbit fold must collapse the clone batch decisively, not just
-  // nibble: at least a 3x node reduction across the cap sweep.
-  EXPECT_LT(3 * strong_total, legacy_total)
-      << "strong=" << strong_total << " legacy=" << legacy_total;
 }
 
 TEST(SearchCore, DominancePrunesTwinsWithoutChangingThePlan) {
-  // Two byte-identical jobs at adjacent indices: the only situation the
-  // equivalence dominance rule targets. The pair sits at the *end* of an
-  // eight-job batch because dominance fires in the depth-first subtrees
-  // below the breadth-first fan-out frontier (depth ~5 for eight jobs) —
-  // a pair placed during the fan-out is out of the rule's reach by design.
-  // It must fire (dominance_prunes > 0) without changing the returned
-  // schedule.
+  // Two byte-identical jobs at indices 0-1 of an eight-job batch: the only
+  // situation the equivalence dominance rule targets, at the top of the
+  // tree. It must fire (dominance_prunes > 0) and the plan must still be
+  // the reference's.
   const auto& eight = eight_program_fixture();
   workload::Batch twins;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const workload::BatchJob& j = eight.batch.job(i);
-    twins.add(j.descriptor, j.seed, j.instance_name);
-  }
   const auto lud = workload::rodinia_by_name("lud");
   ASSERT_TRUE(lud.has_value());
   twins.add(*lud, 4242, "lud#a");
   twins.add(*lud, 4242, "lud#b");  // identical profile rows -> equal digests
+  for (std::size_t i = 0; i < 6; ++i) {
+    const workload::BatchJob& j = eight.batch.job(i);
+    twins.add(j.descriptor, j.seed, j.instance_name);
+  }
   const auto f = make_fixture(std::move(twins));
   const auto ctx = f->context(15.0);
 
   ASSERT_EQ(job_profile_digest(ctx.model().db(), "lud#a"),
             job_profile_digest(ctx.model().db(), "lud#b"));
 
-  BranchAndBoundOptions no_dom;
-  no_dom.dominance = false;
-  BranchAndBoundScheduler without(no_dom);
-  BranchAndBoundScheduler with;
-  const Schedule plan_without = without.plan(ctx);
-  const Schedule plan_with = with.plan(ctx);
-  EXPECT_GT(with.dominance_prunes(), 0u);
-  EXPECT_EQ(plan_with.to_string(ctx.job_names()),
-            plan_without.to_string(ctx.job_names()));
-  EXPECT_LE(with.nodes_visited(), without.nodes_visited());
+  BranchAndBoundScheduler bnb;
+  EXPECT_EQ(bnb.plan(ctx).to_string(ctx.job_names()),
+            reference_plan(ctx).to_string(ctx.job_names()));
+  EXPECT_GT(bnb.dominance_prunes(), 0u);
 }
 
 }  // namespace

@@ -163,9 +163,9 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
   if (report.bnb_budget_exhausted > 0) {
     std::fprintf(stderr,
                  "warning: %zu re-plan(s) served by a budget-truncated"
-                 " branch-and-bound search; schedules are valid but the"
-                 " run's byte-identity guarantees do not apply (raise"
-                 " CORUN_BNB_BUDGET or reduce the pending set)\n",
+                 " branch-and-bound search; schedules are valid and"
+                 " deterministic but may be worse than a full search's"
+                 " (raise CORUN_BNB_BUDGET or reduce the pending set)\n",
                  report.bnb_budget_exhausted);
   }
   tools::report_plan_cache(plan_cache.get());
