@@ -1,5 +1,6 @@
 #include "corun/common/csv.hpp"
 
+#include <cstdio>
 #include <ostream>
 
 namespace corun {
@@ -23,6 +24,12 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
     out_ << escape(cells[i]);
   }
   out_ << '\n';
+}
+
+std::string csv_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 Expected<std::vector<std::vector<std::string>>> parse_csv(const std::string& text) {

@@ -24,6 +24,10 @@ class CsvWriter {
   std::ostream& out_;
 };
 
+/// Shortest-exact double rendering (%.17g), the CSV convention: a strtod
+/// (std::stod) round trip returns the same bits.
+[[nodiscard]] std::string csv_double(double v);
+
 /// Parses CSV text; handles quoted cells and embedded commas/newlines.
 /// Returns row-major cells, or an Error describing the malformed position.
 Expected<std::vector<std::vector<std::string>>> parse_csv(const std::string& text);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -17,14 +16,6 @@
 namespace corun::fleet {
 
 namespace {
-
-/// Shortest-exact double rendering (same contract as fault_injector.cpp):
-/// plans written to disk replay bit-for-bit.
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 constexpr const char* kCsvHeader[] = {"time", "kind", "machine",
                                       "cap",  "jobs", "seed"};
@@ -106,9 +97,9 @@ void fleet_plan_to_csv(const FleetPlan& plan, std::ostream& out) {
   writer.write_row(std::vector<std::string>(std::begin(kCsvHeader),
                                             std::end(kCsvHeader)));
   for (const FleetEvent& e : plan.events) {
-    writer.write_row({fmt_double(e.time), fleet_event_kind_name(e.kind),
+    writer.write_row({csv_double(e.time), fleet_event_kind_name(e.kind),
                       std::to_string(e.machine),
-                      e.cap ? fmt_double(*e.cap) : "-",
+                      e.cap ? csv_double(*e.cap) : "-",
                       std::to_string(e.jobs), std::to_string(e.seed)});
   }
 }
@@ -403,10 +394,10 @@ Expected<FleetReport> Fleet::execute(
       if (cur_cap) {
         if (*cur_cap <
             options_.limits.floor * static_cast<double>(live.size())) {
-          return fail("global cap " + fmt_double(*cur_cap) + " at t=" +
-                          fmt_double(t) + " cannot fund " +
+          return fail("global cap " + csv_double(*cur_cap) + " at t=" +
+                          csv_double(t) + " cannot fund " +
                           std::to_string(live.size()) + " machine floors of " +
-                          fmt_double(options_.limits.floor) + " W",
+                          csv_double(options_.limits.floor) + " W",
                       ErrorCategory::kInvalidArgument);
         }
         caps = strategy.divide(*cur_cap, demands, options_.limits, curve);

@@ -27,6 +27,50 @@ std::size_t row_of(const std::unordered_map<std::string, std::size_t>& index,
   return it->second;
 }
 
+/// One (job, device) row as ProfileDB::row returns it: (level, entry) by
+/// ascending level.
+using ProfileRow =
+    std::vector<std::pair<sim::FreqLevel, profile::ProfileEntry>>;
+
+/// The entry of a non-empty `row` at `level`: the recorded entry when the
+/// row has one, otherwise a blend of the nearest recorded levels by
+/// frequency, with extrapolation clamped to the recorded range. The table
+/// build fills whole rows through it and entry_at answers every unrecorded
+/// level through it, so a table entry and an on-demand one are the same
+/// bits.
+profile::ProfileEntry entry_in_row(const ProfileRow& row,
+                                   const sim::FrequencyLadder& ladder,
+                                   sim::FreqLevel level) {
+  for (const auto& [l, e] : row) {
+    if (l == level) return e;
+  }
+  const GHz f = ladder.at(ladder.clamp(level));
+  const profile::ProfileEntry* lo = nullptr;
+  const profile::ProfileEntry* hi = nullptr;
+  GHz f_lo = 0.0;
+  GHz f_hi = 0.0;
+  for (const auto& [l, e] : row) {
+    const GHz fl = ladder.at(l);
+    if (fl <= f && (lo == nullptr || fl > f_lo)) {
+      lo = &e;
+      f_lo = fl;
+    }
+    if (fl >= f && (hi == nullptr || fl < f_hi)) {
+      hi = &e;
+      f_hi = fl;
+    }
+  }
+  if (lo == nullptr) return *hi;
+  if (hi == nullptr) return *lo;
+  if (f_hi <= f_lo) return *lo;
+  const double t = (f - f_lo) / (f_hi - f_lo);
+  auto lerp = [t](double a, double b) { return a * (1.0 - t) + b * t; };
+  return profile::ProfileEntry{.time = lerp(lo->time, hi->time),
+                               .avg_bw = lerp(lo->avg_bw, hi->avg_bw),
+                               .avg_power = lerp(lo->avg_power, hi->avg_power),
+                               .energy = lerp(lo->energy, hi->energy)};
+}
+
 }  // namespace
 
 /// Rows exist only for (job, device) pairs the DB has profiles for. A job
@@ -144,11 +188,13 @@ std::unique_ptr<CoRunPredictor::Core> CoRunPredictor::build_core() const {
   core->gpu_levels =
       static_cast<std::size_t>(config_.gpu_ladder.max_level()) + 1;
   // Row order follows db_.jobs(), which is sorted, so the layout is
-  // deterministic.
+  // deterministic. Each (job, device) row is read from the DB once and
+  // every ladder level is filled from it.
   for (const std::string& job : db_.jobs()) {
     for (const sim::DeviceKind device :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
-      if (db_.levels(job, device).empty()) continue;
+      const ProfileRow row = db_.row(job, device);
+      if (row.empty()) continue;
       const bool cpu = device == sim::DeviceKind::kCpu;
       auto& index = cpu ? core->cpu_index : core->gpu_index;
       index.emplace(job, index.size());
@@ -156,8 +202,8 @@ std::unique_ptr<CoRunPredictor::Core> CoRunPredictor::build_core() const {
       auto& entries = cpu ? core->cpu_entries : core->gpu_entries;
       const std::size_t n = cpu ? core->cpu_levels : core->gpu_levels;
       for (std::size_t l = 0; l < n; ++l) {
-        entries.push_back(
-            entry_at(job, device, static_cast<sim::FreqLevel>(l)));
+        entries.push_back(entry_in_row(row, config_.ladder(device),
+                                       static_cast<sim::FreqLevel>(l)));
       }
     }
   }
@@ -245,38 +291,10 @@ profile::ProfileEntry CoRunPredictor::entry_at(const std::string& job,
   if (db_.contains(job, device, level)) {
     return db_.at(job, device, level);
   }
-  // Sub-sampled DB: interpolate between the nearest recorded levels by
-  // frequency. Extrapolation is clamped to the recorded range.
-  const auto levels = db_.levels(job, device);
-  CORUN_CHECK_MSG(!levels.empty(), "no profiles for " + job);
-  const sim::FrequencyLadder& ladder = config_.ladder(device);
-  const GHz f = ladder.at(ladder.clamp(level));
-
-  const profile::ProfileEntry* lo = nullptr;
-  const profile::ProfileEntry* hi = nullptr;
-  GHz f_lo = 0.0;
-  GHz f_hi = 0.0;
-  for (const sim::FreqLevel l : levels) {
-    const GHz fl = ladder.at(l);
-    const profile::ProfileEntry& e = db_.at(job, device, l);
-    if (fl <= f && (lo == nullptr || fl > f_lo)) {
-      lo = &e;
-      f_lo = fl;
-    }
-    if (fl >= f && (hi == nullptr || fl < f_hi)) {
-      hi = &e;
-      f_hi = fl;
-    }
-  }
-  if (lo == nullptr) return *hi;
-  if (hi == nullptr) return *lo;
-  if (f_hi <= f_lo) return *lo;
-  const double t = (f - f_lo) / (f_hi - f_lo);
-  auto lerp = [t](double a, double b) { return a * (1.0 - t) + b * t; };
-  return profile::ProfileEntry{.time = lerp(lo->time, hi->time),
-                               .avg_bw = lerp(lo->avg_bw, hi->avg_bw),
-                               .avg_power = lerp(lo->avg_power, hi->avg_power),
-                               .energy = lerp(lo->energy, hi->energy)};
+  // Sub-sampled DB: interpolate between the nearest recorded levels.
+  const ProfileRow row = db_.row(job, device);
+  CORUN_CHECK_MSG(!row.empty(), "no profiles for " + job);
+  return entry_in_row(row, config_.ladder(device), level);
 }
 
 PairPrediction CoRunPredictor::combine(const profile::ProfileEntry& cpu,

@@ -51,9 +51,8 @@ void DegradationGrid::write_csv(std::ostream& out) const {
   writer.write_row({"cpu_bw", "gpu_bw", "cpu_deg", "gpu_deg"});
   for (std::size_t i = 0; i < cpu_axis.size(); ++i) {
     for (std::size_t j = 0; j < gpu_axis.size(); ++j) {
-      writer.write_row({std::to_string(cpu_axis[i]), std::to_string(gpu_axis[j]),
-                        std::to_string(cpu_deg[i][j]),
-                        std::to_string(gpu_deg[i][j])});
+      writer.write_row({csv_double(cpu_axis[i]), csv_double(gpu_axis[j]),
+                        csv_double(cpu_deg[i][j]), csv_double(gpu_deg[i][j])});
     }
   }
 }

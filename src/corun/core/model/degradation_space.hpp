@@ -38,6 +38,7 @@ struct DegradationGrid {
   [[nodiscard]] double max_gpu_degradation() const;
 
   /// CSV round trip (one row per cell) for caching characterizations.
+  /// Doubles are written %.17g, so a reloaded grid is bit-identical.
   void write_csv(std::ostream& out) const;
   [[nodiscard]] static Expected<DegradationGrid> read_csv(const std::string& text);
 };

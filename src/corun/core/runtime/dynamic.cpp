@@ -30,13 +30,14 @@ constexpr Seconds kEps = 1e-9;
 struct JobRec {
   enum class State { kPending, kRunning, kDone, kCancelled };
 
-  workload::KernelDescriptor desc;
-  sim::JobSpec spec;
-  std::string name;
-  std::uint64_t seed = 0;
+  /// Lowered once, when the job joins the run; re-plans and online sampling
+  /// add it to their batches as is.
+  workload::BatchJob job;
   State state = State::kPending;
   sim::DeviceKind device = sim::DeviceKind::kCpu;
   sim::JobId engine_id = -1;
+
+  [[nodiscard]] const std::string& name() const { return job.instance_name; }
 };
 
 /// The fault plan flattened for execution: dropouts become a begin/end pair.
@@ -72,10 +73,7 @@ class Executor {
         machine_(make_machine(plan)),
         engine_(*machine_) {
     for (const workload::BatchJob& j : batch.jobs()) {
-      recs_.push_back(JobRec{.desc = j.descriptor,
-                             .spec = j.spec,
-                             .name = j.instance_name,
-                             .seed = j.seed});
+      recs_.push_back(JobRec{.job = j});
     }
     for (const sim::FaultEvent& e : plan.events) {
       timeline_.push_back({e.time, e, false});
@@ -205,25 +203,27 @@ class Executor {
 
   void ensure_profile(std::size_t rec_idx) {
     JobRec& rec = recs_[rec_idx];
+    const workload::KernelDescriptor& desc = rec.job.descriptor;
     const auto have = db_.jobs();
-    if (std::find(have.begin(), have.end(), rec.name) != have.end()) return;
+    if (std::find(have.begin(), have.end(), rec.name()) != have.end()) return;
 
     // Rung 2: cross-run scaling from an already-profiled instance of the
     // same program.
     for (const JobRec& other : recs_) {
-      if (&other == &rec || other.desc.name != rec.desc.name) continue;
-      if (std::find(have.begin(), have.end(), other.name) == have.end()) {
+      if (&other == &rec || other.job.descriptor.name != desc.name) continue;
+      if (std::find(have.begin(), have.end(), other.name()) == have.end()) {
         continue;
       }
-      db_.add_scaled_instance(other.name, rec.name,
-                              rec.desc.input_scale / other.desc.input_scale);
+      db_.add_scaled_instance(
+          other.name(), rec.name(),
+          desc.input_scale / other.job.descriptor.input_scale);
       ++report_.cross_run_estimates;
       rebuild_predictor();
       return;
     }
-    if (std::find(have.begin(), have.end(), rec.desc.name) != have.end() &&
-        rec.desc.name != rec.name) {
-      db_.add_scaled_instance(rec.desc.name, rec.name, rec.desc.input_scale);
+    if (std::find(have.begin(), have.end(), desc.name) != have.end() &&
+        desc.name != rec.name()) {
+      db_.add_scaled_instance(desc.name, rec.name(), desc.input_scale);
       ++report_.cross_run_estimates;
       rebuild_predictor();
       return;
@@ -245,12 +245,12 @@ class Executor {
                      : options_.backend;
     const profile::OnlineProfiler profiler(config_, po);
     workload::Batch one;
-    one.add(rec.desc, rec.seed, rec.name);
+    one.add(rec.job);
     const profile::ProfileDB sampled = profiler.profile_batch(one);
     for (const sim::DeviceKind d :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
-      for (const sim::FreqLevel level : sampled.levels(rec.name, d)) {
-        db_.insert(rec.name, d, level, sampled.at(rec.name, d, level));
+      for (const sim::FreqLevel level : sampled.levels(rec.name(), d)) {
+        db_.insert(rec.name(), d, level, sampled.at(rec.name(), d, level));
       }
     }
     report_.sampling_overhead += profiler.sampling_cost(one);
@@ -322,10 +322,9 @@ class Executor {
     if (subset.empty()) return;
     CORUN_TRACE_SPAN("dynamic", "dynamic.replan");
 
+    // The planners know jobs by name only; the specs ride along unused.
     workload::Batch sub;
-    for (const std::size_t i : subset) {
-      sub.add(recs_[i].desc, recs_[i].seed, recs_[i].name);
-    }
+    for (const std::size_t i : subset) sub.add(recs_[i].job);
     sched::SchedulerContext ctx;
     ctx.batch = &sub;
     ctx.predictor = predictor_.get();
@@ -392,7 +391,7 @@ class Executor {
 
   void launch(sim::DeviceKind d, const QueuedJob& q) {
     JobRec& rec = recs_[q.rec];
-    const sim::JobId id = engine_.launch(rec.spec, d);
+    const sim::JobId id = engine_.launch(rec.job.spec, d);
     rec.state = JobRec::State::kRunning;
     rec.device = d;
     rec.engine_id = id;
@@ -431,7 +430,7 @@ class Executor {
       // Same backlog-weighted re-derivation as CoRunRuntime::execute.
       const model::CoRunPredictor& m = *predictor_;
       auto t_max = [&](std::size_t rec, sim::DeviceKind d) {
-        return m.standalone_time(recs_[rec].name, d,
+        return m.standalone_time(recs_[rec].name(), d,
                                  config_.ladder(d).max_level());
       };
       if (cpu_.current && gpu_.current) {
@@ -446,7 +445,7 @@ class Executor {
         const Seconds b_gpu =
             backlog(sim::DeviceKind::kGpu, *gpu_.current, gpu_.pending);
         const auto pair = m.best_pair_weighted(
-            recs_[*cpu_.current].name, recs_[*gpu_.current].name,
+            recs_[*cpu_.current].name(), recs_[*gpu_.current].name(),
             current_cap_, b_cpu / t_max(*cpu_.current, sim::DeviceKind::kCpu),
             b_gpu / t_max(*gpu_.current, sim::DeviceKind::kGpu));
         if (pair) {
@@ -454,11 +453,11 @@ class Executor {
           gpu_level = pair->gpu;
         }
       } else if (cpu_.current) {
-        cpu_level = m.best_solo_level(recs_[*cpu_.current].name,
+        cpu_level = m.best_solo_level(recs_[*cpu_.current].name(),
                                       sim::DeviceKind::kCpu, current_cap_)
                         .value_or(cpu_level);
       } else if (gpu_.current) {
-        gpu_level = m.best_solo_level(recs_[*gpu_.current].name,
+        gpu_level = m.best_solo_level(recs_[*gpu_.current].name(),
                                       sim::DeviceKind::kGpu, current_cap_)
                         .value_or(gpu_level);
       }
@@ -535,17 +534,14 @@ class Executor {
       name = t.event.program + "#d" + std::to_string(ordinal);
       const auto clash = std::find_if(
           recs_.begin(), recs_.end(),
-          [&](const JobRec& r) { return r.name == name; });
+          [&](const JobRec& r) { return r.name() == name; });
       if (clash == recs_.end()) break;
     }
     // Lower through Batch::add so arrivals get byte-identical specs to
     // batch-born jobs of the same descriptor and seed.
     workload::Batch one;
     one.add(d, t.event.seed, name);
-    recs_.push_back(JobRec{.desc = one.job(0).descriptor,
-                           .spec = one.job(0).spec,
-                           .name = name,
-                           .seed = t.event.seed});
+    recs_.push_back(JobRec{.job = one.job(0)});
     ensure_profile(recs_.size() - 1);
     if (options_.reschedule) {
       replan(true);
@@ -598,10 +594,10 @@ class Executor {
       drop(shared_);
     }
     rec.state = JobRec::State::kCancelled;
-    report_.cancelled.push_back(rec.name);
+    report_.cancelled.push_back(rec.name());
     const bool re = options_.reschedule;
     if (re) replan(true);
-    log_applied(t, re, "evicted " + rec.name);
+    log_applied(t, re, "evicted " + rec.name());
   }
 
   void apply_noise(const TimelineEntry& t) {
@@ -617,11 +613,11 @@ class Executor {
     Rng rng(t.event.seed);
     const std::size_t victim = pending[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1))];
-    db_.scale_job(recs_[victim].name, t.event.factor);
+    db_.scale_job(recs_[victim].name(), t.event.factor);
     rebuild_predictor();
     const bool re = options_.reschedule;
     if (re) replan(true);
-    log_applied(t, re, "drifted " + recs_[victim].name);
+    log_applied(t, re, "drifted " + recs_[victim].name());
   }
 
   // ---- report ------------------------------------------------------------
@@ -630,7 +626,7 @@ class Executor {
     for (const JobRec& rec : recs_) {
       CORUN_CHECK_MSG(rec.state == JobRec::State::kDone ||
                           rec.state == JobRec::State::kCancelled,
-                      "dynamic run left job unfinished: " + rec.name);
+                      "dynamic run left job unfinished: " + rec.name());
     }
     ExecutionReport& out = report_.report;
     for (const sim::JobStats& st : engine_.all_stats()) {

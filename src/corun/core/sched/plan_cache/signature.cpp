@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "corun/common/check.hpp"
+#include "corun/common/csv.hpp"
 #include "corun/core/model/corun_predictor.hpp"
 #include "corun/profile/profile_db.hpp"
 
@@ -15,14 +16,14 @@ std::uint64_t job_profile_digest(const profile::ProfileDB& db,
   Fnv64 h;
   for (const sim::DeviceKind d :
        {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
-    h.update(d == sim::DeviceKind::kCpu ? "cpu" : "gpu");
-    for (const sim::FreqLevel level : db.levels(job, d)) {
-      const profile::ProfileEntry& e = db.at(job, d, level);
-      h.update(std::to_string(level));
-      h.update(signature_double(e.time));
-      h.update(signature_double(e.avg_bw));
-      h.update(signature_double(e.avg_power));
-      h.update(signature_double(e.energy));
+    const auto row = db.row(job, d);
+    h.update_word(row.size());
+    for (const auto& [level, e] : row) {
+      h.update_word(static_cast<std::uint64_t>(level));
+      h.update_double(e.time);
+      h.update_double(e.avg_bw);
+      h.update_double(e.avg_power);
+      h.update_double(e.energy);
     }
   }
   return h.digest();
@@ -30,19 +31,21 @@ std::uint64_t job_profile_digest(const profile::ProfileDB& db,
 
 namespace {
 
-std::uint64_t ladder_digest(const sim::FrequencyLadder& ladder) {
-  Fnv64 h;
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    h.update(signature_double(ladder.at(static_cast<sim::FreqLevel>(i))));
-  }
-  return h.digest();
+void update_list(Fnv64& h, const std::vector<double>& values) {
+  h.update_word(values.size());
+  for (const double v : values) h.update_double(v);
 }
 
 std::uint64_t machine_digest(const sim::MachineConfig& config) {
   Fnv64 h;
-  h.update(hex64(ladder_digest(config.cpu_ladder)));
-  h.update(hex64(ladder_digest(config.gpu_ladder)));
-  h.update(std::to_string(config.cpu_cores));
+  for (const sim::FrequencyLadder* ladder :
+       {&config.cpu_ladder, &config.gpu_ladder}) {
+    h.update_word(ladder->size());
+    for (std::size_t i = 0; i < ladder->size(); ++i) {
+      h.update_double(ladder->at(static_cast<sim::FreqLevel>(i)));
+    }
+  }
+  h.update_word(static_cast<std::uint64_t>(config.cpu_cores));
   for (const double v :
        {config.mem_bw_freq_sensitivity, config.cs_overhead,
         config.cs_locality_penalty, config.llc_capacity_mb,
@@ -52,12 +55,12 @@ std::uint64_t machine_digest(const sim::MachineConfig& config) {
         config.memory.gpu_latency_alpha, config.memory.cpu_latency_gamma,
         config.memory.gpu_latency_gamma, config.memory.latency_base,
         config.memory.latency_self}) {
-    h.update(signature_double(v));
+    h.update_double(v);
   }
   for (const auto& dev : {config.power.cpu, config.power.gpu}) {
     for (const double v : {dev.leakage, dev.idle, dev.dyn_max, dev.v_floor,
                            dev.stall_activity}) {
-      h.update(signature_double(v));
+      h.update_double(v);
     }
   }
   return h.digest();
@@ -65,26 +68,16 @@ std::uint64_t machine_digest(const sim::MachineConfig& config) {
 
 std::uint64_t grid_digest(const model::DegradationGrid& grid) {
   Fnv64 h;
-  for (const auto* axis : {&grid.cpu_axis, &grid.gpu_axis}) {
-    for (const double v : *axis) h.update(signature_double(v));
-    h.update("/");
-  }
+  update_list(h, grid.cpu_axis);
+  update_list(h, grid.gpu_axis);
   for (const auto* surface : {&grid.cpu_deg, &grid.gpu_deg}) {
-    for (const auto& row : *surface) {
-      for (const double v : row) h.update(signature_double(v));
-    }
-    h.update("/");
+    h.update_word(surface->size());
+    for (const auto& row : *surface) update_list(h, row);
   }
   return h.digest();
 }
 
 }  // namespace
-
-std::string signature_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[24];
@@ -111,7 +104,7 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   std::sort(job_names.begin(), job_names.end());
 
   std::ostringstream family;
-  family << "v1;scheduler=" << scheduler_id << ";seed=" << seed << ";policy="
+  family << "v2;scheduler=" << scheduler_id << ";seed=" << seed << ";policy="
          << (ctx.policy == sim::GovernorPolicy::kCpuBiased ? "cpu" : "gpu")
          << ";machine=" << machine_hex << ";grid=" << grid_hex
          << ";idle=" << idle_text;
@@ -119,7 +112,7 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
 
   std::ostringstream canonical;
   canonical << sig.family << ";cap=";
-  canonical << (ctx.cap ? signature_double(*ctx.cap) : "none");
+  canonical << (ctx.cap ? csv_double(*ctx.cap) : "none");
   for (const std::string& name : job_names) {
     canonical << ";job{" << name << "|" << job_hex(name) << "}";
   }
@@ -144,7 +137,7 @@ PlanSignature make_signature(const SchedulerContext& ctx,
   return assemble_signature(
       ctx, scheduler_id, seed, hex64(machine_digest(m.machine())),
       hex64(grid_digest(m.interpolator().grid())),
-      signature_double(db.idle_power()),
+      csv_double(db.idle_power()),
       [&db](const std::string& name) {
         return hex64(job_profile_digest(db, name));
       });
@@ -154,7 +147,7 @@ SignatureBuilder::SignatureBuilder(const model::CoRunPredictor& predictor)
     : predictor_(&predictor),
       machine_hex_(hex64(machine_digest(predictor.machine()))),
       grid_hex_(hex64(grid_digest(predictor.interpolator().grid()))),
-      idle_text_(signature_double(predictor.db().idle_power())) {
+      idle_text_(csv_double(predictor.db().idle_power())) {
   for (const std::string& job : predictor.db().jobs()) {
     job_digest_hex_[job] = hex64(job_profile_digest(predictor.db(), job));
   }

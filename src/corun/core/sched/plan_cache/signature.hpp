@@ -12,16 +12,24 @@
 //     same job set submitted in any batch order maps to one cache line
 //     (cached schedules reference jobs by name and are remapped to the
 //     requesting batch's indices on a hit);
-//   - content-addressed: profile rows, grid cells and ladder frequencies
-//     are digested with %.17g renderings, so any profile-db drift (e.g. a
-//     noise event) or re-characterization changes the signature and
-//     invalidates stale entries instead of serving them;
+//   - content-addressed: profile rows, grid cells, ladder frequencies and
+//     the machine's model parameters are digested as the bit patterns of
+//     their doubles (each a fixed-width little-endian word, each list led
+//     by its length), so any profile-db drift (e.g. a noise event) or
+//     re-characterization changes the signature and invalidates stale
+//     entries instead of serving them. The cap and the idle power appear
+//     in the canonical string as %.17g text; both encodings tell apart
+//     every pair of distinct values;
 //   - two granularities: `canonical` identifies the exact request, while
 //     `family` drops the cap and the job set — entries of one family are
 //     re-plans of the same scheduler over the same model artifacts, and the
-//     cache keeps them in one shard.
+//     cache keeps them in one shard;
+//   - versioned: both strings start with the encoding's tag (`v2;`). Any
+//     change to how a digest is computed must bump it, so that an entry
+//     persisted under another encoding never matches a request.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -36,20 +44,26 @@ namespace corun::sched {
 class Fnv64 {
  public:
   void update(const std::string& bytes) noexcept {
-    for (const char c : bytes) {
-      hash_ ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      hash_ *= 0x100000001b3ULL;
-    }
+    for (const char c : bytes) mix(static_cast<unsigned char>(c));
+  }
+  /// Folds `v` in as eight little-endian bytes, whatever the host order.
+  void update_word(std::uint64_t v) noexcept {
+    for (int i = 0; i < 8; ++i) mix((v >> (8 * i)) & 0xffU);
+  }
+  /// A double's IEEE-754 bit pattern as one word: distinct bits (-0.0 and
+  /// 0.0 included) always feed distinct input.
+  void update_double(double v) noexcept {
+    update_word(std::bit_cast<std::uint64_t>(v));
   }
   [[nodiscard]] std::uint64_t digest() const noexcept { return hash_; }
 
  private:
+  void mix(std::uint64_t byte) noexcept {
+    hash_ ^= byte;
+    hash_ *= 0x100000001b3ULL;
+  }
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
-
-/// Shortest-exact double rendering (%.17g): survives a strtod round trip,
-/// shared convention with the CSV artifact writers.
-[[nodiscard]] std::string signature_double(double v);
 
 /// Lower-case hex rendering of a 64-bit digest, the persistent-tier file
 /// stem.
@@ -59,8 +73,8 @@ class Fnv64 {
 /// predictor's state that is specific to that job. Times, bandwidths,
 /// powers and energies all feed scheduling decisions, so all four fields
 /// participate. Keys cache signatures only: branch-and-bound finds
-/// profile-identical jobs by comparing their rows exactly, which is far
-/// cheaper than formatting and hashing every row on every plan.
+/// profile-identical jobs by comparing their rows exactly, which needs no
+/// argument that distinct rows never share a 64-bit digest.
 [[nodiscard]] std::uint64_t job_profile_digest(const profile::ProfileDB& db,
                                                const std::string& job);
 
@@ -105,7 +119,7 @@ class SignatureBuilder {
   const model::CoRunPredictor* predictor_;
   std::string machine_hex_;  ///< hex64(machine_digest)
   std::string grid_hex_;     ///< hex64(grid_digest)
-  std::string idle_text_;    ///< signature_double(idle_power)
+  std::string idle_text_;    ///< csv_double(idle_power)
   std::map<std::string, std::string> job_digest_hex_;  ///< name -> hex64
 };
 

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "corun/common/csv.hpp"
-#include "corun/core/sched/plan_cache/signature.hpp"
 
 namespace corun::serve {
 
@@ -104,7 +103,7 @@ std::string request_to_payload(const PlanRequest& request) {
   CsvWriter writer(oss);
   std::vector<std::string> row{
       "plan", std::to_string(request.seq),
-      request.cap ? sched::signature_double(*request.cap) : std::string{},
+      request.cap ? csv_double(*request.cap) : std::string{},
       request.scheduler, request.policy, std::to_string(request.seed)};
   row.insert(row.end(), request.jobs.begin(), request.jobs.end());
   writer.write_row(row);
@@ -253,7 +252,7 @@ void request_trace_to_csv(const std::vector<PlanRequest>& requests,
   for (const PlanRequest& request : requests) {
     writer.write_row(
         {std::to_string(request.seq),
-         request.cap ? sched::signature_double(*request.cap) : std::string{},
+         request.cap ? csv_double(*request.cap) : std::string{},
          request.scheduler, request.policy, std::to_string(request.seed),
          join_jobs(request.jobs)});
   }

@@ -1,6 +1,7 @@
 #include "corun/profile/profile_db.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -14,6 +15,22 @@ std::tuple<std::string, int, int> make_key(const std::string& job,
                                            sim::DeviceKind device,
                                            sim::FreqLevel level) {
   return {job, static_cast<int>(device), level};
+}
+
+/// Calls fn(level, entry) for every entry of (job, device), ascending.
+/// Keys order by job, then device, then level, so those entries are one
+/// contiguous range that starts at the pair's lowest possible key.
+template <typename Fn>
+void for_each_level(
+    const std::map<std::tuple<std::string, int, int>, ProfileEntry>& entries,
+    const std::string& job, sim::DeviceKind device, Fn&& fn) {
+  for (auto it = entries.lower_bound(
+           make_key(job, device, std::numeric_limits<int>::min()));
+       it != entries.end() && std::get<0>(it->first) == job &&
+       std::get<1>(it->first) == static_cast<int>(device);
+       ++it) {
+    fn(std::get<2>(it->first), it->second);
+  }
 }
 
 }  // namespace
@@ -55,12 +72,20 @@ std::vector<std::string> ProfileDB::jobs() const {
 std::vector<sim::FreqLevel> ProfileDB::levels(const std::string& job,
                                               sim::DeviceKind device) const {
   std::vector<sim::FreqLevel> out;
-  for (const auto& [key, entry] : entries_) {
-    if (std::get<0>(key) == job && std::get<1>(key) == static_cast<int>(device)) {
-      out.push_back(std::get<2>(key));
-    }
-  }
-  std::sort(out.begin(), out.end());
+  for_each_level(entries_, job, device,
+                 [&out](sim::FreqLevel level, const ProfileEntry&) {
+                   out.push_back(level);
+                 });
+  return out;
+}
+
+std::vector<std::pair<sim::FreqLevel, ProfileEntry>> ProfileDB::row(
+    const std::string& job, sim::DeviceKind device) const {
+  std::vector<std::pair<sim::FreqLevel, ProfileEntry>> out;
+  for_each_level(entries_, job, device,
+                 [&out](sim::FreqLevel level, const ProfileEntry& e) {
+                   out.emplace_back(level, e);
+                 });
   return out;
 }
 
@@ -106,14 +131,14 @@ void ProfileDB::write_csv(std::ostream& out) const {
   CsvWriter writer(out);
   writer.write_row({"job", "device", "level", "time_s", "avg_bw_gbps",
                     "avg_power_w", "energy_j"});
-  writer.write_row({"__idle__", "-", "0", "0", "0",
-                    std::to_string(idle_power_), "0"});
+  writer.write_row({"__idle__", "-", "0", "0", "0", csv_double(idle_power_),
+                    "0"});
   for (const auto& [key, e] : entries_) {
     writer.write_row({std::get<0>(key),
                       std::get<1>(key) == 0 ? "cpu" : "gpu",
-                      std::to_string(std::get<2>(key)), std::to_string(e.time),
-                      std::to_string(e.avg_bw), std::to_string(e.avg_power),
-                      std::to_string(e.energy)});
+                      std::to_string(std::get<2>(key)), csv_double(e.time),
+                      csv_double(e.avg_bw), csv_double(e.avg_power),
+                      csv_double(e.energy)});
   }
 }
 

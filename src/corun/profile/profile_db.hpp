@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "corun/common/expected.hpp"
@@ -44,6 +45,11 @@ class ProfileDB {
   [[nodiscard]] std::vector<sim::FreqLevel> levels(const std::string& job,
                                                    sim::DeviceKind device) const;
 
+  /// Every entry recorded for (job, device) with its level, ascending: one
+  /// walk of the pair's key range for callers that read the whole row.
+  [[nodiscard]] std::vector<std::pair<sim::FreqLevel, ProfileEntry>> row(
+      const std::string& job, sim::DeviceKind device) const;
+
   /// Standalone time at the highest recorded level for (job, device).
   [[nodiscard]] Seconds best_time(const std::string& job,
                                   sim::DeviceKind device) const;
@@ -58,7 +64,8 @@ class ProfileDB {
 
   /// CSV round trip; schema:
   ///   job,device,level,time_s,avg_bw_gbps,avg_power_w,energy_j
-  /// with a leading pseudo-row for the idle power.
+  /// with a leading pseudo-row for the idle power. Doubles are written
+  /// %.17g, so a reloaded DB is bit-identical.
   void write_csv(std::ostream& out) const;
   [[nodiscard]] static Expected<ProfileDB> read_csv(const std::string& text);
 

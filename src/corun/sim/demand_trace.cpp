@@ -1,6 +1,5 @@
 #include "corun/sim/demand_trace.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -10,14 +9,6 @@
 namespace corun::sim {
 
 namespace {
-
-/// Shortest-exact double rendering: %.17g survives a strtod round trip, so
-/// replaying a recorded trace reproduces the recording run bit-for-bit.
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 constexpr const char* kCsvHeader[] = {
     "job",    "device",          "launch_time",     "phase_idx", "dur_ref",
@@ -67,11 +58,11 @@ void demand_trace_to_csv(const DemandTrace& trace, std::ostream& out) {
                                             std::end(kCsvHeader)));
   for (const DemandTraceRow& r : trace.rows) {
     writer.write_row({r.job, r.device == DeviceKind::kCpu ? "cpu" : "gpu",
-                      fmt_double(r.launch_time), std::to_string(r.phase_idx),
-                      fmt_double(r.phase.dur_ref),
-                      fmt_double(r.phase.compute_frac),
-                      fmt_double(r.phase.mem_bw), fmt_double(r.llc.footprint_mb),
-                      fmt_double(r.llc.sensitivity)});
+                      csv_double(r.launch_time), std::to_string(r.phase_idx),
+                      csv_double(r.phase.dur_ref),
+                      csv_double(r.phase.compute_frac),
+                      csv_double(r.phase.mem_bw), csv_double(r.llc.footprint_mb),
+                      csv_double(r.llc.sensitivity)});
   }
 }
 

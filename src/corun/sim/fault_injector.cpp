@@ -1,7 +1,6 @@
 #include "corun/sim/fault_injector.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -13,14 +12,6 @@
 namespace corun::sim {
 
 namespace {
-
-/// Shortest-exact double rendering: %.17g survives a strtod round trip, so
-/// plans written to disk replay bit-for-bit.
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 constexpr const char* kCsvHeader[] = {"time",   "kind", "program",
                                       "input_scale", "seed", "target",
@@ -113,11 +104,11 @@ void fault_plan_to_csv(const FaultPlan& plan, std::ostream& out) {
                                             std::end(kCsvHeader)));
   for (const FaultEvent& e : plan.events) {
     writer.write_row(
-        {fmt_double(e.time), fault_kind_name(e.kind),
-         e.program.empty() ? "-" : e.program, fmt_double(e.input_scale),
+        {csv_double(e.time), fault_kind_name(e.kind),
+         e.program.empty() ? "-" : e.program, csv_double(e.input_scale),
          std::to_string(e.seed), std::to_string(e.target),
-         e.cap ? fmt_double(*e.cap) : "-", fmt_double(e.factor),
-         fmt_double(e.duration)});
+         e.cap ? csv_double(*e.cap) : "-", csv_double(e.factor),
+         csv_double(e.duration)});
   }
 }
 

@@ -1,6 +1,7 @@
 #include "corun/workload/batch.hpp"
 
 #include <ostream>
+#include <utility>
 
 #include "corun/common/check.hpp"
 #include "corun/common/csv.hpp"
@@ -15,12 +16,16 @@ void Batch::add(const KernelDescriptor& desc, std::uint64_t seed,
   job.descriptor = desc;
   job.seed = seed;
   job.instance_name = instance_tag.empty() ? desc.name : instance_tag;
+  job.spec = make_job_spec(desc, seed);
+  job.spec.name = job.instance_name;
+  add(std::move(job));
+}
+
+void Batch::add(BatchJob job) {
   for (const BatchJob& existing : jobs_) {
     CORUN_CHECK_MSG(existing.instance_name != job.instance_name,
                     "duplicate instance name in batch");
   }
-  job.spec = make_job_spec(desc, seed);
-  job.spec.name = job.instance_name;
   jobs_.push_back(std::move(job));
 }
 

@@ -35,6 +35,11 @@ class Batch {
   void add(const KernelDescriptor& desc, std::uint64_t seed,
            const std::string& instance_tag = "");
 
+  /// Adds an instance that is already lowered (e.g. taken from another
+  /// batch): `job.spec` is kept as is, not derived again from the
+  /// descriptor. Instance names stay unique as with the overload above.
+  void add(BatchJob job);
+
   [[nodiscard]] std::size_t size() const noexcept { return jobs_.size(); }
   [[nodiscard]] bool empty() const noexcept { return jobs_.empty(); }
   [[nodiscard]] const BatchJob& job(std::size_t i) const;

@@ -2,6 +2,10 @@
 // execute, through both the library API and the mini-OpenCL surface.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+
 #include "../support/fixtures.hpp"
 #include "corun/core/runtime/experiment.hpp"
 #include "corun/core/sched/corun_theorem.hpp"
@@ -106,8 +110,9 @@ TEST(EndToEnd, OclApiDrivesTheSameMachine) {
 }
 
 TEST(EndToEnd, ArtifactsSurviveCsvRoundTrip) {
-  // Persisting and reloading the offline artifacts must not change
-  // scheduling decisions (supports caching characterizations on disk).
+  // Persisting and reloading the offline artifacts must not change a
+  // single prediction, and so not a single scheduling decision (supports
+  // caching characterizations on disk).
   const auto& f = eight_program_fixture();
   std::ostringstream db_csv;
   f.artifacts.db.write_csv(db_csv);
@@ -117,21 +122,52 @@ TEST(EndToEnd, ArtifactsSurviveCsvRoundTrip) {
   const auto grid = model::DegradationGrid::read_csv(grid_csv.str());
   ASSERT_TRUE(db.has_value() && grid.has_value());
   const model::CoRunPredictor reloaded(db.value(), grid.value(), f.config);
+  const model::CoRunPredictor& original = *f.predictor;
+
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const std::vector<std::string> jobs = f.artifacts.db.jobs();
+  ASSERT_EQ(db.value().jobs(), jobs);
+  for (const std::string& job : jobs) {
+    for (const sim::DeviceKind d :
+         {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
+      for (sim::FreqLevel l = 0; l <= f.config.ladder(d).max_level(); ++l) {
+        EXPECT_EQ(bits(reloaded.standalone_time(job, d, l)),
+                  bits(original.standalone_time(job, d, l)))
+            << job << " " << sim::device_name(d) << " level " << l;
+      }
+    }
+  }
+  for (const std::string& cpu_job : jobs) {
+    for (const std::string& gpu_job : jobs) {
+      for (sim::FreqLevel fc = 0; fc <= f.config.cpu_ladder.max_level();
+           ++fc) {
+        for (sim::FreqLevel fg = 0; fg <= f.config.gpu_ladder.max_level();
+             ++fg) {
+          const model::PairPrediction a =
+              original.predict(cpu_job, fc, gpu_job, fg);
+          const model::PairPrediction b =
+              reloaded.predict(cpu_job, fc, gpu_job, fg);
+          ASSERT_TRUE(bits(a.cpu_time) == bits(b.cpu_time) &&
+                      bits(a.gpu_time) == bits(b.gpu_time) &&
+                      bits(a.cpu_degradation) == bits(b.cpu_degradation) &&
+                      bits(a.gpu_degradation) == bits(b.gpu_degradation) &&
+                      bits(a.power) == bits(b.power))
+              << cpu_job << "@" << fc << " / " << gpu_job << "@" << fg;
+        }
+      }
+    }
+  }
 
   sched::SchedulerContext ctx1 = f.context(15.0);
   sched::SchedulerContext ctx2 = ctx1;
   ctx2.predictor = &reloaded;
   sched::HcsScheduler hcs;
-  const sched::Schedule a = hcs.plan(ctx1);
-  const sched::Schedule b = hcs.plan(ctx2);
-  ASSERT_EQ(a.cpu.size(), b.cpu.size());
-  ASSERT_EQ(a.gpu.size(), b.gpu.size());
-  for (std::size_t i = 0; i < a.cpu.size(); ++i) {
-    EXPECT_EQ(a.cpu[i].job, b.cpu[i].job);
-  }
-  for (std::size_t i = 0; i < a.gpu.size(); ++i) {
-    EXPECT_EQ(a.gpu[i].job, b.gpu[i].job);
-  }
+  auto plan_csv = [&hcs](const sched::SchedulerContext& ctx) {
+    std::ostringstream out;
+    sched::schedule_to_csv(hcs.plan(ctx), ctx.job_names(), out);
+    return out.str();
+  };
+  EXPECT_EQ(plan_csv(ctx2), plan_csv(ctx1));
 }
 
 }  // namespace

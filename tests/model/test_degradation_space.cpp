@@ -91,13 +91,30 @@ TEST_F(DegradationSpaceTest, CsvRoundTrip) {
   ASSERT_TRUE(parsed.has_value());
   const DegradationGrid& round = parsed.value();
   ASSERT_TRUE(round.valid());
-  ASSERT_EQ(round.cpu_axis.size(), grid_->cpu_axis.size());
-  for (std::size_t i = 0; i < grid_->cpu_axis.size(); ++i) {
-    for (std::size_t j = 0; j < grid_->gpu_axis.size(); ++j) {
-      EXPECT_NEAR(round.cpu_deg[i][j], grid_->cpu_deg[i][j], 1e-6);
-      EXPECT_NEAR(round.gpu_deg[i][j], grid_->gpu_deg[i][j], 1e-6);
-    }
-  }
+  EXPECT_EQ(round.cpu_axis, grid_->cpu_axis);
+  EXPECT_EQ(round.gpu_axis, grid_->gpu_axis);
+  EXPECT_EQ(round.cpu_deg, grid_->cpu_deg);
+  EXPECT_EQ(round.gpu_deg, grid_->gpu_deg);
+}
+
+TEST(DegradationGrid, CsvRoundTripIsExact) {
+  // 1.1 * 3 is 3.3000000000000003, the characterizer's fourth axis point;
+  // six decimals would read it back as 3.3, a different grid.
+  const double third = 1.0 / 3.0;
+  DegradationGrid g;
+  g.cpu_axis = {0.0, 1.1, 1.1 * 3.0};
+  g.gpu_axis = {0.0, 1.1 * 3.0};
+  g.cpu_deg = {{0.0, third}, {1e-7, 2.0 * third}, {third / 7.0, 0.6875}};
+  g.gpu_deg = {{0.0, 1e-300}, {third, 0.1 + 0.2}, {5.0 * third, 1.0}};
+  ASSERT_TRUE(g.valid());
+  std::ostringstream oss;
+  g.write_csv(oss);
+  const auto parsed = DegradationGrid::read_csv(oss.str());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed.value().cpu_axis, g.cpu_axis);
+  EXPECT_EQ(parsed.value().gpu_axis, g.gpu_axis);
+  EXPECT_EQ(parsed.value().cpu_deg, g.cpu_deg);
+  EXPECT_EQ(parsed.value().gpu_deg, g.gpu_deg);
 }
 
 TEST(DegradationGrid, MalformedCsvRejected) {

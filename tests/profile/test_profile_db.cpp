@@ -48,6 +48,41 @@ TEST(ProfileDB, JobsAndLevelsEnumerated) {
             (std::vector<sim::FreqLevel>{1}));
 }
 
+TEST(ProfileDB, LevelsReadOnlyTheirOwnRange) {
+  // Names that prefix each other sort next to each other ("a" < "a#1" <
+  // "ab"), so a range walk that overran its (job, device) pair would pick
+  // up a neighbour's levels.
+  ProfileDB db;
+  db.insert("ab", sim::DeviceKind::kCpu, 1, entry(7, 1, 1));
+  db.insert("a#1", sim::DeviceKind::kGpu, 0, entry(6, 1, 1));
+  db.insert("a", sim::DeviceKind::kGpu, 4, entry(5, 1, 1));
+  db.insert("a#1", sim::DeviceKind::kCpu, 3, entry(4, 1, 1));
+  db.insert("a", sim::DeviceKind::kCpu, 9, entry(3, 1, 1));
+  db.insert("ab", sim::DeviceKind::kGpu, 2, entry(2, 1, 1));
+  db.insert("a", sim::DeviceKind::kCpu, 0, entry(1, 1, 1));
+  db.insert("a", sim::DeviceKind::kGpu, 1, entry(8, 1, 1));
+
+  using L = std::vector<sim::FreqLevel>;
+  EXPECT_EQ(db.levels("a", sim::DeviceKind::kCpu), (L{0, 9}));
+  EXPECT_EQ(db.levels("a", sim::DeviceKind::kGpu), (L{1, 4}));
+  EXPECT_EQ(db.levels("a#1", sim::DeviceKind::kCpu), (L{3}));
+  EXPECT_EQ(db.levels("a#1", sim::DeviceKind::kGpu), (L{0}));
+  EXPECT_EQ(db.levels("ab", sim::DeviceKind::kCpu), (L{1}));
+  EXPECT_EQ(db.levels("ab", sim::DeviceKind::kGpu), (L{2}));
+  for (const char* unknown : {"", "a#", "aa", "b"}) {
+    EXPECT_TRUE(db.levels(unknown, sim::DeviceKind::kCpu).empty()) << unknown;
+    EXPECT_TRUE(db.row(unknown, sim::DeviceKind::kGpu).empty()) << unknown;
+  }
+
+  // row() walks the same range and carries each level's entry.
+  const auto row = db.row("a", sim::DeviceKind::kGpu);
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row[0].first, 1);
+  EXPECT_EQ(row[0].second.time, 8.0);
+  EXPECT_EQ(row[1].first, 4);
+  EXPECT_EQ(row[1].second.time, 5.0);
+}
+
 TEST(ProfileDB, BestTimeUsesHighestLevel) {
   ProfileDB db;
   db.insert("a", sim::DeviceKind::kCpu, 0, entry(20.0, 1, 1));
@@ -56,18 +91,29 @@ TEST(ProfileDB, BestTimeUsesHighestLevel) {
 }
 
 TEST(ProfileDB, CsvRoundTrip) {
+  // Values that need all 17 significant digits: the artifacts a tool
+  // writes must predict exactly as the in-memory ones did.
+  const double third = 1.0 / 3.0;
   ProfileDB db;
-  db.set_idle_power(5.25);
+  db.set_idle_power(5.7 + 1e-15);
   db.insert("alpha", sim::DeviceKind::kCpu, 0, entry(12.5, 3.75, 11.0));
-  db.insert("alpha", sim::DeviceKind::kGpu, 9, entry(6.25, 8.5, 13.0));
+  db.insert("alpha", sim::DeviceKind::kGpu, 9,
+            ProfileEntry{.time = 92.547625000010015,
+                         .avg_bw = 1.1 * 3.0,
+                         .avg_power = 2.0 * third,
+                         .energy = third});
   std::ostringstream oss;
   db.write_csv(oss);
   const auto parsed = ProfileDB::read_csv(oss.str());
   ASSERT_TRUE(parsed.has_value());
   const ProfileDB& round = parsed.value();
-  EXPECT_DOUBLE_EQ(round.idle_power(), 5.25);
-  EXPECT_NEAR(round.at("alpha", sim::DeviceKind::kCpu, 0).time, 12.5, 1e-6);
-  EXPECT_NEAR(round.at("alpha", sim::DeviceKind::kGpu, 9).avg_bw, 8.5, 1e-6);
+  EXPECT_EQ(round.idle_power(), 5.7 + 1e-15);
+  EXPECT_EQ(round.at("alpha", sim::DeviceKind::kCpu, 0).time, 12.5);
+  const ProfileEntry& e = round.at("alpha", sim::DeviceKind::kGpu, 9);
+  EXPECT_EQ(e.time, 92.547625000010015);
+  EXPECT_EQ(e.avg_bw, 1.1 * 3.0);
+  EXPECT_EQ(e.avg_power, 2.0 * third);
+  EXPECT_EQ(e.energy, third);
 }
 
 TEST(ProfileDB, MalformedCsvRejected) {

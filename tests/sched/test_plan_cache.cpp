@@ -7,14 +7,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "../support/fixtures.hpp"
 #include "corun/common/csv.hpp"
+#include "corun/core/model/corun_predictor.hpp"
 #include "corun/core/runtime/dynamic.hpp"
 #include "corun/core/sched/branch_and_bound.hpp"
 #include "corun/core/sched/plan_cache/caching_scheduler.hpp"
@@ -90,6 +94,137 @@ TEST(PlanSignature, SeedAndPolicyArePartOfTheIdentity) {
   cpu_ctx.policy = sim::GovernorPolicy::kCpuBiased;
   EXPECT_NE(make_signature(ctx, "bnb", 0).canonical,
             make_signature(cpu_ctx, "bnb", 0).canonical);
+}
+
+/// A request whose every digested input is set here by hand, so the golden
+/// literals below move only when the signature encoding does, not when a
+/// machine is recalibrated or the shared fixtures profile differently.
+struct HandBuiltRequest {
+  profile::ProfileDB db;
+  model::DegradationGrid grid;
+  sim::MachineConfig machine;
+  workload::Batch batch;
+  std::optional<Watts> cap = 12.5;
+
+  HandBuiltRequest() {
+    using sim::DeviceKind;
+    db.set_idle_power(5.5);
+    db.insert("a", DeviceKind::kCpu, 0, {10.0, 2.5, 9.0, 90.0});
+    db.insert("a", DeviceKind::kCpu, 2, {6.0, 3.5, 12.0, 72.0});
+    db.insert("a", DeviceKind::kGpu, 1, {8.0, 4.25, 10.5, 84.0});
+    db.insert("b", DeviceKind::kCpu, 1, {20.0, 1.5, 8.5, 170.0});
+    db.insert("b", DeviceKind::kGpu, 0, {15.0, 6.0, 9.5, 142.5});
+    db.insert("b", DeviceKind::kGpu, 1, {12.0, 7.0, 11.0, 132.0});
+
+    grid.cpu_axis = {0.0, 4.0};
+    grid.gpu_axis = {0.0, 2.0, 4.0};
+    grid.cpu_deg = {{0.0, 0.125, 0.25}, {0.0625, 0.375, 0.5}};
+    grid.gpu_deg = {{0.0, 0.03125, 0.0625}, {0.25, 0.5, 0.75}};
+
+    machine.cpu_ladder = sim::FrequencyLadder({1.0, 1.5, 2.0});
+    machine.gpu_ladder = sim::FrequencyLadder({0.5, 1.0});
+    machine.cpu_cores = 2;
+    double v = 0.0;
+    for (double* p :
+         {&machine.mem_bw_freq_sensitivity, &machine.cs_overhead,
+          &machine.cs_locality_penalty, &machine.llc_capacity_mb,
+          &machine.llc_pressure_saturation_bw, &machine.power.uncore,
+          &machine.memory.saturation_bw, &machine.memory.cpu_share_weight,
+          &machine.memory.gpu_share_weight, &machine.memory.cpu_latency_alpha,
+          &machine.memory.gpu_latency_alpha, &machine.memory.cpu_latency_gamma,
+          &machine.memory.gpu_latency_gamma, &machine.memory.latency_base,
+          &machine.memory.latency_self}) {
+      *p = v += 0.25;
+    }
+    for (sim::DevicePowerParams* dev :
+         {&machine.power.cpu, &machine.power.gpu}) {
+      for (double* p : {&dev->leakage, &dev->idle, &dev->dyn_max,
+                        &dev->v_floor, &dev->stall_activity}) {
+        *p = v += 0.25;
+      }
+    }
+
+    // Planners and signatures know jobs by name only.
+    for (const char* name : {"a", "b"}) {
+      workload::BatchJob job;
+      job.instance_name = name;
+      batch.add(job);
+    }
+  }
+
+  /// The request's signature under the fields as they are now.
+  [[nodiscard]] PlanSignature signature() const {
+    const model::CoRunPredictor predictor(db, grid, machine);
+    SchedulerContext ctx;
+    ctx.batch = &batch;
+    ctx.predictor = &predictor;
+    ctx.cap = cap;
+    return make_signature(ctx, "hcs+", 0);
+  }
+};
+
+/// Golden values of the v2 encoding. Persisted `dir:` entries are named by
+/// the canonical hash, so an encoding change orphans every one of them: it
+/// must bump the version tag and re-record these literals, never slip in.
+TEST(PlanSignature, V2EncodingIsPinned) {
+  const HandBuiltRequest r;
+  EXPECT_EQ(job_profile_digest(r.db, "a"), 0xf050c9092185a296ULL);
+  EXPECT_EQ(job_profile_digest(r.db, "b"), 0x4a83859a5c01c6b5ULL);
+  const PlanSignature sig = r.signature();
+  EXPECT_EQ(sig.canonical,
+            "v2;scheduler=hcs+;seed=0;policy=gpu;machine=1c87aaded2b52a0e;"
+            "grid=4ef4f3983b803d78;idle=5.5;cap=12.5;"
+            "job{a|f050c9092185a296};job{b|4a83859a5c01c6b5}");
+  EXPECT_EQ(sig.hash, 0x833c5cc3c97cb533ULL);
+  EXPECT_EQ(sig.family_hash, 0x5998c1f0ff64d04cULL);
+}
+
+TEST(PlanSignature, OneUlpInAnyDigestedValueChangesTheCanonical) {
+  const std::string base = HandBuiltRequest().signature().canonical;
+  auto up = [](double v) {
+    return std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  auto canonical_after = [](const auto& edit) {
+    HandBuiltRequest r;
+    edit(r);
+    return r.signature().canonical;
+  };
+  for (double profile::ProfileEntry::*field :
+       {&profile::ProfileEntry::time, &profile::ProfileEntry::avg_bw,
+        &profile::ProfileEntry::avg_power, &profile::ProfileEntry::energy}) {
+    EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+                const sim::DeviceKind gpu = sim::DeviceKind::kGpu;
+                profile::ProfileEntry e = r.db.at("b", gpu, 1);
+                e.*field = up(e.*field);
+                r.db.insert("b", gpu, 1, e);
+              }),
+              base);
+  }
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+              r.grid.gpu_deg[1][2] = up(r.grid.gpu_deg[1][2]);
+            }),
+            base);
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+              r.grid.cpu_axis[1] = up(r.grid.cpu_axis[1]);
+            }),
+            base);
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+              r.machine.gpu_ladder = sim::FrequencyLadder({0.5, up(1.0)});
+            }),
+            base);
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+              double& v = r.machine.power.gpu.stall_activity;
+              v = up(v);
+            }),
+            base);
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) {
+              r.db.set_idle_power(up(r.db.idle_power()));
+            }),
+            base);
+  EXPECT_NE(canonical_after([&](HandBuiltRequest& r) { r.cap = up(*r.cap); }),
+            base);
+  // Rebuilding the unedited request gives the same canonical.
+  EXPECT_EQ(canonical_after([](HandBuiltRequest&) {}), base);
 }
 
 TEST(PlanCache, FromSpecParsesEveryForm) {
@@ -189,7 +324,7 @@ TEST_F(PlanCacheDirTest, OldLayoutEntryIsAnIoFailureMissUntilRestored) {
     CsvWriter writer(out);
     writer.write_row({"sig", sig.canonical});
     writer.write_row({"family", sig.family});
-    writer.write_row({"makespan", signature_double(1.0 / 3.0)});
+    writer.write_row({"makespan", csv_double(1.0 / 3.0)});
     std::vector<std::string> jobs_row{"jobs"};
     for (const std::string& name : ctx.job_names()) jobs_row.push_back(name);
     writer.write_row(jobs_row);

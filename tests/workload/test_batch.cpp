@@ -51,6 +51,32 @@ TEST(Batch, DuplicateInstanceNameRejected) {
   EXPECT_THROW(batch.add(desc, 2), corun::ContractViolation);
 }
 
+TEST(Batch, AddLoweredJobRejectsDuplicateName) {
+  Batch lowered;
+  lowered.add(rodinia_by_name("lud").value(), 1, "x");
+  lowered.add(rodinia_by_name("cfd").value(), 2, "y");
+
+  // The lowered overload keeps the spec as is.
+  Batch copy;
+  copy.add(lowered.job(0));
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy.job(0).spec.name, "x");
+  EXPECT_EQ(copy.job(0).spec.cpu.total_ref_time(),
+            lowered.job(0).spec.cpu.total_ref_time());
+
+  // A repeated instance name throws whichever overload added the first.
+  EXPECT_THROW(copy.add(lowered.job(0)), corun::ContractViolation);
+  BatchJob renamed = lowered.job(1);
+  renamed.instance_name = "x";
+  EXPECT_THROW(copy.add(renamed), corun::ContractViolation);
+  EXPECT_THROW(copy.add(rodinia_by_name("lud").value(), 3, "x"),
+               corun::ContractViolation);
+  copy.add(lowered.job(1));
+  EXPECT_THROW(copy.add(rodinia_by_name("lud").value(), 3, "y"),
+               corun::ContractViolation);
+  EXPECT_EQ(copy.size(), 2u);
+}
+
 TEST(Batch, ExplicitTagsAllowDuplicatePrograms) {
   Batch batch;
   const auto desc = rodinia_by_name("lud").value();
