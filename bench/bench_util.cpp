@@ -9,13 +9,12 @@ namespace corun::bench {
 
 void banner(const std::string& figure, const std::string& description) {
   const std::size_t jobs = init_jobs();
-  const sim::EngineMode mode = init_engine();
   std::printf("\n=== %s ===\n%s\n", figure.c_str(), description.c_str());
   std::printf("(reproduction of: Zhu et al., \"Co-Run Scheduling with Power "
               "Cap on Integrated CPU-GPU Systems\", IPDPS 2017; "
-              "%zu worker threads, %s engine; set CORUN_JOBS / CORUN_ENGINE "
+              "%zu worker threads, %s backend; set CORUN_JOBS / CORUN_BACKEND "
               "to override)\n\n",
-              jobs, sim::engine_mode_name(mode));
+              jobs, sim::default_backend_spec().name().c_str());
 }
 
 runtime::ModelArtifacts full_artifacts(const sim::MachineConfig& config,
@@ -48,18 +47,6 @@ std::size_t init_jobs() {
     common::set_default_jobs(jobs > 0 ? static_cast<std::size_t>(jobs) : 0);
   }
   return common::default_jobs();
-}
-
-sim::EngineMode init_engine() {
-  if (const char* env = std::getenv("CORUN_ENGINE")) {
-    const auto mode = sim::parse_engine_mode(env);
-    if (mode.has_value()) {
-      sim::set_default_engine_mode(mode.value());
-    } else {
-      std::fprintf(stderr, "warning: %s\n", mode.error().message.c_str());
-    }
-  }
-  return sim::default_engine_mode();
 }
 
 std::string pct(double fraction) { return Table::pct(fraction); }

@@ -34,12 +34,6 @@ bool quick_mode();
 /// worker count. Called by banner(), so every harness honours it.
 std::size_t init_jobs();
 
-/// Applies the CORUN_ENGINE environment variable ("event" or "tick"; unset
-/// = event) to the simulator's default stepping mode and returns it.
-/// Called by banner(), so every harness honours it. Both modes are
-/// bit-identical; tick is the slow reference oracle.
-sim::EngineMode init_engine();
-
 /// Formats "12.3%".
 std::string pct(double fraction);
 

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/workload/rodinia.hpp"
 
 int main() {

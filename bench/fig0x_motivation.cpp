@@ -6,7 +6,7 @@
 #include "bench_util.hpp"
 #include "corun/core/sched/exhaustive.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/workload/batch.hpp"
 
 namespace {

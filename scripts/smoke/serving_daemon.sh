@@ -16,10 +16,22 @@ rm -f "$WORK/serve.sock"
 "$TOOLS/corun-served" --batch "$WORK/batch.csv" --profiles "$WORK/profiles.csv" \
   --grid "$WORK/grid.csv" --socket "$WORK/serve.sock" 2> "$WORK/served.err" &
 SERVED=$!
-for _ in $(seq 1 100); do
-  [ -S "$WORK/serve.sock" ] && break
+# Stop the daemon however this script exits: a failing step under set -e
+# would otherwise leave it running, holding the caller's output pipe open.
+trap 'kill "$SERVED" 2> /dev/null || true' EXIT
+# bind() creates the socket file before listen(), so the file existing does
+# not mean the daemon accepts connections; its "listening on" line is
+# printed only after listen() returned.
+for _ in $(seq 1 300); do
+  grep -q "listening on" "$WORK/served.err" && break
+  kill -0 "$SERVED" 2> /dev/null || break
   sleep 0.1
 done
+if ! grep -q "listening on" "$WORK/served.err"; then
+  echo "error: corun-served did not start listening" >&2
+  cat "$WORK/served.err" >&2
+  exit 1
+fi
 "$TOOLS/corun-replay" --requests "$WORK/requests.csv" --socket "$WORK/serve.sock" \
   --output "$WORK/replay.out"
 "$TOOLS/corun-replay" --requests "$WORK/requests.csv" --socket "$WORK/serve.sock" \

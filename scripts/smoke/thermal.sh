@@ -11,12 +11,12 @@ smoke_init thermal "$@"
 ensure_pipeline_fixtures
 
 EVENTS="random:caps=1,horizon=40,seed=7"
-run_thermal() { # out_prefix engine jobs
+run_thermal() { # out_prefix backend jobs
   # Every run writes the trace to the same path (then moves it aside) so
   # the "wrote power trace to ..." stdout line stays byte-comparable.
   "$TOOLS/corun-run" --batch "$WORK/batch.csv" --profiles "$WORK/profiles.csv" \
     --grid "$WORK/grid.csv" --cap 15 --events "$EVENTS" \
-    --thermal on --engine "$2" --jobs "$3" \
+    --thermal on --backend "$2" --jobs "$3" \
     --power-trace "$WORK/trace.csv" > "$WORK/$1.out"
   mv "$WORK/trace.csv" "$WORK/$1.csv"
 }

@@ -516,7 +516,6 @@ Expected<FleetReport> Fleet::execute(
         runtime::DynamicOptions d;
         d.cap = initial_caps[m];
         d.seed = common::task_seed(options_.seed, m);
-        d.engine_mode = options_.engine_mode;
         d.backend = options_.backend;
         d.sample_interval = options_.sample_interval;
         d.record_power_trace = true;

@@ -162,7 +162,6 @@ struct FleetOptions {
   double max_input_scale = 1.3;
 
   /// Per-machine runtime knobs, passed through to DynamicRuntime.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   sim::BackendSpec backend = sim::default_backend_spec();
   std::string scheduler = "hcs+";
   std::shared_ptr<sched::PlanCache> plan_cache;  ///< shared across machines

@@ -134,29 +134,19 @@ double DegradationSpaceBuilder::measure_cell(sim::DeviceKind subject_device,
 
   const sim::DeviceKind partner_device = sim::other_device(subject_device);
 
-  // Standalone reference at max frequency. The event backend defers to
-  // engine_mode (--engine tick|event); other backends measure through the
-  // factory.
-  const sim::StandaloneResult solo =
-      options_.backend.kind == sim::BackendKind::kEvent
-          ? sim::run_standalone(config_, subject, subject_device,
-                                config_.cpu_ladder.max_level(),
-                                config_.gpu_ladder.max_level(), options_.seed,
-                                options_.engine_mode)
-          : sim::run_standalone(config_, subject, subject_device,
-                                config_.cpu_ladder.max_level(),
-                                config_.gpu_ladder.max_level(), options_.seed,
-                                options_.backend);
+  // Standalone reference at max frequency.
+  const sim::StandaloneResult solo = sim::run_standalone(
+      config_, subject, subject_device, config_.cpu_ladder.max_level(),
+      config_.gpu_ladder.max_level(), options_.seed, options_.backend);
 
   // Contended run: partner outlives the subject, so the subject is under
   // co-run pressure for its entire execution.
   sim::EngineOptions engine_options;
-  engine_options.mode = options_.engine_mode;
   engine_options.seed = options_.seed;
   engine_options.record_samples = false;
-  const std::unique_ptr<sim::MachineModel> machine =
+  const std::unique_ptr<sim::Engine> machine =
       sim::make_machine_model(config_, engine_options, options_.backend);
-  sim::MachineModel& engine = *machine;
+  sim::Engine& engine = *machine;
   engine.set_ceilings(config_.cpu_ladder.max_level(),
                       config_.gpu_ladder.max_level());
   engine.launch(partner, partner_device);

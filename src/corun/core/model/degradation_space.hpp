@@ -47,8 +47,6 @@ struct CharacterizationOptions {
   std::uint64_t seed = 42;
   Seconds subject_duration = 25.0;  ///< length of the measured instance
   double partner_scale = 4.0;       ///< partner runs this much longer
-  /// Stepping policy of every cell's co-run engine.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   /// Machine backend the characterization cells run on.
   sim::BackendSpec backend = sim::default_backend_spec();
 };

@@ -70,7 +70,9 @@ class Executor {
         options_(options),
         db_(db),
         grid_(grid),
-        machine_(make_machine(plan)),
+        machine_(sim::make_machine_model(config_, engine_options(plan),
+                                         options_.backend,
+                                         !options_.record_trace_path.empty())),
         engine_(*machine_) {
     for (const workload::BatchJob& j : batch.jobs()) {
       recs_.push_back(JobRec{.job = j});
@@ -163,7 +165,6 @@ class Executor {
                       return e.kind == sim::FaultKind::kCapSet;
                     });
     sim::EngineOptions eo;
-    eo.mode = options_.engine_mode;
     eo.seed = options_.seed;
     eo.power_cap = options_.cap;
     eo.policy = cap_possible ? options_.policy : sim::GovernorPolicy::kNone;
@@ -172,26 +173,6 @@ class Executor {
     eo.cap_window = options_.cap_window;
     eo.thermal = options_.thermal;
     return eo;
-  }
-
-  /// Machine construction through the backend factory; a requested
-  /// demand-trace recording substitutes the recorder decorator (same
-  /// engine-mode coherence rules as make_machine_model).
-  [[nodiscard]] std::unique_ptr<sim::MachineModel> make_machine(
-      const sim::FaultPlan& plan) {
-    if (!options_.record_trace_path.empty()) {
-      sim::EngineOptions eo = engine_options(plan);
-      if (options_.backend.kind == sim::BackendKind::kAnalytic) {
-        eo.mode = sim::EngineMode::kAnalytic;
-      } else if (eo.mode == sim::EngineMode::kAnalytic) {
-        eo.mode = sim::EngineMode::kEvent;
-      }
-      auto rec = std::make_unique<sim::RecordingMachine>(config_, eo);
-      recorder_ = rec.get();
-      return rec;
-    }
-    return sim::make_machine_model(config_, engine_options(plan),
-                                   options_.backend);
   }
 
   void rebuild_predictor() {
@@ -234,7 +215,6 @@ class Executor {
     profile::OnlineProfilerOptions po;
     po.sample_seconds = options_.online_sample_seconds;
     po.seed = options_.seed;
-    po.engine_mode = options_.engine_mode;
     // The sampler measures hypothetical standalone runs; a demand trace
     // only covers the main machine's recorded launches, so under the
     // replay backend the sampling windows run on the event tier — the
@@ -659,9 +639,10 @@ class Executor {
       report_.plan_cache_hits = now.hits - cache_stats_at_start_.hits;
       report_.plan_cache_misses = now.misses - cache_stats_at_start_.misses;
     }
-    if (recorder_ != nullptr) {
-      const auto saved = sim::save_demand_trace(recorder_->trace(),
-                                                options_.record_trace_path);
+    if (!options_.record_trace_path.empty()) {
+      const auto saved = sim::save_demand_trace(
+          static_cast<const sim::RecordingMachine&>(engine_).trace(),
+          options_.record_trace_path);
       CORUN_CHECK_MSG(saved.has_value(),
                       "failed to write demand trace: " +
                           options_.record_trace_path);
@@ -674,9 +655,8 @@ class Executor {
   profile::ProfileDB db_;          ///< private copy; events mutate it
   model::DegradationGrid grid_;
   std::unique_ptr<model::CoRunPredictor> predictor_;
-  sim::RecordingMachine* recorder_ = nullptr;  ///< set when recording
-  std::unique_ptr<sim::MachineModel> machine_;
-  sim::MachineModel& engine_;
+  std::unique_ptr<sim::Engine> machine_;
+  sim::Engine& engine_;
 
   std::vector<JobRec> recs_;
   std::vector<TimelineEntry> timeline_;

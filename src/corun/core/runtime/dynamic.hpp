@@ -47,17 +47,17 @@ struct DynamicOptions {
   std::optional<Watts> cap;            ///< initial cap (events may move it)
   sim::GovernorPolicy policy = sim::GovernorPolicy::kGpuBiased;
   std::uint64_t seed = 42;
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   Seconds sample_interval = 1.0;       ///< power-trace cadence
   bool record_power_trace = true;
   Seconds cap_window = 0.0;            ///< RAPL PL1 window (0 = instantaneous)
   /// Engage the RC thermal model + throttle governor (docs/thermal.md).
   bool thermal = sim::default_thermal();
 
-  /// Machine backend the run executes on (event/analytic/replay).
+  /// Machine backend the run executes on (tick/event/analytic/replay).
   sim::BackendSpec backend = sim::default_backend_spec();
   /// When non-empty, record the run's per-phase demand trace (see
-  /// demand_trace.hpp) and write it here after execution.
+  /// demand_trace.hpp) and write it here after execution. A replay backend
+  /// cannot be recorded (ContractViolation).
   std::string record_trace_path;
 
   /// Registry name of the planner used for the initial plan and every

@@ -18,7 +18,6 @@ ModelArtifacts build_artifacts(const sim::MachineConfig& config,
                                const ArtifactOptions& options) {
   profile::ProfilerOptions po;
   po.seed = options.seed;
-  po.engine_mode = options.engine_mode;
   po.backend = options.backend;
   po.cpu_levels = options.cpu_levels;
   po.gpu_levels = options.gpu_levels;
@@ -29,7 +28,6 @@ ModelArtifacts build_artifacts(const sim::MachineConfig& config,
 
   model::CharacterizationOptions co;
   co.seed = options.seed;
-  co.engine_mode = options.engine_mode;
   co.backend = options.backend;
   const model::DegradationSpaceBuilder builder(config, co);
   artifacts.grid = options.grid_axis.empty()
@@ -95,7 +93,6 @@ ComparisonResult run_comparison(const sim::MachineConfig& config,
   rt.cap = options.cap;
   rt.policy = sim::GovernorPolicy::kGpuBiased;
   rt.seed = options.seed;
-  rt.engine_mode = options.engine_mode;
   rt.backend = options.backend;
   rt.record_power_trace = options.record_power_traces;
 

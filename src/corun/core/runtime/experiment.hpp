@@ -32,8 +32,6 @@ struct ModelArtifacts {
 
 struct ArtifactOptions {
   std::uint64_t seed = 42;
-  /// Stepping policy of every simulation the offline stage runs.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   /// Machine backend of every offline simulation (profiling sweep and
   /// degradation characterization alike).
   sim::BackendSpec backend = sim::default_backend_spec();
@@ -62,7 +60,6 @@ struct ComparisonOptions {
   std::optional<Watts> cap = 15.0;
   int random_seeds = 20;          ///< Random baseline repetitions (paper: 20)
   std::uint64_t seed = 42;
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   sim::BackendSpec backend = sim::default_backend_spec();
   bool include_cpu_biased_default = true;
   bool record_power_traces = false;

@@ -24,7 +24,6 @@ CoRunRuntime::CoRunRuntime(sim::MachineConfig config, RuntimeOptions options)
 
 sim::EngineOptions CoRunRuntime::engine_options() const {
   sim::EngineOptions eo;
-  eo.mode = options_.engine_mode;
   eo.seed = options_.seed;
   eo.power_cap = options_.cap;
   eo.policy = options_.cap ? options_.policy : sim::GovernorPolicy::kNone;
@@ -37,27 +36,10 @@ sim::EngineOptions CoRunRuntime::engine_options() const {
 ExecutionReport CoRunRuntime::execute(const workload::Batch& batch,
                                       const sched::Schedule& schedule) const {
   schedule.validate(batch.size());
-  // The machine comes from the backend factory (event / analytic / replay);
-  // a requested demand-trace recording wraps it in the recorder decorator
-  // instead (recording an analytic run is fine — the spec's engine mode is
-  // honoured the same way make_machine_model honours it).
-  std::unique_ptr<sim::MachineModel> machine;
-  sim::RecordingMachine* recorder = nullptr;
-  if (!options_.record_trace_path.empty()) {
-    sim::EngineOptions eo = engine_options();
-    if (options_.backend.kind == sim::BackendKind::kAnalytic) {
-      eo.mode = sim::EngineMode::kAnalytic;
-    } else if (eo.mode == sim::EngineMode::kAnalytic) {
-      eo.mode = sim::EngineMode::kEvent;
-    }
-    auto rec = std::make_unique<sim::RecordingMachine>(config_, eo);
-    recorder = rec.get();
-    machine = std::move(rec);
-  } else {
-    machine = sim::make_machine_model(config_, engine_options(),
-                                      options_.backend);
-  }
-  sim::MachineModel& engine = *machine;
+  const std::unique_ptr<sim::Engine> machine =
+      sim::make_machine_model(config_, engine_options(), options_.backend,
+                              !options_.record_trace_path.empty());
+  sim::Engine& engine = *machine;
 
   std::map<sim::JobId, std::size_t> id_to_batch;
   DeviceCursor cpu;
@@ -213,9 +195,10 @@ ExecutionReport CoRunRuntime::execute(const workload::Batch& batch,
   report.thermal_trace = telemetry.thermal_samples();
   report.thermal = telemetry.thermal_stats();
 
-  if (recorder != nullptr) {
-    const auto saved = sim::save_demand_trace(recorder->trace(),
-                                              options_.record_trace_path);
+  if (!options_.record_trace_path.empty()) {
+    const auto saved = sim::save_demand_trace(
+        static_cast<const sim::RecordingMachine&>(engine).trace(),
+        options_.record_trace_path);
     CORUN_CHECK_MSG(saved.has_value(),
                     "failed to write demand trace: " +
                         options_.record_trace_path);

@@ -28,16 +28,16 @@ struct RuntimeOptions {
   std::optional<Watts> cap;
   sim::GovernorPolicy policy = sim::GovernorPolicy::kGpuBiased;
   std::uint64_t seed = 42;
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   Seconds sample_interval = 1.0;  ///< power-trace cadence
   bool record_power_trace = true;
   /// Engage the RC thermal model + throttle governor (docs/thermal.md).
   bool thermal = sim::default_thermal();
 
-  /// Machine backend executing the schedule (event/analytic/replay).
+  /// Machine backend executing the schedule (tick/event/analytic/replay).
   sim::BackendSpec backend = sim::default_backend_spec();
-  /// When non-empty, wrap the machine in a RecordingMachine and write the
+  /// When non-empty, run on a RecordingMachine of `backend` and write the
   /// per-phase demand trace (demand_trace.hpp CSV) here after execution.
+  /// A replay backend cannot be recorded (ContractViolation).
   std::string record_trace_path;
 
   /// Required to execute Schedule::model_dvfs schedules: the runtime

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "corun/common/check.hpp"
+#include "corun/sim/backend.hpp"
 
 namespace corun::ext {
 namespace {
@@ -50,8 +51,7 @@ Seconds KernelSplitPlanner::stage_time(const workload::KernelDescriptor& stage,
     const sim::StandaloneResult r = sim::run_standalone(
         config_, spec, device,
         device == sim::DeviceKind::kCpu ? l : 0,
-        device == sim::DeviceKind::kGpu ? l : 0, options_.seed,
-        options_.engine_mode);
+        device == sim::DeviceKind::kGpu ? l : 0, options_.seed);
     if (cap && r.avg_power > *cap) continue;
     best = std::min(best, r.time);
   }
@@ -130,7 +130,6 @@ Seconds execute_split(const sim::MachineConfig& config,
                       sim::DeviceKind co_runner_device) {
   CORUN_CHECK(placement.device.size() == job.stage_count());
   sim::EngineOptions eo;
-  eo.mode = options.engine_mode;
   eo.seed = options.seed;
   eo.record_samples = false;
   if (cap) {

@@ -67,8 +67,6 @@ struct SplitOptions {
   double cold_start_penalty = 1.5;
   double cold_start_fraction = 0.05;
   std::uint64_t seed = 42;
-  /// Stepping policy of stage-timing and split-execution engines.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
 };
 
 /// Result of planning one multi-kernel job.

@@ -38,12 +38,11 @@ ProfileEntry OnlineProfiler::sample_one(const sim::JobSpec& spec,
            "/L" + std::to_string(level);
   });
   sim::EngineOptions eo;
-  eo.mode = options_.engine_mode;
   eo.seed = options_.seed;
   eo.record_samples = false;
-  const std::unique_ptr<sim::MachineModel> machine =
+  const std::unique_ptr<sim::Engine> machine =
       sim::make_machine_model(config_, eo, options_.backend);
-  sim::MachineModel& engine = *machine;
+  sim::Engine& engine = *machine;
   engine.set_ceilings(device == sim::DeviceKind::kCpu ? level : 0,
                       device == sim::DeviceKind::kGpu ? level : 0);
   const sim::JobId id = engine.launch(spec, device);
@@ -73,17 +72,14 @@ ProfileEntry OnlineProfiler::sample_one(const sim::JobSpec& spec,
 
 ProfileDB OnlineProfiler::profile_batch(const workload::Batch& batch) const {
   CORUN_TRACE_SPAN("profile", "online.profile_batch");
-  CORUN_TRACE_INSTANT("profile",
-                      std::string("online.engine_mode=") +
-                          sim::engine_mode_name(options_.engine_mode));
+  CORUN_TRACE_INSTANT("profile", "online.backend=" + options_.backend.name());
   ProfileDB db;
   // Idle power is a one-second measurement either way; reuse the engine.
   {
     sim::EngineOptions eo;
-    eo.mode = options_.engine_mode;
     eo.seed = options_.seed;
     eo.record_samples = false;
-    const std::unique_ptr<sim::MachineModel> machine =
+    const std::unique_ptr<sim::Engine> machine =
         sim::make_machine_model(config_, eo, options_.backend);
     machine->set_ceilings(0, 0);
     machine->run_for(1.0);

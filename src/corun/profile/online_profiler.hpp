@@ -30,8 +30,6 @@ struct OnlineProfilerOptions {
   std::vector<sim::FreqLevel> cpu_levels{0, 8};
   std::vector<sim::FreqLevel> gpu_levels{0, 5};
   std::uint64_t seed = 42;
-  /// Stepping policy of every sampling engine.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
   /// Machine backend the sampling windows run on.
   sim::BackendSpec backend = sim::default_backend_spec();
 };

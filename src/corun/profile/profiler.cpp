@@ -45,14 +45,9 @@ ProfileEntry Profiler::profile_one(const sim::JobSpec& spec,
       device == sim::DeviceKind::kCpu ? level : 0;
   const sim::FreqLevel gpu_level =
       device == sim::DeviceKind::kGpu ? level : 0;
-  // The event backend defers to engine_mode (the --engine tick|event
-  // choice); other backends measure through the factory.
   const sim::StandaloneResult r =
-      options_.backend.kind == sim::BackendKind::kEvent
-          ? sim::run_standalone(config_, spec, device, cpu_level, gpu_level,
-                                options_.seed, options_.engine_mode)
-          : sim::run_standalone(config_, spec, device, cpu_level, gpu_level,
-                                options_.seed, options_.backend);
+      sim::run_standalone(config_, spec, device, cpu_level, gpu_level,
+                          options_.seed, options_.backend);
   return ProfileEntry{.time = r.time,
                       .avg_bw = r.avg_bandwidth,
                       .avg_power = r.avg_power,
@@ -61,9 +56,7 @@ ProfileEntry Profiler::profile_one(const sim::JobSpec& spec,
 
 ProfileDB Profiler::profile_batch(const workload::Batch& batch) const {
   CORUN_TRACE_SPAN("profile", "profile.profile_batch");
-  CORUN_TRACE_INSTANT("profile",
-                      std::string("profile.engine_mode=") +
-                          sim::engine_mode_name(options_.engine_mode));
+  CORUN_TRACE_INSTANT("profile", "profile.backend=" + options_.backend.name());
   ProfileDB db;
   db.set_idle_power(measure_idle_power());
 
@@ -101,10 +94,9 @@ ProfileDB Profiler::profile_batch(const workload::Batch& batch) const {
 
 Watts Profiler::measure_idle_power() const {
   sim::EngineOptions options;
-  options.mode = options_.engine_mode;
   options.seed = options_.seed;
   options.record_samples = false;
-  const std::unique_ptr<sim::MachineModel> machine =
+  const std::unique_ptr<sim::Engine> machine =
       sim::make_machine_model(config_, options, options_.backend);
   machine->set_ceilings(0, 0);
   machine->run_for(1.0);

@@ -9,7 +9,6 @@
 
 #include "corun/profile/profile_db.hpp"
 #include "corun/sim/backend.hpp"
-#include "corun/sim/engine.hpp"
 #include "corun/sim/machine.hpp"
 #include "corun/workload/batch.hpp"
 
@@ -17,11 +16,8 @@ namespace corun::profile {
 
 struct ProfilerOptions {
   std::uint64_t seed = 42;
-  /// Stepping policy of every standalone measurement engine.
-  sim::EngineMode engine_mode = sim::default_engine_mode();
-  /// Machine backend the measurements run on. For the event backend,
-  /// engine_mode picks the stepping core; analytic measures through the
-  /// closed-form engine (identical numbers to 1e-9, much faster sweeps).
+  /// Machine backend the measurements run on (analytic: much faster
+  /// sweeps, within the tolerance engine.hpp states).
   sim::BackendSpec backend = sim::default_backend_spec();
   /// When set, only these CPU levels are profiled (plus the max level);
   /// empty = every level. Same for GPU. Sub-sampling keeps large sweeps

@@ -1,5 +1,6 @@
 #include "corun/sim/backend.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <utility>
@@ -13,8 +14,8 @@ namespace {
 
 std::mutex g_default_backend_mutex;
 
-/// Seeded lazily from CORUN_BACKEND (event | analytic | replay:PATH). Bad
-/// values fall back to event; the tools' --backend flag reports them
+/// Seeded lazily from CORUN_BACKEND (tick | event | analytic | replay:PATH).
+/// Bad values fall back to event; the tools' --backend flag reports them
 /// properly.
 BackendSpec& default_backend_storage() {
   static BackendSpec spec = [] {
@@ -27,10 +28,37 @@ BackendSpec& default_backend_storage() {
   return spec;
 }
 
+/// The stepping core a backend of `kind` runs on; a replay machine runs on
+/// `replay_mode`.
+EngineMode core_of(BackendKind kind, EngineMode replay_mode) {
+  switch (kind) {
+    case BackendKind::kTick: return EngineMode::kTick;
+    case BackendKind::kEvent: return EngineMode::kEvent;
+    case BackendKind::kAnalytic: return EngineMode::kAnalytic;
+    case BackendKind::kReplay: break;
+  }
+  return replay_mode;
+}
+
+/// default_engine_mode()'s value, kept beside the default spec so reading
+/// it (every EngineOptions construction) takes no lock.
+std::atomic<EngineMode>& default_mode_storage() {
+  static std::atomic<EngineMode> mode{[] {
+    const std::lock_guard<std::mutex> lock(g_default_backend_mutex);
+    return core_of(default_backend_storage().kind, EngineMode::kEvent);
+  }()};
+  return mode;
+}
+
 }  // namespace
+
+EngineMode default_engine_mode() noexcept {
+  return default_mode_storage().load(std::memory_order_relaxed);
+}
 
 const char* backend_kind_name(BackendKind k) noexcept {
   switch (k) {
+    case BackendKind::kTick: return "tick";
     case BackendKind::kEvent: return "event";
     case BackendKind::kAnalytic: return "analytic";
     case BackendKind::kReplay: return "replay";
@@ -45,13 +73,12 @@ std::string BackendSpec::name() const {
 
 Expected<BackendSpec> parse_backend_spec(const std::string& text) {
   BackendSpec spec;
-  if (text == "event") {
-    spec.kind = BackendKind::kEvent;
-    return spec;
-  }
-  if (text == "analytic") {
-    spec.kind = BackendKind::kAnalytic;
-    return spec;
+  for (const BackendKind kind :
+       {BackendKind::kTick, BackendKind::kEvent, BackendKind::kAnalytic}) {
+    if (text == backend_kind_name(kind)) {
+      spec.kind = kind;
+      return spec;
+    }
   }
   if (text.rfind("replay:", 0) == 0) {
     spec.kind = BackendKind::kReplay;
@@ -63,7 +90,7 @@ Expected<BackendSpec> parse_backend_spec(const std::string& text) {
     return spec;
   }
   return fail("unknown backend '" + text +
-                  "' (expected event|analytic|replay:PATH)",
+                  "' (expected tick|event|analytic|replay:PATH)",
               ErrorCategory::kInvalidArgument);
 }
 
@@ -77,42 +104,28 @@ void set_default_backend(const BackendSpec& spec) {
     const std::lock_guard<std::mutex> lock(g_default_backend_mutex);
     default_backend_storage() = spec;
   }
-  // Keep the engine-mode default coherent: the analytic backend *is* an
-  // engine stepping mode, so library code that constructs Engines directly
-  // (EngineOptions{} picks up default_engine_mode()) follows the backend
-  // choice. Leaving kAnalytic behind when switching away would mislabel
-  // event-backend runs; a pinned tick oracle (CORUN_ENGINE=tick /
-  // --engine tick) is never overridden.
-  if (spec.kind == BackendKind::kAnalytic) {
-    set_default_engine_mode(EngineMode::kAnalytic);
-  } else if (default_engine_mode() == EngineMode::kAnalytic) {
-    set_default_engine_mode(EngineMode::kEvent);
-  }
+  default_mode_storage().store(core_of(spec.kind, EngineMode::kEvent),
+                               std::memory_order_relaxed);
 }
 
-std::unique_ptr<MachineModel> make_machine_model(const MachineConfig& config,
-                                                 EngineOptions options,
-                                                 const BackendSpec& spec) {
+std::unique_ptr<Engine> make_machine_model(const MachineConfig& config,
+                                           EngineOptions options,
+                                           const BackendSpec& spec,
+                                           bool record) {
   if (trace::enabled()) trace::counter_add("backend.evaluations", 1.0);
-  switch (spec.kind) {
-    case BackendKind::kAnalytic:
-      options.mode = EngineMode::kAnalytic;
-      return std::make_unique<Engine>(config, options);
-    case BackendKind::kReplay: {
-      auto trace = load_demand_trace(spec.replay_path);
-      CORUN_CHECK_MSG(trace.has_value(),
-                      "replay backend: cannot load demand trace");
-      return std::make_unique<ReplayMachine>(config, options,
-                                             std::move(trace.value()));
-    }
-    case BackendKind::kEvent:
-      break;
+  options.mode = core_of(spec.kind, options.mode);
+  if (record) {
+    CORUN_CHECK_MSG(spec.kind != BackendKind::kReplay,
+                    "cannot record a demand trace while replaying one");
+    return std::make_unique<RecordingMachine>(config, options);
   }
-  // Event backend: --engine (tick|event) picks the stepping core; a stray
-  // kAnalytic mode (e.g. a default captured before the backend was chosen)
-  // is demoted so "event" means what it says.
-  if (options.mode == EngineMode::kAnalytic) options.mode = EngineMode::kEvent;
-  return std::make_unique<Engine>(config, options);
+  if (spec.kind != BackendKind::kReplay) {
+    return std::make_unique<Engine>(config, options);
+  }
+  auto trace = load_demand_trace(spec.replay_path);
+  CORUN_CHECK_MSG(trace.has_value(), "replay backend: cannot load demand trace");
+  return std::make_unique<ReplayMachine>(config, options,
+                                         std::move(trace.value()));
 }
 
 JobId RecordingMachine::launch(const JobSpec& spec, DeviceKind device) {
@@ -121,18 +134,18 @@ JobId RecordingMachine::launch(const JobSpec& spec, DeviceKind device) {
     DemandTraceRow row;
     row.job = spec.name;
     row.device = device;
-    row.launch_time = engine_.now();
+    row.launch_time = now();
     row.phase_idx = i;
     row.phase = profile.phases()[i];
     row.llc = profile.llc();
     trace_.rows.push_back(std::move(row));
   }
-  return engine_.launch(spec, device);
+  return Engine::launch(spec, device);
 }
 
 ReplayMachine::ReplayMachine(const MachineConfig& config,
                              const EngineOptions& options, DemandTrace trace)
-    : engine_(config, options) {
+    : Engine(config, options) {
   auto launches = trace.launches();
   CORUN_CHECK_MSG(launches.has_value(), "replay backend: malformed trace");
   launches_ = std::move(launches.value());
@@ -161,7 +174,7 @@ JobId ReplayMachine::launch(const JobSpec& spec, DeviceKind device) {
     } else {
       replayed.gpu = launches_[i].profile;
     }
-    return engine_.launch(replayed, device);
+    return Engine::launch(replayed, device);
   }
   CORUN_CHECK_MSG(false, "replay backend: no recorded launch left for job '" +
                              spec.name + "'");
@@ -185,7 +198,7 @@ StandaloneResult run_standalone(const MachineConfig& config,
   options.seed = seed;
   options.policy = GovernorPolicy::kNone;
   options.record_samples = false;
-  const std::unique_ptr<MachineModel> machine =
+  const std::unique_ptr<Engine> machine =
       make_machine_model(config, options, backend);
   machine->set_ceilings(cpu_level, gpu_level);
   const JobId id = machine->launch(spec, device);

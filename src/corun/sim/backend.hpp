@@ -1,37 +1,42 @@
-// Backend selection and construction for the MachineModel interface.
+// Machine backends: the one selector that picks how a simulated machine is
+// stepped, and the factory that builds it.
 //
-// Three interchangeable fidelity tiers (the gem5 Atomic/Timing/O3 pattern,
-// adapted to this simulator):
+// Four fidelity tiers (the gem5 Atomic/Timing/O3 pattern, adapted to this
+// simulator), each one value of BackendKind and each a sim::Engine:
 //
-//  - event   : sim::Engine, EngineMode::{kTick,kEvent}. The reference
-//              semantics; --engine picks the stepping core.
-//  - analytic: sim::Engine, EngineMode::kAnalytic. Closed-form horizon
-//              advance — same control decisions, no per-tick job replay.
+//  - tick    : EngineMode::kTick, the fixed-tick reference oracle.
+//  - event   : EngineMode::kEvent, event-horizon stepping (the default);
+//              bit-identical to tick.
+//  - analytic: EngineMode::kAnalytic, closed-form window advance — same
+//              control decisions, no per-tick job replay (tolerance in
+//              engine.hpp's file comment).
 //  - replay  : ReplayMachine — an Engine fed recorded per-phase demand
 //              traces (demand_trace.hpp) instead of the launched jobs'
 //              synthetic descriptors. Replaying a trace recorded by
 //              RecordingMachine reproduces the recording run byte-
 //              identically.
 //
-// A BackendSpec names a backend ("event" | "analytic" | "replay:PATH");
-// the process-wide default comes from CORUN_BACKEND and is overridden by
-// the tools' --backend flag (tool_io). make_machine_model() is the one
-// construction point the runtime/profiler layers go through.
+// A BackendSpec names a backend ("tick" | "event" | "analytic" |
+// "replay:PATH"); the process-wide default comes from CORUN_BACKEND and is
+// overridden by the tools' --backend flag (tool_io). make_machine_model()
+// is the one construction point the runtime/profiler layers go through,
+// and the only code that maps a spec to EngineOptions::mode.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "corun/common/expected.hpp"
 #include "corun/sim/demand_trace.hpp"
 #include "corun/sim/engine.hpp"
-#include "corun/sim/machine_model.hpp"
 
 namespace corun::sim {
 
 enum class BackendKind {
-  kEvent,     ///< event-horizon engine (or the tick oracle via --engine)
-  kAnalytic,  ///< closed-form horizon advance; matches event to 1e-9
+  kTick,      ///< fixed-tick reference oracle
+  kEvent,     ///< event-horizon engine, bit-identical to tick
+  kAnalytic,  ///< closed-form window advance (tolerance: engine.hpp)
   kReplay,    ///< replay a recorded demand trace byte-identically
 };
 
@@ -41,104 +46,47 @@ struct BackendSpec {
   BackendKind kind = BackendKind::kEvent;
   std::string replay_path;  ///< demand-trace CSV, kReplay only
 
-  [[nodiscard]] std::string name() const;  ///< "event" | "analytic" | "replay:PATH"
+  /// "tick" | "event" | "analytic" | "replay:PATH"
+  [[nodiscard]] std::string name() const;
 };
 
-/// Parses "event" | "analytic" | "replay:PATH" (the tools' --backend flag
-/// and the CORUN_BACKEND environment variable).
+/// Parses "tick" | "event" | "analytic" | "replay:PATH" (the tools'
+/// --backend flag and the CORUN_BACKEND environment variable).
 [[nodiscard]] Expected<BackendSpec> parse_backend_spec(const std::string& text);
 
 /// Process-wide default backend. Seeded at startup from CORUN_BACKEND when
 /// set (bad values fall back to event; the tools' --backend flag reports
-/// them properly); tools override it via set_default_backend.
+/// them properly); tools override it via set_default_backend. Its stepping
+/// core is default_engine_mode() (engine.hpp).
 [[nodiscard]] BackendSpec default_backend_spec();
 
-/// Installs `spec` as the process-wide default and keeps the engine-mode
-/// default coherent with it: analytic installs EngineMode::kAnalytic,
-/// event/replay restore kEvent unless the tick oracle was pinned
-/// explicitly (CORUN_ENGINE / --engine).
+/// Installs `spec` as the process-wide default backend.
 void set_default_backend(const BackendSpec& spec);
 
-/// Constructs the backend `spec` names. EngineOptions::mode is forced to
-/// the spec's stepping mode for kAnalytic and left as the caller set it
-/// otherwise (so --engine tick|event still selects the event backend's
-/// core). kReplay loads the trace from spec.replay_path — pre-validate the
-/// path with load_demand_trace for a friendly error; this CHECK-fails on a
-/// missing or malformed file.
-[[nodiscard]] std::unique_ptr<MachineModel> make_machine_model(
+/// Constructs the backend `spec` names. The tick, event and analytic kinds
+/// set EngineOptions::mode to their core, whatever the caller passed; a
+/// replay machine keeps the caller's mode. kReplay loads the trace from
+/// spec.replay_path — pre-validate the path with load_demand_trace for a
+/// friendly error; this CHECK-fails on a missing or malformed file. With
+/// `record` set the machine is a RecordingMachine on the spec's core;
+/// recording a replay CHECK-fails, since its trace would be the replayed
+/// one and not a new measurement.
+[[nodiscard]] std::unique_ptr<Engine> make_machine_model(
     const MachineConfig& config, EngineOptions options,
-    const BackendSpec& spec = default_backend_spec());
+    const BackendSpec& spec = default_backend_spec(), bool record = false);
 
-/// Decorator recording the per-phase demands of every launch into a
+/// An Engine that records the per-phase demands of every launch into a
 /// DemandTrace (save with save_demand_trace; see demand_trace.hpp for the
-/// CSV schema). Wraps a real Engine, so the run itself is unchanged.
-class RecordingMachine final : public MachineModel {
+/// CSV schema). The run itself is unchanged.
+class RecordingMachine final : public Engine {
  public:
-  RecordingMachine(const MachineConfig& config, const EngineOptions& options)
-      : engine_(config, options) {}
+  using Engine::Engine;
 
   JobId launch(const JobSpec& spec, DeviceKind device) override;
 
   [[nodiscard]] const DemandTrace& trace() const noexcept { return trace_; }
 
-  void set_ceilings(FreqLevel cpu, FreqLevel gpu) override {
-    engine_.set_ceilings(cpu, gpu);
-  }
-  void set_power_cap(std::optional<Watts> cap) override {
-    engine_.set_power_cap(cap);
-  }
-  bool cancel(JobId id) override { return engine_.cancel(id); }
-  void set_meter_dropout(bool active) override {
-    engine_.set_meter_dropout(active);
-  }
-  [[nodiscard]] bool meter_dropout() const noexcept override {
-    return engine_.meter_dropout();
-  }
-  [[nodiscard]] DvfsState dvfs() const noexcept override {
-    return engine_.dvfs();
-  }
-  [[nodiscard]] Seconds now() const noexcept override { return engine_.now(); }
-  [[nodiscard]] bool idle() const noexcept override { return engine_.idle(); }
-  [[nodiscard]] bool device_idle(DeviceKind d) const noexcept override {
-    return engine_.device_idle(d);
-  }
-  [[nodiscard]] int resident_count(DeviceKind d) const noexcept override {
-    return engine_.resident_count(d);
-  }
-  std::vector<JobEvent> run_until_event() override {
-    return engine_.run_until_event();
-  }
-  std::vector<JobEvent> run_for(Seconds duration) override {
-    return engine_.run_for(duration);
-  }
-  std::vector<JobEvent> run_for_until_event(Seconds duration) override {
-    return engine_.run_for_until_event(duration);
-  }
-  void run_until_idle() override { engine_.run_until_idle(); }
-  [[nodiscard]] double progress(JobId id) const override {
-    return engine_.progress(id);
-  }
-  [[nodiscard]] const Telemetry& telemetry() const noexcept override {
-    return engine_.telemetry();
-  }
-  [[nodiscard]] const EngineCounters& counters() const noexcept override {
-    return engine_.counters();
-  }
-  [[nodiscard]] const JobStats& stats(JobId id) const override {
-    return engine_.stats(id);
-  }
-  [[nodiscard]] std::vector<JobStats> all_stats() const override {
-    return engine_.all_stats();
-  }
-  [[nodiscard]] const MachineConfig& config() const noexcept override {
-    return engine_.config();
-  }
-  [[nodiscard]] const EngineOptions& options() const noexcept override {
-    return engine_.options();
-  }
-
  private:
-  Engine engine_;
   DemandTrace trace_;
 };
 
@@ -147,7 +95,7 @@ class RecordingMachine final : public MachineModel {
 /// it with the *recorded* profile substituted for the spec's — so the
 /// trajectory is the recorded machine's, whatever descriptors the caller
 /// synthesizes. CHECK-fails when the trace has no matching launch left.
-class ReplayMachine final : public MachineModel {
+class ReplayMachine final : public Engine {
  public:
   ReplayMachine(const MachineConfig& config, const EngineOptions& options,
                 DemandTrace trace);
@@ -158,78 +106,26 @@ class ReplayMachine final : public MachineModel {
   /// Recorded launches not yet consumed by a launch() call.
   [[nodiscard]] std::size_t remaining_launches() const noexcept;
 
-  void set_ceilings(FreqLevel cpu, FreqLevel gpu) override {
-    engine_.set_ceilings(cpu, gpu);
-  }
-  void set_power_cap(std::optional<Watts> cap) override {
-    engine_.set_power_cap(cap);
-  }
-  bool cancel(JobId id) override { return engine_.cancel(id); }
-  void set_meter_dropout(bool active) override {
-    engine_.set_meter_dropout(active);
-  }
-  [[nodiscard]] bool meter_dropout() const noexcept override {
-    return engine_.meter_dropout();
-  }
-  [[nodiscard]] DvfsState dvfs() const noexcept override {
-    return engine_.dvfs();
-  }
-  [[nodiscard]] Seconds now() const noexcept override { return engine_.now(); }
-  [[nodiscard]] bool idle() const noexcept override { return engine_.idle(); }
-  [[nodiscard]] bool device_idle(DeviceKind d) const noexcept override {
-    return engine_.device_idle(d);
-  }
-  [[nodiscard]] int resident_count(DeviceKind d) const noexcept override {
-    return engine_.resident_count(d);
-  }
-  std::vector<JobEvent> run_until_event() override {
-    return engine_.run_until_event();
-  }
-  std::vector<JobEvent> run_for(Seconds duration) override {
-    return engine_.run_for(duration);
-  }
-  std::vector<JobEvent> run_for_until_event(Seconds duration) override {
-    return engine_.run_for_until_event(duration);
-  }
-  void run_until_idle() override { engine_.run_until_idle(); }
-  [[nodiscard]] double progress(JobId id) const override {
-    return engine_.progress(id);
-  }
-  [[nodiscard]] const Telemetry& telemetry() const noexcept override {
-    return engine_.telemetry();
-  }
-  [[nodiscard]] const EngineCounters& counters() const noexcept override {
-    return engine_.counters();
-  }
-  [[nodiscard]] const JobStats& stats(JobId id) const override {
-    return engine_.stats(id);
-  }
-  [[nodiscard]] std::vector<JobStats> all_stats() const override {
-    return engine_.all_stats();
-  }
-  [[nodiscard]] const MachineConfig& config() const noexcept override {
-    return engine_.config();
-  }
-  [[nodiscard]] const EngineOptions& options() const noexcept override {
-    return engine_.options();
-  }
-
  private:
-  Engine engine_;
   std::vector<RecordedLaunch> launches_;
   std::vector<bool> consumed_;
   std::size_t phases_replayed_ = 0;
 };
 
-/// Backend-parameterized run_standalone: same contract as the Engine
-/// overload (engine.hpp) but the machine is built via make_machine_model,
-/// so the profilers can measure through any backend.
-[[nodiscard]] StandaloneResult run_standalone(const MachineConfig& config,
-                                              const JobSpec& spec,
-                                              DeviceKind device,
-                                              FreqLevel cpu_level,
-                                              FreqLevel gpu_level,
-                                              std::uint64_t seed,
-                                              const BackendSpec& backend);
+/// Result of a single standalone (no co-runner) execution.
+struct StandaloneResult {
+  Seconds time = 0.0;
+  GBps avg_bandwidth = 0.0;
+  Watts avg_power = 0.0;
+  Joules energy = 0.0;
+};
+
+/// Runs one job alone on a fresh machine of `backend` at pinned levels with
+/// no cap, returning its measured time/bandwidth/power. Used by the
+/// profilers, the characterizer and the micro-benchmark calibration solver.
+[[nodiscard]] StandaloneResult run_standalone(
+    const MachineConfig& config, const JobSpec& spec, DeviceKind device,
+    FreqLevel cpu_level, FreqLevel gpu_level, std::uint64_t seed = 42,
+    const BackendSpec& backend = default_backend_spec());
 
 }  // namespace corun::sim

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string_view>
+#include <type_traits>
 
 #include "corun/common/check.hpp"
 #include "corun/common/trace/trace.hpp"
@@ -13,26 +14,7 @@ namespace corun::sim {
 
 namespace {
 
-/// Seed the process-wide default from CORUN_ENGINE so whole test suites and
-/// pipelines can be flipped to the tick oracle without touching flags
-/// (`CORUN_ENGINE=tick ctest ...`); CORUN_BACKEND=analytic likewise flips
-/// the default to the closed-form core (`CORUN_BACKEND=analytic ctest ...`)
-/// unless CORUN_ENGINE pins a stepping mode explicitly. Bad values fall
-/// back to kEvent; the tools' --engine/--backend flags report them properly.
-EngineMode initial_engine_mode() {
-  if (const char* env = std::getenv("CORUN_ENGINE")) {
-    if (env == std::string_view("tick")) return EngineMode::kTick;
-    if (env == std::string_view("event")) return EngineMode::kEvent;
-  }
-  if (const char* env = std::getenv("CORUN_BACKEND")) {
-    if (env == std::string_view("analytic")) return EngineMode::kAnalytic;
-  }
-  return EngineMode::kEvent;
-}
-
-std::atomic<EngineMode> g_default_engine_mode{initial_engine_mode()};
-
-/// Same startup seeding for the thermal model: CORUN_THERMAL=on|1 flips the
+/// Startup seeding for the thermal model: CORUN_THERMAL=on|1 flips the
 /// whole process (every EngineOptions default) without touching flags. Bad
 /// values fall back to off; the tools' --thermal flag reports them properly.
 bool initial_thermal() {
@@ -45,6 +27,15 @@ bool initial_thermal() {
 
 std::atomic<bool> g_default_thermal{initial_thermal()};
 
+/// True when a governor or throttle step moved a frequency level or ceiling
+/// (an event: the horizon ends).
+bool levels_moved(const DvfsState& before, const DvfsState& after) {
+  return before.cpu_level != after.cpu_level ||
+         before.gpu_level != after.gpu_level ||
+         before.cpu_ceiling != after.cpu_ceiling ||
+         before.gpu_ceiling != after.gpu_ceiling;
+}
+
 }  // namespace
 
 const char* engine_mode_name(EngineMode m) noexcept {
@@ -54,21 +45,6 @@ const char* engine_mode_name(EngineMode m) noexcept {
     case EngineMode::kAnalytic: return "analytic";
   }
   return "?";
-}
-
-Expected<EngineMode> parse_engine_mode(const std::string& text) {
-  if (text == "tick") return EngineMode::kTick;
-  if (text == "event") return EngineMode::kEvent;
-  return fail("unknown engine mode '" + text + "' (expected tick|event)",
-              ErrorCategory::kInvalidArgument);
-}
-
-EngineMode default_engine_mode() noexcept {
-  return g_default_engine_mode.load(std::memory_order_relaxed);
-}
-
-void set_default_engine_mode(EngineMode mode) noexcept {
-  g_default_engine_mode.store(mode, std::memory_order_relaxed);
 }
 
 bool default_thermal() noexcept {
@@ -357,43 +333,42 @@ void Engine::advance_jobs(DeviceKind d, double sigma, Seconds dt,
 }
 
 bool Engine::governor_phase() {
-  const Seconds dt = options_.dt;
   const DvfsState before = dvfs_;
 
   // DVFS control loop (reacts to the previous tick's measured power).
   // Down-steps happen every tick a violation is measured (RAPL-style fast
   // clamping); up-steps only at the governor cadence (conservative ramp).
   if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
-    Watts measured = meter_.read(last_true_power_);
-    if (options_.cap_window > 0.0) {
-      // PL1 semantics: the control signal is the windowed average, so
-      // short bursts ride above the cap as long as the average fits.
-      if (!ema_primed_) {
-        power_ema_ = measured;
-        ema_primed_ = true;
-      } else {
-        const double alpha = std::min(1.0, dt / options_.cap_window);
-        power_ema_ += alpha * (measured - power_ema_);
-      }
-      measured = power_ema_;
-    }
+    const Watts measured = read_cap_meter();
     const bool violating = measured > *options_.power_cap;
     if (violating || now_ + 1e-12 >= next_governor_) {
-      const PowerGovernor governor(options_.policy, options_.power_cap);
-      dvfs_ = governor.step(measured, dvfs_);
+      dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
+                  .step(measured, dvfs_);
     }
     if (now_ + 1e-12 >= next_governor_) {
       next_governor_ = now_ + options_.governor_interval;
     }
   } else if (now_ + 1e-12 >= next_governor_) {
-    const PowerGovernor governor(options_.policy, options_.power_cap);
-    dvfs_ = governor.step(meter_.read(last_true_power_), dvfs_);
+    dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
+                .step(meter_.read(last_true_power_), dvfs_);
     next_governor_ = now_ + options_.governor_interval;
   }
-  return before.cpu_level != dvfs_.cpu_level ||
-         before.gpu_level != dvfs_.gpu_level ||
-         before.cpu_ceiling != dvfs_.cpu_ceiling ||
-         before.gpu_ceiling != dvfs_.gpu_ceiling;
+  return levels_moved(before, dvfs_);
+}
+
+Watts Engine::read_cap_meter() {
+  const Watts measured = meter_.read(last_true_power_);
+  if (options_.cap_window <= 0.0) return measured;
+  // PL1 semantics: the control signal is the windowed average, so short
+  // bursts ride above the cap as long as the average fits.
+  if (!ema_primed_) {
+    power_ema_ = measured;
+    ema_primed_ = true;
+  } else {
+    const double alpha = std::min(1.0, options_.dt / options_.cap_window);
+    power_ema_ += alpha * (measured - power_ema_);
+  }
+  return power_ema_;
 }
 
 bool Engine::thermal_phase() {
@@ -517,32 +492,34 @@ void Engine::tick(std::vector<JobEvent>& events) {
         thermal_->net.injection(cpu_power, gpu_power, power_model_.uncore()));
   }
 
-  if (now_ + 1e-12 >= next_sample_) {
-    if (options_.record_samples) {
-      telemetry_.record_sample(
-          PowerSample{.t = now_,
-                      .measured = meter_.read(last_true_power_),
-                      .true_power = last_true_power_,
-                      .cpu_level = dvfs_.cpu_level,
-                      .gpu_level = dvfs_.gpu_level,
-                      .cpu_bw = contention.cpu_achieved,
-                      .gpu_bw = contention.gpu_achieved},
-          cap, cap_active);
-      if (thermal_) {
-        telemetry_.record_thermal_sample(
-            ThermalSample{.t = now_,
-                          .cpu_c = thermal_->temps[kThermalCpu],
-                          .gpu_c = thermal_->temps[kThermalGpu],
-                          .package_c = thermal_->temps[kThermalPackage],
-                          .cpu_limit = thermal_->limit[0],
-                          .gpu_limit = thermal_->limit[1]});
-      }
-    }
-    next_sample_ = now_ + options_.sample_interval;
-  }
+  if (now_ + 1e-12 >= next_sample_) sample_point(contention);
 
   ++counters_.ticks;
   now_ += dt;
+}
+
+void Engine::sample_point(const ContentionResult& contention) {
+  if (options_.record_samples) {
+    telemetry_.record_sample(
+        PowerSample{.t = now_,
+                    .measured = meter_.read(last_true_power_),
+                    .true_power = last_true_power_,
+                    .cpu_level = dvfs_.cpu_level,
+                    .gpu_level = dvfs_.gpu_level,
+                    .cpu_bw = contention.cpu_achieved,
+                    .gpu_bw = contention.gpu_achieved},
+        options_.power_cap.value_or(0.0), options_.power_cap.has_value());
+    if (thermal_) {
+      telemetry_.record_thermal_sample(
+          ThermalSample{.t = now_,
+                        .cpu_c = thermal_->temps[kThermalCpu],
+                        .gpu_c = thermal_->temps[kThermalGpu],
+                        .package_c = thermal_->temps[kThermalPackage],
+                        .cpu_limit = thermal_->limit[0],
+                        .gpu_limit = thermal_->limit[1]});
+    }
+  }
+  next_sample_ = now_ + options_.sample_interval;
 }
 
 void Engine::rebuild_dynamics() {
@@ -672,36 +649,14 @@ void Engine::complete_event_tick(bool dvfs_moved,
   ++pending_ticks_;
   if (thermal_) thermal_advance_tick(cache_.thermal_b);
 
-  if (now_ + 1e-12 >= next_sample_) {
-    if (options_.record_samples) {
-      telemetry_.record_sample(
-          PowerSample{.t = now_,
-                      .measured = meter_.read(last_true_power_),
-                      .true_power = last_true_power_,
-                      .cpu_level = dvfs_.cpu_level,
-                      .gpu_level = dvfs_.gpu_level,
-                      .cpu_bw = cache_.contention.cpu_achieved,
-                      .gpu_bw = cache_.contention.gpu_achieved},
-          options_.power_cap.value_or(0.0), options_.power_cap.has_value());
-      if (thermal_) {
-        telemetry_.record_thermal_sample(
-            ThermalSample{.t = now_,
-                          .cpu_c = thermal_->temps[kThermalCpu],
-                          .gpu_c = thermal_->temps[kThermalGpu],
-                          .package_c = thermal_->temps[kThermalPackage],
-                          .cpu_limit = thermal_->limit[0],
-                          .gpu_limit = thermal_->limit[1]});
-      }
-    }
-    next_sample_ = now_ + options_.sample_interval;
-  }
+  if (now_ + 1e-12 >= next_sample_) sample_point(cache_.contention);
 
   ++counters_.ticks;
   now_ += dt;
 }
 
-void Engine::fast_replay(const std::optional<Seconds>& end,
-                         std::vector<JobEvent>& events) {
+void Engine::replay_horizon(const std::optional<Seconds>& end,
+                            std::vector<JobEvent>& events) {
   if (!cache_.valid) return;
 
   const Seconds dt = options_.dt;
@@ -718,225 +673,21 @@ void Engine::fast_replay(const std::optional<Seconds>& end,
   }
   if (!(safe >= 1.0)) return;  // also rejects NaN
   std::size_t budget = static_cast<std::size_t>(safe);
-  Seconds stop = std::min(next_governor_, next_sample_);
-  if (end) stop = std::min(stop, *end);
-
-  // The replay is bit-identical to the same number of fast step_event_tick
-  // calls: the same per-job subtraction chain, the same repeated
-  // `now_ += dt`, and the same `now_ + 1e-12 >= threshold` event tests.
   std::size_t ticks = 0;
-  if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
-    // Cap-managed machine: the oracle reads the (noisy) meter every tick
-    // to test for violations, so those RNG draws must be replayed per
-    // tick in the same order. The loop inlines governor_phase's
-    // violation test (the cadence branch cannot fire inside the window —
-    // `stop` is bounded by next_governor_) and only falls back to the
-    // full event tick when the governor actually moves a level.
-    const Watts cap = *options_.power_cap;
-    const bool windowed = options_.cap_window > 0.0;
-    // Loop-invariant in tick mode too: hoisting changes no operand.
-    const double alpha =
-        windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
-    const PowerGovernor governor(options_.policy, options_.power_cap);
-    while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = meter_.read(last_true_power_);
-      if (windowed) {
-        if (!ema_primed_) {
-          power_ema_ = measured;
-          ema_primed_ = true;
-        } else {
-          power_ema_ += alpha * (measured - power_ema_);
-        }
-        measured = power_ema_;
-      }
-      if (measured > cap) {
-        const DvfsState before = dvfs_;
-        dvfs_ = governor.step(measured, dvfs_);
-        if (before.cpu_level != dvfs_.cpu_level ||
-            before.gpu_level != dvfs_.gpu_level ||
-            before.cpu_ceiling != dvfs_.cpu_ceiling ||
-            before.gpu_ceiling != dvfs_.gpu_ceiling) {
-          // Level move: the horizon ends here. Bank the replayed ticks,
-          // then finish this tick on the event path (flush + rebuild with
-          // the new levels happen inside) and hand back to the driver. The
-          // oracle's thermal check still runs on this tick, after the
-          // governor, exactly as in step_event_tick.
-          if (ticks > 0) {
-            last_true_power_ = cache_.true_power;
-            pending_ticks_ += ticks;
-            counters_.ticks += ticks;
-            counters_.replayed_ticks += ticks;
-            counters_.cache_hit_ticks += ticks;
-          }
-          (void)thermal_phase();
-          complete_event_tick(/*dvfs_moved=*/true, events);
-          return;
-        }
-      }
-      if (thermal_ && thermal_phase()) {
-        // Thermal trip/release/clamp: an event, same banking as a governor
-        // move. (The governor ran above and held its levels this tick.)
-        if (ticks > 0) {
-          last_true_power_ = cache_.true_power;
-          pending_ticks_ += ticks;
-          counters_.ticks += ticks;
-          counters_.replayed_ticks += ticks;
-          counters_.cache_hit_ticks += ticks;
-        }
-        complete_event_tick(/*dvfs_moved=*/true, events);
-        return;
-      }
-      for (const JobAdvance& j : cache_.jobs) {
-        running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
-        j.stats->total_gb += j.gb_per_tick;
-      }
-      if (thermal_) thermal_advance_tick(cache_.thermal_b);
-      now_ += dt;
-      --budget;
-      ++ticks;
-    }
-  } else {
-    while (budget > 0 && now_ + 1e-12 < stop) {
-      if (thermal_ && thermal_phase()) {
-        // No cap to manage, but the thermal throttle still acts per tick.
-        if (ticks > 0) {
-          last_true_power_ = cache_.true_power;
-          pending_ticks_ += ticks;
-          counters_.ticks += ticks;
-          counters_.replayed_ticks += ticks;
-          counters_.cache_hit_ticks += ticks;
-        }
-        complete_event_tick(/*dvfs_moved=*/true, events);
-        return;
-      }
-      for (const JobAdvance& j : cache_.jobs) {
-        running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
-        j.stats->total_gb += j.gb_per_tick;
-      }
-      if (thermal_) thermal_advance_tick(cache_.thermal_b);
-      now_ += dt;
-      --budget;
-      ++ticks;
-    }
-  }
-  if (ticks == 0) return;
-  last_true_power_ = cache_.true_power;
-  pending_ticks_ += ticks;
-  counters_.ticks += ticks;
-  counters_.replayed_ticks += ticks;
-  counters_.cache_hit_ticks += ticks;
-}
+  const bool analytic = options_.mode == EngineMode::kAnalytic;
 
-void Engine::advance_jobs_bulk(std::size_t ticks) {
-  // One fused update per job instead of `ticks` repeated subtractions. The
-  // closed form rounds once where the replay rounds `ticks` times, so the
-  // progress accumulators drift from the oracle by O(ticks * eps) relative —
-  // orders of magnitude inside the 1e-9 cross-backend tolerance — while
-  // every control decision (made on now_, not on these accumulators) stays
-  // bit-identical.
-  const double n = static_cast<double>(ticks);
-  for (const JobAdvance& j : cache_.jobs) {
-    running_[j.run_idx].phase_ref_remaining -= n * j.ref_per_tick;
-    j.stats->total_gb += n * j.gb_per_tick;
-  }
-}
-
-void Engine::analytic_replay(const std::optional<Seconds>& end,
-                             std::vector<JobEvent>& events) {
-  if (!cache_.valid) return;
-
-  const Seconds dt = options_.dt;
-  // Same conservative phase-boundary bound as fast_replay: the per-tick
-  // event path re-checks everything exactly, so an underestimate only costs
-  // a few slow ticks at the horizon's edge.
-  constexpr double kSlack = 2.0;
-  double safe = 1e18;
-  for (const JobAdvance& j : cache_.jobs) {
-    safe = std::min(
-        safe, running_[j.run_idx].phase_ref_remaining / j.ref_per_tick - kSlack);
-  }
-  if (!(safe >= 1.0)) return;  // also rejects NaN
-  std::size_t budget = static_cast<std::size_t>(safe);
-  std::size_t ticks = 0;
-
-  if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
-    // Cap-managed machine: the control loop is observable (every tick reads
-    // the noisy meter and may move a level), so it replays exactly as in
-    // fast_replay — only the per-job advance is hoisted out into one bulk
-    // update when the window closes.
-    Seconds stop = std::min(next_governor_, next_sample_);
-    if (end) stop = std::min(stop, *end);
-    const Watts cap = *options_.power_cap;
-    const bool windowed = options_.cap_window > 0.0;
-    const double alpha =
-        windowed ? std::min(1.0, dt / options_.cap_window) : 0.0;
-    const PowerGovernor governor(options_.policy, options_.power_cap);
-    while (budget > 0 && now_ + 1e-12 < stop) {
-      Watts measured = meter_.read(last_true_power_);
-      if (windowed) {
-        if (!ema_primed_) {
-          power_ema_ = measured;
-          ema_primed_ = true;
-        } else {
-          power_ema_ += alpha * (measured - power_ema_);
-        }
-        measured = power_ema_;
-      }
-      if (measured > cap) {
-        const DvfsState before = dvfs_;
-        dvfs_ = governor.step(measured, dvfs_);
-        if (before.cpu_level != dvfs_.cpu_level ||
-            before.gpu_level != dvfs_.gpu_level ||
-            before.cpu_ceiling != dvfs_.cpu_ceiling ||
-            before.gpu_ceiling != dvfs_.gpu_ceiling) {
-          // Level move: the horizon ends here. Materialize the bulk job
-          // advance, bank the replayed ticks, then finish this tick on the
-          // event path (flush + rebuild with the new levels happen inside).
-          // The oracle's thermal check still runs on this tick, after the
-          // governor, exactly as in step_event_tick.
-          if (ticks > 0) {
-            advance_jobs_bulk(ticks);
-            last_true_power_ = cache_.true_power;
-            pending_ticks_ += ticks;
-            counters_.ticks += ticks;
-            counters_.replayed_ticks += ticks;
-            counters_.analytic_ticks += ticks;
-            counters_.cache_hit_ticks += ticks;
-          }
-          (void)thermal_phase();
-          complete_event_tick(/*dvfs_moved=*/true, events);
-          return;
-        }
-      }
-      if (thermal_ && thermal_phase()) {
-        // Thermal trip/release/clamp: an event, same banking as a governor
-        // move. (The governor ran above and held its levels this tick.)
-        if (ticks > 0) {
-          advance_jobs_bulk(ticks);
-          last_true_power_ = cache_.true_power;
-          pending_ticks_ += ticks;
-          counters_.ticks += ticks;
-          counters_.replayed_ticks += ticks;
-          counters_.analytic_ticks += ticks;
-          counters_.cache_hit_ticks += ticks;
-        }
-        complete_event_tick(/*dvfs_moved=*/true, events);
-        return;
-      }
-      if (thermal_) thermal_advance_tick(cache_.thermal_b);
-      now_ += dt;
-      --budget;
-      ++ticks;
-    }
-  } else if (options_.policy == GovernorPolicy::kNone &&
-             !options_.record_samples && !thermal_) {
+  if (analytic && options_.policy == GovernorPolicy::kNone &&
+      !options_.record_samples && !thermal_) {
     // Control-free machine (the profiler workload): under kNone the
     // governor unconditionally snaps the levels to the ceilings — which the
     // constructor and set_ceilings already did — so its cadence work and
     // its meter reads are unobservable, and with sampling off so are the
     // sample-point reads. Skip the RNG draws entirely and replay only the
     // cadence bookkeeping (the exact recurrences the oracle executes), so
-    // next_governor_/next_sample_ leave the window bit-identical.
+    // next_governor_/next_sample_ leave the window bit-identical. (The
+    // thermal throttle rules the skip out: under kNone the governor's
+    // snap-to-ceiling must replay so the thermal clamp can keep
+    // re-applying.)
     while (budget > 0 && (!end || now_ + 1e-12 < *end)) {
       if (now_ + 1e-12 >= next_governor_) {
         next_governor_ = now_ + options_.governor_interval;
@@ -948,43 +699,106 @@ void Engine::analytic_replay(const std::optional<Seconds>& end,
       --budget;
       ++ticks;
     }
-  } else {
-    // Uncapped but observed (samples on, a non-kNone governor idling
-    // without a cap, or the thermal throttle acting per tick — which also
-    // rules out the control-free skip above, because under kNone the
-    // governor's snap-to-ceiling must replay so the thermal clamp can keep
-    // re-applying): stop at the next governor/sample point and let the
-    // event path execute it — those ticks read the meter.
-    Seconds stop = std::min(next_governor_, next_sample_);
-    if (end) stop = std::min(stop, *end);
+    bank_replayed_ticks(ticks);
+    return;
+  }
+
+  // The replay is bit-identical to the same number of fast step_event_tick
+  // calls: the same per-job subtraction chain, the same repeated
+  // `now_ += dt`, and the same `now_ + 1e-12 >= threshold` event tests.
+  // Governor and sample points are left to the event path (those ticks read
+  // the meter), so the window stops short of them.
+  Seconds stop = std::min(next_governor_, next_sample_);
+  if (end) stop = std::min(stop, *end);
+  // One loop, instantiated per (capped, analytic) pair so each copy carries
+  // only its own per-tick work. With the two tests left as run-time
+  // branches, uncapped standalone runs (windows of at most 9 ticks) took
+  // ~9% longer on a 4-vCPU x86-64 VM.
+  const auto replay = [&](auto is_capped, auto is_analytic) {
+    // Cap-managed machine: the oracle reads the (noisy) meter every tick to
+    // test for violations, so those RNG draws replay per tick in the same
+    // order. The loop inlines governor_phase's violation test (the cadence
+    // branch cannot fire inside the window — `stop` is bounded by
+    // next_governor_), with the governor and cap hoisted out of it.
+    std::optional<PowerGovernor> governor;
+    if constexpr (is_capped()) {
+      governor.emplace(options_.policy, options_.power_cap);
+    }
+    const Watts cap = options_.power_cap.value_or(0.0);
     while (budget > 0 && now_ + 1e-12 < stop) {
-      if (thermal_ && thermal_phase()) {
-        if (ticks > 0) {
-          advance_jobs_bulk(ticks);
-          last_true_power_ = cache_.true_power;
-          pending_ticks_ += ticks;
-          counters_.ticks += ticks;
-          counters_.replayed_ticks += ticks;
-          counters_.analytic_ticks += ticks;
-          counters_.cache_hit_ticks += ticks;
+      if constexpr (is_capped()) {
+        const Watts measured = read_cap_meter();
+        if (measured > cap) {
+          const DvfsState before = dvfs_;
+          dvfs_ = governor->step(measured, dvfs_);
+          if (levels_moved(before, dvfs_)) {
+            // Level move: the horizon ends here. Bank the replayed ticks,
+            // then finish this tick on the event path (flush + rebuild with
+            // the new levels happen inside) and hand back to the driver.
+            // The oracle's thermal check still runs on this tick, after the
+            // governor, exactly as in step_event_tick.
+            bank_replayed_ticks(ticks);
+            (void)thermal_phase();
+            complete_event_tick(/*dvfs_moved=*/true, events);
+            return;
+          }
         }
+      }
+      if (thermal_ && thermal_phase()) {
+        // Thermal trip/release/clamp: an event, same banking as a governor
+        // move. (The governor ran above and held its levels this tick.)
+        bank_replayed_ticks(ticks);
         complete_event_tick(/*dvfs_moved=*/true, events);
         return;
+      }
+      if constexpr (!is_analytic()) {
+        for (const JobAdvance& j : cache_.jobs) {
+          running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
+          j.stats->total_gb += j.gb_per_tick;
+        }
       }
       if (thermal_) thermal_advance_tick(cache_.thermal_b);
       now_ += dt;
       --budget;
       ++ticks;
     }
+    bank_replayed_ticks(ticks);
+  };
+  using Yes = std::true_type;
+  using No = std::false_type;
+  if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
+    analytic ? replay(Yes{}, Yes{}) : replay(Yes{}, No{});
+  } else {
+    analytic ? replay(No{}, Yes{}) : replay(No{}, No{});
   }
+}
+
+void Engine::bank_replayed_ticks(std::size_t ticks) {
   if (ticks == 0) return;
-  advance_jobs_bulk(ticks);
+  if (options_.mode == EngineMode::kAnalytic) {
+    advance_jobs_bulk(ticks);
+    counters_.analytic_ticks += ticks;
+  }
   last_true_power_ = cache_.true_power;
   pending_ticks_ += ticks;
   counters_.ticks += ticks;
   counters_.replayed_ticks += ticks;
-  counters_.analytic_ticks += ticks;
   counters_.cache_hit_ticks += ticks;
+}
+
+void Engine::advance_jobs_bulk(std::size_t ticks) {
+  // One fused update per job instead of `ticks` repeated subtractions. The
+  // closed form rounds once where the replay rounds `ticks` times, so the
+  // progress accumulators drift from the oracle by O(ticks * eps) relative
+  // while every control decision (made on now_, not on these accumulators)
+  // stays bit-identical. The drift can still move a phase boundary by one
+  // tick when a phase ends within rounding of a tick edge (the tolerance in
+  // engine.hpp's file comment).
+  const double n = static_cast<double>(ticks);
+  for (const JobAdvance& j : cache_.jobs) {
+    running_[j.run_idx].phase_ref_remaining -= n * j.ref_per_tick;
+    j.stats->total_gb += n * j.gb_per_tick;
+  }
 }
 
 void Engine::run_event_mode(std::vector<JobEvent>& events,
@@ -992,15 +806,10 @@ void Engine::run_event_mode(std::vector<JobEvent>& events,
                             bool stop_on_event) {
   // Loop conditions replicate the tick-mode drivers: run_for ticks an idle
   // machine until `end`; run_until_event/run_until_idle stop when drained.
-  const bool analytic = options_.mode == EngineMode::kAnalytic;
   while ((end ? now_ + 1e-12 < *end : !idle()) &&
          !(stop_on_event && !events.empty())) {
     step_event_tick(events);
-    if (analytic) {
-      analytic_replay(end, events);
-    } else {
-      fast_replay(end, events);
-    }
+    replay_horizon(end, events);
   }
   flush_pending_telemetry();
 }
@@ -1084,28 +893,6 @@ std::vector<JobStats> Engine::all_stats() const {
   out.reserve(stats_.size());
   for (const auto& [id, st] : stats_) out.push_back(st);
   return out;
-}
-
-StandaloneResult run_standalone(const MachineConfig& config, const JobSpec& spec,
-                                DeviceKind device, FreqLevel cpu_level,
-                                FreqLevel gpu_level, std::uint64_t seed,
-                                EngineMode mode) {
-  EngineOptions options;
-  options.mode = mode;
-  options.seed = seed;
-  options.policy = GovernorPolicy::kNone;
-  options.record_samples = false;
-  Engine engine(config, options);
-  engine.set_ceilings(cpu_level, gpu_level);
-  const JobId id = engine.launch(spec, device);
-  engine.run_until_idle();
-  const JobStats& st = engine.stats(id);
-  StandaloneResult result;
-  result.time = st.runtime();
-  result.avg_bandwidth = st.avg_bandwidth();
-  result.energy = engine.telemetry().energy();
-  result.avg_power = engine.telemetry().avg_power();
-  return result;
 }
 
 }  // namespace corun::sim

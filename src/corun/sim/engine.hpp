@@ -1,6 +1,6 @@
-// Discrete-time co-simulation engine for the integrated CPU-GPU machine —
-// the canonical MachineModel implementation (see machine_model.hpp for the
-// interface and backend.hpp for the factory).
+// Discrete-time co-simulation engine for the integrated CPU-GPU machine.
+// backend.hpp builds it (and its record/replay subclasses) from a
+// BackendSpec.
 //
 // The machine model advances in fixed ticks (default 10 ms). Each tick
 // it (a) resolves shared-memory contention between the domains' offered
@@ -9,7 +9,8 @@
 // (c) evaluates the package power model and RAPL-style sampling, and (d)
 // runs the DVFS governor control loop at its own cadence.
 //
-// Three stepping engines implement those semantics (EngineOptions::mode):
+// Three stepping cores implement those semantics (EngineOptions::mode, set
+// from the backend spec by make_machine_model):
 //
 //  - kTick: the legacy reference oracle. Every tick re-resolves contention,
 //    re-evaluates the power model, and walks every job — O(full model) per
@@ -24,16 +25,21 @@
 //    oracle performs so both modes produce bit-identical trajectories
 //    (pinned by tests/sim/test_engine_equivalence.cpp). Meter reads replay
 //    at the same points so the noise RNG stream stays in lockstep.
-//  - kAnalytic: the closed-form backend. Shares kEvent's horizon machinery
-//    but replaces the per-tick job replay with one bulk advance per horizon
+//  - kAnalytic: the closed-form core. Shares kEvent's horizon replay but
+//    defers the per-job advance to one bulk update per replayed window
 //    (rem -= n * ref_per_tick instead of n subtractions) and, on
-//    control-free machines (GovernorPolicy::kNone, no sample recording),
-//    skips the governor/sample stops and the unobservable meter RNG draws
-//    entirely. Every clock/threshold decision still uses the oracle's exact
-//    per-tick `now_ += dt` chain, so trajectories match kEvent to 1e-9
-//    (bit-identical control decisions; only the job-progress accumulators
-//    carry closed-form rounding). Pinned by
-//    tests/sim/test_backend_equivalence.cpp.
+//    control-free machines (GovernorPolicy::kNone, no sample recording, no
+//    thermal model), skips the governor/sample stops and the unobservable
+//    meter RNG draws entirely. Every clock/threshold decision still uses the
+//    oracle's exact per-tick `now_ += dt` chain, so control decisions are
+//    bit-identical; only the job-progress accumulators carry closed-form
+//    rounding. Tolerance: 1e-9 on the scenario corpus
+//    (tests/sim/test_backend_equivalence.cpp) and on profiled times,
+//    bandwidths and degradation-grid cells. When a phase ends within
+//    rounding of a tick edge the bulk update can move that boundary by one
+//    tick, so a profile entry's average power and energy agree with
+//    kEvent's within 1e-3 relative (4e-4 measured on the 8-job batch;
+//    bench/bench_backend_fidelity.cpp CHECKs the bound).
 //
 // Placement rules mirror the paper's platform semantics: the GPU executes
 // one OpenCL job at a time; the CPU normally does too, but *can* be
@@ -54,7 +60,6 @@
 #include "corun/sim/governor.hpp"
 #include "corun/sim/job.hpp"
 #include "corun/sim/machine.hpp"
-#include "corun/sim/machine_model.hpp"
 #include "corun/sim/memory_system.hpp"
 #include "corun/sim/power_meter.hpp"
 #include "corun/sim/power_model.hpp"
@@ -63,82 +68,186 @@
 
 namespace corun::sim {
 
-class Engine : public MachineModel {
+using JobId = int;
+
+/// Emitted when a job finishes.
+struct JobEvent {
+  JobId id = -1;
+  std::string name;
+  DeviceKind device = DeviceKind::kCpu;
+  Seconds finish_time = 0.0;
+};
+
+/// Lifetime record of one launched job.
+struct JobStats {
+  JobId id = -1;
+  std::string name;
+  DeviceKind device = DeviceKind::kCpu;
+  Seconds start_time = 0.0;
+  Seconds finish_time = 0.0;
+  double total_gb = 0.0;  ///< bytes moved, in GB
+  bool finished = false;
+  bool cancelled = false;  ///< evicted mid-run; finish_time = cancel time
+
+  [[nodiscard]] Seconds runtime() const noexcept {
+    return finish_time - start_time;
+  }
+  [[nodiscard]] GBps avg_bandwidth() const noexcept {
+    const Seconds rt = runtime();
+    return rt > 0.0 ? total_gb / rt : 0.0;
+  }
+};
+
+/// Aggregate stepping statistics of one engine instance: where simulated
+/// time went and how well the event-horizon cache worked. Maintained
+/// unconditionally (plain integer adds), exported as trace counters when
+/// tracing is enabled (see common/trace), and readable in tests.
+struct EngineCounters {
+  std::uint64_t ticks = 0;            ///< simulated ticks, all modes
+  std::uint64_t replayed_ticks = 0;   ///< ticks executed by the horizon replay
+  std::uint64_t analytic_ticks = 0;   ///< ticks closed-formed by kAnalytic
+  std::uint64_t horizons = 0;         ///< dynamics rebuilds (event horizons)
+  std::uint64_t cache_hit_ticks = 0;  ///< event-mode ticks served from cache
+  std::uint64_t job_events = 0;       ///< job completions emitted
+  std::uint64_t cancellations = 0;    ///< jobs evicted via cancel()
+  std::uint64_t cap_updates = 0;      ///< mid-run set_power_cap calls
+};
+
+/// Stepping core of the engine (see the file comment). Each machine backend
+/// but replay is one of these cores; BackendSpec names them.
+enum class EngineMode {
+  kTick,      ///< legacy fixed-tick loop; the equivalence oracle
+  kEvent,     ///< event-horizon stepping; bit-identical and 10-100x faster
+  kAnalytic,  ///< closed-form window advance; tolerance in the file comment
+};
+
+[[nodiscard]] const char* engine_mode_name(EngineMode m) noexcept;
+
+/// Process-wide default for EngineOptions::mode: the stepping core of the
+/// default backend (backend.hpp's default_backend_spec, seeded from
+/// CORUN_BACKEND and replaced by the tools' --backend flag), with a replay
+/// default mapping to kEvent. Defined in backend.cpp, which owns the
+/// default. Engines built through make_machine_model take their core from
+/// the spec instead; this default reaches the engines code constructs
+/// directly, so `CORUN_BACKEND=tick ctest` runs them on the tick oracle.
+[[nodiscard]] EngineMode default_engine_mode() noexcept;
+
+/// Process-wide default for EngineOptions::thermal. Seeded at startup from
+/// CORUN_THERMAL (on|1 / off|0) when set; tools override it from
+/// `--thermal`; library callers can override per engine. Defaults to off —
+/// the thermal model is strictly opt-in and the disabled path is the
+/// pre-thermal engine bit for bit.
+[[nodiscard]] bool default_thermal() noexcept;
+void set_default_thermal(bool enabled) noexcept;
+
+/// Parses "on"/"1"/"off"/"0" (as accepted by the tools' --thermal flag and
+/// CORUN_THERMAL).
+[[nodiscard]] Expected<bool> parse_thermal(const std::string& text);
+
+struct EngineOptions {
+  EngineMode mode = default_engine_mode();  ///< stepping core
+  Seconds dt = 0.01;                ///< simulation tick
+  Seconds governor_interval = 0.1;  ///< DVFS control-loop cadence
+  Seconds sample_interval = 1.0;    ///< power-trace sampling cadence
+  std::uint64_t seed = 42;          ///< meter-noise stream seed
+  Watts meter_noise_stddev = 0.25;
+  std::optional<Watts> power_cap;   ///< nullopt = uncapped
+  GovernorPolicy policy = GovernorPolicy::kNone;
+  bool record_samples = true;       ///< keep the PowerSample trace
+
+  /// RAPL-style enforcement window: the governor reacts to an exponential
+  /// moving average of measured power with this time constant, instead of
+  /// instantaneous readings. 0 = instantaneous (the default; what the rest
+  /// of the suite uses). A window tolerates short bursts above the cap as
+  /// long as the average fits — the PL1 semantics of real RAPL.
+  Seconds cap_window = 0.0;
+
+  /// Engage the RC thermal network and the temperature-triggered throttle
+  /// governor (MachineConfig::thermal holds the constants; docs/thermal.md
+  /// the semantics). Temperatures advance bit-identically across stepping
+  /// modes; off (the default) leaves every trajectory untouched.
+  bool thermal = default_thermal();
+};
+
+/// The simulated machine. RecordingMachine and ReplayMachine (backend.hpp)
+/// derive from it and override launch() alone; everything else is this
+/// class's, whatever the backend.
+class Engine {
  public:
   Engine(MachineConfig config, EngineOptions options);
 
   /// Emits the final counter values (plus cap-violation ticks) to the trace
   /// layer when tracing is enabled. The counters themselves are always
   /// maintained; only the export is conditional.
-  ~Engine() override;
+  virtual ~Engine();
 
   /// Starts a job on `device` immediately. The GPU must be idle; the CPU may
   /// already host jobs (time sharing).
-  JobId launch(const JobSpec& spec, DeviceKind device) override;
+  virtual JobId launch(const JobSpec& spec, DeviceKind device);
 
   /// Sets the requested (ceiling) frequency levels; the governor will not
   /// raise either domain above its ceiling. With GovernorPolicy::kNone the
   /// levels snap to the ceilings at the next control step.
-  void set_ceilings(FreqLevel cpu, FreqLevel gpu) override;
+  void set_ceilings(FreqLevel cpu, FreqLevel gpu);
 
   /// Replaces the power cap mid-run (nullopt = uncapped). Enforcement still
   /// requires a non-kNone governor policy; the governor reacts from the next
   /// tick on. Both engine modes apply the change at the same tick boundary,
   /// so trajectories stay bit-identical across modes.
-  void set_power_cap(std::optional<Watts> cap) override;
+  void set_power_cap(std::optional<Watts> cap);
 
   /// Evicts a running job: it stops consuming machine time at the current
   /// clock, its stats freeze with `cancelled` set (finished stays false),
   /// and the machine re-resolves contention without it. Returns false when
   /// `id` is not currently running (already finished, cancelled, or
   /// unknown).
-  bool cancel(JobId id) override;
+  bool cancel(JobId id);
 
   /// Starts/ends a transient power-meter fault: while active the sensor
   /// serves its last healthy reading (the governor flies blind) but the
   /// noise RNG keeps advancing so replay stays deterministic.
-  void set_meter_dropout(bool active) override;
-  [[nodiscard]] bool meter_dropout() const noexcept override;
+  void set_meter_dropout(bool active);
+  [[nodiscard]] bool meter_dropout() const noexcept;
 
-  [[nodiscard]] DvfsState dvfs() const noexcept override { return dvfs_; }
-  [[nodiscard]] Seconds now() const noexcept override { return now_; }
-  [[nodiscard]] bool idle() const noexcept override { return running_.empty(); }
-  [[nodiscard]] bool device_idle(DeviceKind d) const noexcept override;
-  [[nodiscard]] int resident_count(DeviceKind d) const noexcept override;
+  [[nodiscard]] DvfsState dvfs() const noexcept { return dvfs_; }
+  [[nodiscard]] Seconds now() const noexcept { return now_; }
+  [[nodiscard]] bool idle() const noexcept { return running_.empty(); }
+  [[nodiscard]] bool device_idle(DeviceKind d) const noexcept;
+  [[nodiscard]] int resident_count(DeviceKind d) const noexcept;
 
   /// Advances time until at least one job finishes (returning all the
   /// completions from that tick) or until the machine is idle (empty vector).
-  std::vector<JobEvent> run_until_event() override;
+  std::vector<JobEvent> run_until_event();
 
   /// Advances exactly `duration` simulated seconds.
-  std::vector<JobEvent> run_for(Seconds duration) override;
+  std::vector<JobEvent> run_for(Seconds duration);
 
   /// Advances until at least one job finishes or `duration` simulated
   /// seconds elapse, whichever comes first — run_until_event with a
   /// deadline. Returns the completions of the finishing tick (empty when
   /// the deadline or idleness cut the run short).
-  std::vector<JobEvent> run_for_until_event(Seconds duration) override;
+  std::vector<JobEvent> run_for_until_event(Seconds duration);
 
   /// Drains every running job.
-  void run_until_idle() override;
+  void run_until_idle();
 
   /// Fraction of the job's total (reference) work completed, in [0, 1].
   /// 1.0 for finished jobs. Used by online profiling to extrapolate a full
   /// runtime from a truncated sample.
-  [[nodiscard]] double progress(JobId id) const override;
+  [[nodiscard]] double progress(JobId id) const;
 
-  [[nodiscard]] const Telemetry& telemetry() const noexcept override {
+  [[nodiscard]] const Telemetry& telemetry() const noexcept {
     return telemetry_;
   }
-  [[nodiscard]] const EngineCounters& counters() const noexcept override {
+  [[nodiscard]] const EngineCounters& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] const JobStats& stats(JobId id) const override;
-  [[nodiscard]] std::vector<JobStats> all_stats() const override;
-  [[nodiscard]] const MachineConfig& config() const noexcept override {
+  [[nodiscard]] const JobStats& stats(JobId id) const;
+  [[nodiscard]] std::vector<JobStats> all_stats() const;
+  [[nodiscard]] const MachineConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const EngineOptions& options() const noexcept override {
+  [[nodiscard]] const EngineOptions& options() const noexcept {
     return options_;
   }
 
@@ -201,9 +310,12 @@ class Engine : public MachineModel {
   };
 
   void tick(std::vector<JobEvent>& events);
-  /// The DVFS control block of one tick (shared verbatim by both modes).
+  /// The DVFS control block of one tick (shared verbatim by every mode).
   /// Returns true when a frequency level or ceiling moved.
   bool governor_phase();
+  /// The meter reading cap enforcement acts on: the noisy sample itself, or
+  /// under a PL1 window (cap_window > 0) its exponential moving average.
+  Watts read_cap_meter();
   /// The temperature control block of one tick, run right after the
   /// governor by every mode: trips drop a domain's thermal allowance when
   /// its node is above the trip point, releases raise it back once the node
@@ -224,15 +336,20 @@ class Engine : public MachineModel {
   /// Recomputes the contention/LLC fixed point, activity shares, package
   /// power, and per-job advance constants for the current machine state.
   void rebuild_dynamics();
+  /// The sample point of a tick whose sampling cadence is due: records a
+  /// power (and thermal) sample when recording is on, then re-arms the
+  /// cadence. `contention` supplies the achieved bandwidths of the tick.
+  /// Callers test the cadence inline; it is due on few ticks.
+  void sample_point(const ContentionResult& contention);
   /// One tick of the event engine: cheap advance on the cached horizon, or
   /// a full boundary tick when a job crosses a phase edge.
   void step_event_tick(std::vector<JobEvent>& events);
   /// Everything in an event-engine tick after the governor: rebuild when
   /// dirty, advance, power accounting, sampling, clock. Split out so
-  /// fast_replay's capped loop can inline the governor part.
+  /// replay_horizon's capped loop can inline the governor part.
   void complete_event_tick(bool dvfs_moved, std::vector<JobEvent>& events);
-  /// Event-mode driver shared by the run_* entry points. `end` bounds the
-  /// clock exactly like the tick-mode loops; stop_on_event mirrors
+  /// Event/analytic driver shared by the run_* entry points. `end` bounds
+  /// the clock exactly like the tick-mode loops; stop_on_event mirrors
   /// run_until_event's "return the first completion tick" contract.
   void run_event_mode(std::vector<JobEvent>& events,
                       const std::optional<Seconds>& end, bool stop_on_event);
@@ -242,16 +359,14 @@ class Engine : public MachineModel {
   /// performs, with every event check hoisted. Under an active power cap the
   /// loop still reads the meter every tick (RNG lockstep with the oracle)
   /// but inlines the violation test, breaking out only when the governor
-  /// moves a level. A no-op when the cache is cold.
-  void fast_replay(const std::optional<Seconds>& end,
-                   std::vector<JobEvent>& events);
-  /// kAnalytic's replacement for fast_replay: same horizon bound and the
-  /// same exact per-tick clock/threshold decisions, but the per-job advance
-  /// is closed-formed into one bulk update per horizon, and on control-free
-  /// machines (kNone policy, samples off) the governor/sample stops and the
-  /// unobservable meter RNG draws are skipped entirely.
-  void analytic_replay(const std::optional<Seconds>& end,
-                       std::vector<JobEvent>& events);
+  /// moves a level. kAnalytic defers the per-job advance to one
+  /// advance_jobs_bulk per window and, on control-free machines, also skips
+  /// the governor/sample stops. A no-op when the cache is cold.
+  void replay_horizon(const std::optional<Seconds>& end,
+                      std::vector<JobEvent>& events);
+  /// Books `ticks` replayed ticks of the current horizon: the deferred
+  /// telemetry, the counters and, under kAnalytic, the bulk job advance.
+  void bank_replayed_ticks(std::size_t ticks);
   /// Advances every cached job by `ticks` ticks in one fused update
   /// (rem -= n * ref_per_tick). Only called when the horizon bound proves
   /// no phase boundary lies inside the window.
@@ -295,24 +410,5 @@ class Engine : public MachineModel {
   /// change them.
   std::size_t pending_ticks_ = 0;
 };
-
-/// Result of a single standalone (no co-runner) execution.
-struct StandaloneResult {
-  Seconds time = 0.0;
-  GBps avg_bandwidth = 0.0;
-  Watts avg_power = 0.0;
-  Joules energy = 0.0;
-};
-
-/// Convenience: run one job alone on a fresh engine at pinned levels with no
-/// cap, returning its measured time/bandwidth/power. Used by the profiler
-/// and the micro-benchmark calibration solver.
-[[nodiscard]] StandaloneResult run_standalone(const MachineConfig& config,
-                                              const JobSpec& spec,
-                                              DeviceKind device,
-                                              FreqLevel cpu_level,
-                                              FreqLevel gpu_level,
-                                              std::uint64_t seed = 42,
-                                              EngineMode mode = default_engine_mode());
 
 }  // namespace corun::sim

@@ -17,7 +17,6 @@
 
 #include "corun/common/rng.hpp"
 #include "corun/sim/engine.hpp"
-#include "corun/sim/machine_model.hpp"
 
 namespace corun::sim {
 
@@ -89,7 +88,7 @@ inline Scenario random_scenario(std::uint64_t seed) {
 }
 
 /// Runs the scenario's script to completion against any backend.
-inline void run_scenario(const Scenario& s, MachineModel& machine) {
+inline void run_scenario(const Scenario& s, Engine& machine) {
   machine.set_ceilings(s.cpu_ceiling, s.gpu_ceiling);
   for (const LaunchStep& step : s.steps) {
     if (step.advance_before > 0.0) (void)machine.run_for(step.advance_before);

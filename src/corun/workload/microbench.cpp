@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "corun/common/check.hpp"
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 
 namespace corun::workload {
 namespace {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "corun/core/model/degradation_space.hpp"
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/workload/microbench.hpp"
 #include "corun/workload/rodinia.hpp"
 

@@ -7,8 +7,8 @@
 
 #include "corun/core/model/corun_predictor.hpp"
 #include "corun/core/model/degradation_space.hpp"
-#include "corun/sim/engine.hpp"
 #include "corun/profile/profiler.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/workload/batch.hpp"
 #include "corun/workload/microbench.hpp"
 #include "corun/workload/rodinia.hpp"

@@ -14,7 +14,7 @@
 #include "corun/core/sched/exhaustive.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/profile/profiler.hpp"
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/sim/machine.hpp"
 #include "corun/workload/batch.hpp"
 #include "corun/workload/rodinia.hpp"
@@ -33,14 +33,14 @@ std::string with_jobs(std::size_t jobs, Fn&& make_artifact) {
   return out;
 }
 
-/// Runs `make_artifact` with the given engine mode as the process default
-/// and restores the previous default after.
+/// Runs `make_artifact` with the given backend as the process default and
+/// restores the previous default after.
 template <typename Fn>
-std::string with_engine(sim::EngineMode mode, Fn&& make_artifact) {
-  const sim::EngineMode previous = sim::default_engine_mode();
-  sim::set_default_engine_mode(mode);
+std::string with_backend(sim::BackendKind kind, Fn&& make_artifact) {
+  const sim::BackendSpec previous = sim::default_backend_spec();
+  sim::set_default_backend({.kind = kind, .replay_path = {}});
   std::string out = make_artifact();
-  sim::set_default_engine_mode(previous);
+  sim::set_default_backend(previous);
   return out;
 }
 
@@ -104,14 +104,13 @@ TEST(ParallelDeterminism, ProfileDbCsvIsByteIdenticalAcrossEngineModes) {
     profiler.profile_batch(batch).write_csv(oss);
     return oss.str();
   };
-  const std::string tick = with_engine(sim::EngineMode::kTick, profile);
-  const std::string event = with_engine(sim::EngineMode::kEvent, profile);
+  const std::string tick = with_backend(sim::BackendKind::kTick, profile);
+  const std::string event = with_backend(sim::BackendKind::kEvent, profile);
   EXPECT_FALSE(tick.empty());
   EXPECT_EQ(tick, event);
   // Mode and worker count compose: parallel event == serial tick.
-  const std::string parallel_event = with_engine(sim::EngineMode::kEvent, [&] {
-    return with_jobs(4, profile);
-  });
+  const std::string parallel_event = with_backend(
+      sim::BackendKind::kEvent, [&] { return with_jobs(4, profile); });
   EXPECT_EQ(tick, parallel_event);
 }
 
@@ -125,8 +124,10 @@ TEST(ParallelDeterminism, CharacterizationGridIsByteIdenticalAcrossEngineModes) 
     grid.write_csv(oss);
     return oss.str();
   };
-  const std::string tick = with_engine(sim::EngineMode::kTick, characterize);
-  const std::string event = with_engine(sim::EngineMode::kEvent, characterize);
+  const std::string tick =
+      with_backend(sim::BackendKind::kTick, characterize);
+  const std::string event =
+      with_backend(sim::BackendKind::kEvent, characterize);
   EXPECT_FALSE(tick.empty());
   EXPECT_EQ(tick, event);
 }

@@ -9,6 +9,8 @@
 //      counts, byte for byte.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -168,6 +170,29 @@ TEST(DynamicRuntime, RecordThenReplayWithSamplingArrivalIsByteIdentical) {
   EXPECT_EQ(digest(recorded), digest(replayed));
 }
 
+TEST(DynamicRuntime, RecordingAReplayIsAContractViolation) {
+  // Recording while replaying would save the replayed trace again, not a
+  // measurement of this run; the pair used to be accepted with the replay
+  // spec silently dropped.
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const auto first = dir / ("corun_dynamic_rec_" + tag + ".csv");
+  const auto again = dir / ("corun_dynamic_rerec_" + tag + ".csv");
+  sim::FaultPlan plan;
+  DynamicOptions rec = base_options();
+  rec.record_trace_path = first.string();
+  (void)run(rec, plan);
+
+  DynamicOptions both = base_options();
+  both.backend = {.kind = sim::BackendKind::kReplay,
+                  .replay_path = first.string()};
+  both.record_trace_path = again.string();
+  EXPECT_THROW((void)run(both, plan), ContractViolation);
+  EXPECT_FALSE(std::filesystem::exists(again));
+  std::filesystem::remove(first);
+  std::filesystem::remove(again);
+}
+
 TEST(DynamicRuntime, CancellationRemovesExactlyOneJob) {
   sim::FaultPlan plan;
   sim::FaultEvent cancel = fault_at(10.0, sim::FaultKind::kCancel);
@@ -198,9 +223,9 @@ TEST(DynamicRuntime, ByteIdenticalAcrossEngineModes) {
       "seed=17,programs=hotspot+srad+lud");
   ASSERT_TRUE(plan.has_value());
   DynamicOptions o = base_options();
-  o.engine_mode = sim::EngineMode::kEvent;
+  o.backend = {.kind = sim::BackendKind::kEvent, .replay_path = {}};
   const std::string event_digest = digest(run(o, plan.value()));
-  o.engine_mode = sim::EngineMode::kTick;
+  o.backend = {.kind = sim::BackendKind::kTick, .replay_path = {}};
   const std::string tick_digest = digest(run(o, plan.value()));
   EXPECT_EQ(event_digest, tick_digest);
 }
@@ -273,11 +298,11 @@ TEST(DynamicRuntimeThermal, ByteIdenticalAcrossModesWorkersAndCacheState) {
   ASSERT_TRUE(plan.has_value());
   DynamicOptions o = base_options();
   o.thermal = true;
-  o.engine_mode = sim::EngineMode::kEvent;
+  o.backend = {.kind = sim::BackendKind::kEvent, .replay_path = {}};
   const std::string baseline = thermal_digest(run(o, plan.value()));
 
   DynamicOptions tick = o;
-  tick.engine_mode = sim::EngineMode::kTick;
+  tick.backend = {.kind = sim::BackendKind::kTick, .replay_path = {}};
   EXPECT_EQ(baseline, thermal_digest(run(tick, plan.value())));
 
   common::set_default_jobs(1);

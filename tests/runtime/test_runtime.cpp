@@ -1,6 +1,10 @@
 #include "corun/core/runtime/runtime.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "../support/fixtures.hpp"
 #include "corun/core/sched/hcs.hpp"
@@ -170,6 +174,31 @@ TEST(Runtime, InvalidScheduleRejected) {
   sched::Schedule bad;
   bad.cpu = {{0, 15}};  // misses jobs 1..3
   EXPECT_THROW((void)runtime.execute(f.batch, bad), corun::ContractViolation);
+}
+
+TEST(Runtime, RecordingAReplayIsAContractViolation) {
+  // Recording while replaying would save the replayed trace again, not a
+  // measurement of this run; the pair used to be accepted with the replay
+  // spec silently dropped.
+  const auto& f = motivation_fixture();
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string tag = std::to_string(::getpid());
+  const auto first = dir / ("corun_runtime_rec_" + tag + ".csv");
+  const auto again = dir / ("corun_runtime_rerec_" + tag + ".csv");
+  RuntimeOptions rec;
+  rec.record_trace_path = first.string();
+  (void)CoRunRuntime(f.config, rec).execute(f.batch, simple_schedule());
+
+  RuntimeOptions both;
+  both.backend = {.kind = sim::BackendKind::kReplay,
+                  .replay_path = first.string()};
+  both.record_trace_path = again.string();
+  const CoRunRuntime runtime(f.config, both);
+  EXPECT_THROW((void)runtime.execute(f.batch, simple_schedule()),
+               corun::ContractViolation);
+  EXPECT_FALSE(std::filesystem::exists(again));
+  std::filesystem::remove(first);
+  std::filesystem::remove(again);
 }
 
 }  // namespace

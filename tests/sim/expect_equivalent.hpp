@@ -10,14 +10,13 @@
 
 #include <vector>
 
-#include "corun/sim/machine_model.hpp"
+#include "corun/sim/engine.hpp"
 
 namespace corun::sim {
 
 constexpr double kEquivTol = 1e-9;
 
-inline void expect_equivalent(const MachineModel& oracle,
-                              const MachineModel& candidate) {
+inline void expect_equivalent(const Engine& oracle, const Engine& candidate) {
   EXPECT_NEAR(oracle.now(), candidate.now(), kEquivTol);
 
   const std::vector<JobStats> ts = oracle.all_stats();

@@ -1,5 +1,5 @@
-// Cross-backend honesty suite (the PR-2 equivalence contract, extended to
-// the pluggable backends of machine_model.hpp / backend.hpp):
+// Cross-backend honesty suite (the tick/event equivalence contract,
+// extended to the machine backends of backend.hpp):
 //
 //  - analytic vs event: the closed-form backend must match the event engine
 //    to 1e-9 on the full randomized scenario corpus — same control
@@ -12,7 +12,12 @@
 //    preserve both properties for every backend.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "corun/common/check.hpp"
@@ -26,7 +31,7 @@ namespace {
 /// Bit-exact trajectory equality: the record-then-replay contract. Doubles
 /// are compared with EXPECT_EQ — the CSV schema round-trips via %.17g, so
 /// the replayed run re-executes the recording's arithmetic exactly.
-void expect_bit_identical(const MachineModel& a, const MachineModel& b) {
+void expect_bit_identical(const Engine& a, const Engine& b) {
   EXPECT_EQ(a.now(), b.now());
   const std::vector<JobStats> as = a.all_stats();
   const std::vector<JobStats> bs = b.all_stats();
@@ -93,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(SeededScenarios, RandomBackendEquivalence,
 /// event engine; record-then-replay stays bit-identical.
 class DynamicBackendEquivalence : public ::testing::TestWithParam<int> {};
 
-void run_dynamic_script(const Scenario& s, MachineModel& machine) {
+void run_dynamic_script(const Scenario& s, Engine& machine) {
   machine.set_ceilings(s.cpu_ceiling, s.gpu_ceiling);
   std::vector<JobId> ids;
   for (const LaunchStep& step : s.steps) {
@@ -147,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(SeededScenarios, DynamicBackendEquivalence,
 
 /// The control-free fast path (kNone governor, sampling off — the profiler
 /// workload) through the factory: run_standalone must agree across all
-/// three engine-backed specs, and the factory must honour the spec.
+/// three engine-core specs, and the factory must honour the spec.
 TEST(BackendFactory, StandaloneAgreesAcrossBackends) {
   const MachineConfig config = ivy_bridge();
   Rng rng(99);
@@ -159,8 +164,9 @@ TEST(BackendFactory, StandaloneAgreesAcrossBackends) {
     const StandaloneResult analytic = run_standalone(
         config, job, device, 12, 7, 42,
         BackendSpec{.kind = BackendKind::kAnalytic, .replay_path = {}});
-    const StandaloneResult tick =
-        run_standalone(config, job, device, 12, 7, 42, EngineMode::kTick);
+    const StandaloneResult tick = run_standalone(
+        config, job, device, 12, 7, 42,
+        BackendSpec{.kind = BackendKind::kTick, .replay_path = {}});
     EXPECT_NEAR(event.time, analytic.time, kEquivTol);
     EXPECT_NEAR(event.energy, analytic.energy, kEquivTol);
     EXPECT_NEAR(event.avg_bandwidth, analytic.avg_bandwidth, kEquivTol);
@@ -171,6 +177,15 @@ TEST(BackendFactory, StandaloneAgreesAcrossBackends) {
 }
 
 TEST(BackendFactory, ParseRoundTripsAndRejectsJunk) {
+  for (const char* text : {"tick", "event", "analytic", "replay:trace.csv"}) {
+    const auto spec = parse_backend_spec(text);
+    ASSERT_TRUE(spec.has_value()) << text;
+    EXPECT_EQ(spec.value().name(), text);
+  }
+  const auto tick = parse_backend_spec("tick");
+  ASSERT_TRUE(tick.has_value());
+  EXPECT_EQ(tick.value().kind, BackendKind::kTick);
+
   const auto event = parse_backend_spec("event");
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event.value().kind, BackendKind::kEvent);
@@ -203,6 +218,51 @@ TEST(BackendFactory, AnalyticSpecForcesAnalyticMode) {
       ivy_bridge(), options,
       BackendSpec{.kind = BackendKind::kEvent, .replay_path = {}});
   EXPECT_EQ(event->options().mode, EngineMode::kEvent);
+}
+
+/// make_machine_model is the one place a spec picks the stepping core: the
+/// engine-core kinds override whatever mode the caller passed, a replay
+/// machine keeps the caller's, and a recording runs on the spec's core.
+TEST(BackendFactory, SpecSetsTheSteppingCore) {
+  Rng rng(5);
+  const JobSpec job = random_corpus_job(rng, 0);
+  EngineOptions recorded_options;
+  recorded_options.record_samples = false;
+  RecordingMachine recorder(ivy_bridge(), recorded_options);
+  recorder.launch(job, DeviceKind::kCpu);
+  recorder.run_until_idle();
+  const std::string path = ::testing::TempDir() + "spec_sets_core_" +
+                           std::to_string(::getpid()) + ".csv";
+  ASSERT_TRUE(save_demand_trace(recorder.trace(), path).has_value());
+
+  const std::pair<BackendKind, EngineMode> cores[] = {
+      {BackendKind::kTick, EngineMode::kTick},
+      {BackendKind::kEvent, EngineMode::kEvent},
+      {BackendKind::kAnalytic, EngineMode::kAnalytic}};
+  for (const EngineMode caller :
+       {EngineMode::kTick, EngineMode::kEvent, EngineMode::kAnalytic}) {
+    EngineOptions options;
+    options.mode = caller;
+    for (const auto& [kind, core] : cores) {
+      const BackendSpec spec{.kind = kind, .replay_path = {}};
+      EXPECT_EQ(make_machine_model(ivy_bridge(), options, spec)->options().mode,
+                core)
+          << spec.name() << " from " << engine_mode_name(caller);
+      const auto rec = make_machine_model(ivy_bridge(), options, spec,
+                                          /*record=*/true);
+      EXPECT_NE(dynamic_cast<RecordingMachine*>(rec.get()), nullptr);
+      EXPECT_EQ(rec->options().mode, core) << "recording " << spec.name();
+    }
+    const BackendSpec replay{.kind = BackendKind::kReplay, .replay_path = path};
+    const auto machine = make_machine_model(ivy_bridge(), options, replay);
+    EXPECT_NE(dynamic_cast<ReplayMachine*>(machine.get()), nullptr);
+    EXPECT_EQ(machine->options().mode, caller);
+    // Recording a replay would capture the replayed trace, not a new run.
+    EXPECT_THROW((void)make_machine_model(ivy_bridge(), options, replay,
+                                          /*record=*/true),
+                 ContractViolation);
+  }
+  std::remove(path.c_str());
 }
 
 /// The demand-trace CSV grouping validator must reject malformed traces.

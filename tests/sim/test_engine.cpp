@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "corun/common/check.hpp"
+#include "corun/sim/backend.hpp"
 
 namespace corun::sim {
 namespace {

@@ -3,7 +3,7 @@
 // example-based tests in test_engine.cpp.
 #include <gtest/gtest.h>
 
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 
 namespace corun::sim {
 namespace {

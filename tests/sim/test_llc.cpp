@@ -3,7 +3,7 @@
 // bandwidth-only model cannot see (DESIGN.md Sec. 4.1).
 #include <gtest/gtest.h>
 
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/sim/machine.hpp"
 
 namespace corun::sim {

@@ -3,7 +3,7 @@
 // paper reports for "both Intel and AMD".
 #include <gtest/gtest.h>
 
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/sim/machine.hpp"
 #include "corun/workload/microbench.hpp"
 

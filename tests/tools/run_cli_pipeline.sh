@@ -41,20 +41,31 @@ echo "== corun-profile --jobs N is byte-identical to --jobs 1 =="
     --cpu-levels 0,5,10 --gpu-levels 0,4 --jobs 4
 cmp profiles.csv profiles_par.csv
 
-echo "== --engine tick is byte-identical to --engine event =="
+echo "== --backend tick is byte-identical to --backend event =="
 "$TOOLS/corun-characterize" --out grid_tick.csv --axis-points 4 \
-    --engine tick
+    --backend tick
 "$TOOLS/corun-characterize" --out grid_event.csv --axis-points 4 \
-    --engine event
+    --backend event
 cmp grid_tick.csv grid_event.csv
 "$TOOLS/corun-profile" --batch batch.csv --out profiles_tick.csv \
-    --cpu-levels 0,5,10 --gpu-levels 0,4 --engine tick
-cmp profiles.csv profiles_tick.csv
+    --cpu-levels 0,5,10 --gpu-levels 0,4 --backend tick
+"$TOOLS/corun-profile" --batch batch.csv --out profiles_event.csv \
+    --cpu-levels 0,5,10 --gpu-levels 0,4 --backend event
+cmp profiles_tick.csv profiles_event.csv
 
-echo "== --engine rejects unknown modes =="
+echo "== --backend rejects unknown backends =="
 if "$TOOLS/corun-profile" --batch batch.csv --out bad.csv \
-    --engine warp 2>/dev/null; then
-  echo "expected usage error for bad --engine" >&2
+    --backend warp 2>/dev/null; then
+  echo "expected usage error for bad --backend" >&2
+  exit 1
+fi
+
+echo "== --engine is gone: a usage error, not silently ignored =="
+rc=0
+"$TOOLS/corun-profile" --batch batch.csv --out engine.csv \
+    --engine tick 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ] || [ -e engine.csv ]; then
+  echo "expected usage error (exit 2) for --engine, got exit $rc" >&2
   exit 1
 fi
 
@@ -151,17 +162,31 @@ strip_trace_path dyn_j4.out
 cmp dyn_j1.out.cmp dyn_j4.out.cmp
 cmp dyn_j1.csv dyn_j4.csv
 
-echo "== dynamic run is byte-identical across --engine tick vs event =="
+echo "== dynamic run is byte-identical across --backend tick vs event =="
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
-    --cap 15 --events faults.csv --engine tick --power-trace dyn_tick.csv \
+    --cap 15 --events faults.csv --backend tick --power-trace dyn_tick.csv \
     > dyn_tick.out
 "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
-    --cap 15 --events faults.csv --engine event --power-trace dyn_event.csv \
+    --cap 15 --events faults.csv --backend event --power-trace dyn_event.csv \
     > dyn_event.out
 strip_trace_path dyn_tick.out
 strip_trace_path dyn_event.out
 cmp dyn_tick.out.cmp dyn_event.out.cmp
 cmp dyn_tick.csv dyn_event.csv
+
+echo "== --record-trace rejects a replay backend =="
+"$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
+    --cap 15 --record-trace rec.csv > rec.out 2>/dev/null
+test -s rec.csv
+rc=0
+"$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv --grid grid.csv \
+    --cap 15 --backend replay:rec.csv --record-trace again.csv \
+    > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ] || [ -e again.csv ]; then
+  echo "expected usage error (exit 2) for --record-trace with a replay" \
+    "backend, got exit $rc" >&2
+  exit 1
+fi
 
 echo "== --events rejects --plan and bad --reschedule =="
 if "$TOOLS/corun-run" --batch batch.csv --profiles profiles.csv \
@@ -187,13 +212,13 @@ echo "== --plan-cache never changes stdout (static, jobs 1 vs 4) =="
 cmp plain.out cached_j1.out
 cmp plain.out cached_j4.out
 
-echo "== --plan-cache never changes stdout (engine tick vs event) =="
+echo "== --plan-cache never changes stdout (backend tick vs event) =="
 "$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
     --grid grid.csv --cap 15 --scheduler bnb --plan-cache mem \
-    --engine tick > cached_tick.out 2>/dev/null
+    --backend tick > cached_tick.out 2>/dev/null
 "$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
     --grid grid.csv --cap 15 --scheduler bnb --plan-cache mem \
-    --engine event > cached_event.out 2>/dev/null
+    --backend event > cached_event.out 2>/dev/null
 cmp plain.out cached_tick.out
 cmp plain.out cached_event.out
 

@@ -2,16 +2,20 @@
 // but empty (or whitespace-only) CORUN_BACKEND / CORUN_TRACE /
 // CORUN_PLAN_CACHE must mean "unset", not "the empty spec" — a stray
 // `export CORUN_BACKEND=` in a CI script used to turn every tool run into
-// a usage error. One regression test per variable.
+// a usage error. One regression test per variable. Plus the one machine
+// selector: CORUN_BACKEND / --backend also pick the stepping core that
+// directly constructed Engines default to.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "corun/common/flags.hpp"
 #include "corun/common/trace/trace.hpp"
 #include "corun/sim/backend.hpp"
+#include "corun/sim/engine.hpp"
 #include "tool_io.hpp"
 
 namespace corun::tools {
@@ -26,18 +30,64 @@ Flags bare_flags() {
       .value();
 }
 
-/// Scoped setenv/unsetenv so a failing assertion cannot leak state into
-/// the next test.
+/// Flags from a command line after the program name.
+Flags flags_of(std::vector<const char*> args) {
+  args.insert(args.begin(), "test");
+  return Flags::parse(static_cast<int>(args.size()), args.data(),
+                      {"backend", "trace", "plan-cache"}, {})
+      .value();
+}
+
+/// Scoped setenv that restores the previous value (or unsets), so a failing
+/// assertion cannot leak state into the next test and a suite run under
+/// CORUN_BACKEND=... keeps its setting.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
     ::setenv(name, value, 1);
   }
-  ~EnvGuard() { ::unsetenv(name_); }
+  ~EnvGuard() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
 
  private:
   const char* name_;
+  std::optional<std::string> old_;
 };
+
+/// The stepping core CORUN_BACKEND implies at startup: tick, event and
+/// analytic name their cores; unset, replay and unparsable values give
+/// event.
+sim::EngineMode core_named_by_env() {
+  const char* env = std::getenv("CORUN_BACKEND");
+  const auto spec =
+      sim::parse_backend_spec(env != nullptr ? env : std::string("event"));
+  if (!spec.has_value()) return sim::EngineMode::kEvent;
+  switch (spec.value().kind) {
+    case sim::BackendKind::kTick: return sim::EngineMode::kTick;
+    case sim::BackendKind::kAnalytic: return sim::EngineMode::kAnalytic;
+    default: return sim::EngineMode::kEvent;
+  }
+}
+
+// CI re-runs the whole suite under CORUN_BACKEND=tick (and =analytic) so
+// the Engines that tests and benches construct directly run on that core;
+// this fails loudly if the env stops reaching the default. First in the
+// file so it sees the startup default even when the whole binary runs in
+// one process.
+TEST(ToolEnv, StartupEngineModeFollowsCorunBackend) {
+  EXPECT_STREQ(sim::engine_mode_name(sim::default_engine_mode()),
+               sim::engine_mode_name(core_named_by_env()))
+      << "CORUN_BACKEND=" << (std::getenv("CORUN_BACKEND") != nullptr
+                                  ? std::getenv("CORUN_BACKEND")
+                                  : "(unset)");
+  EXPECT_EQ(sim::EngineOptions{}.mode, sim::default_engine_mode());
+}
 
 TEST(ToolEnv, EmptyOrBlankCorunBackendMeansUnset) {
   const sim::BackendSpec original = sim::default_backend_spec();
@@ -55,6 +105,35 @@ TEST(ToolEnv, EmptyOrBlankCorunBackendMeansUnset) {
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec.value().kind, sim::BackendKind::kAnalytic);
   }
+  sim::set_default_backend(original);
+}
+
+TEST(ToolEnv, BackendSelectsTheDefaultSteppingCore) {
+  const sim::BackendSpec original = sim::default_backend_spec();
+  {
+    EnvGuard guard("CORUN_BACKEND", "tick");
+    ASSERT_TRUE(configure_backend(bare_flags()).has_value());
+    EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kTick);
+    EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kTick);
+  }
+  const auto event = configure_backend(flags_of({"--backend", "event"}));
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kEvent);
+  EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kEvent);
+
+  const auto tick = configure_backend(flags_of({"--backend", "tick"}));
+  ASSERT_TRUE(tick.has_value());
+  EXPECT_EQ(tick.value().kind, sim::BackendKind::kTick);
+  EXPECT_EQ(sim::default_backend_spec().name(), "tick");
+  EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kTick);
+
+  (void)configure_backend(flags_of({"--backend", "analytic"}));
+  EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kAnalytic);
+  (void)configure_backend(flags_of({"--backend", "event"}));
+  EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kEvent);
+
+  EXPECT_FALSE(configure_backend(flags_of({"--backend", "warp"})).has_value());
+  EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kEvent);
   sim::set_default_backend(original);
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "corun/sim/engine.hpp"
+#include "corun/sim/backend.hpp"
 #include "corun/sim/machine.hpp"
 #include "corun/workload/batch.hpp"
 

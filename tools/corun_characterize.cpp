@@ -14,8 +14,8 @@
 namespace {
 const char kUsage[] =
     "corun-characterize --out grid.csv [--axis-points 11] [--max-bw 11.0] "
-    "[--seed 42] [--jobs N] [--engine event|tick] "
-    "[--backend event|analytic|replay:PATH] [--thermal on|off] "
+    "[--seed 42] [--jobs N] "
+    "[--backend tick|event|analytic|replay:PATH] [--thermal on|off] "
     "[--trace trace.json]";
 }
 
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace corun;
   const auto flags =
       Flags::parse(argc, argv, {"out", "axis-points", "max-bw", "seed", "jobs",
-                                "engine", "backend", "thermal", "trace"});
+                                "backend", "thermal", "trace"});
   if (!flags.has_value()) {
     return tools::usage_error(flags.error().message, kUsage);
   }
@@ -44,10 +44,6 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t jobs = tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);
@@ -60,7 +56,6 @@ int main(int argc, char** argv) {
 
   model::CharacterizationOptions options;
   options.seed = static_cast<std::uint64_t>(f.get_int("seed", 42));
-  options.engine_mode = engine_mode.value();
   options.backend = backend.value();
   const model::DegradationSpaceBuilder builder(sim::ivy_bridge(), options);
   std::printf("characterizing %zux%zu grid (%zu co-runs, %zu jobs)...\n",

@@ -25,8 +25,8 @@ const char kUsage[] =
     "horizon=60,wave_jobs=4,seed=7] [--jobs-per-machine K] [--jobs-spread S] "
     "[--floor W] [--ceiling W] [--quantum W] [--seed 42] "
     "[--scheduler hcs+|hcs|thermal|default|random|bnb] [--allocations] "
-    "[--report-machines] [--jobs N] [--engine event|tick] "
-    "[--backend event|analytic|replay:PATH] [--thermal on|off] "
+    "[--report-machines] [--jobs N] "
+    "[--backend tick|event|analytic|replay:PATH] [--thermal on|off] "
     "[--trace trace.json] "
     "[--plan-cache off|mem|mem:N|dir:PATH]\n"
     "CORUN_FLEET_STRATEGY sets the default --strategy.";
@@ -38,17 +38,13 @@ int main(int argc, char** argv) {
       argc, argv,
       {"machines", "global-cap", "strategy", "events", "jobs-per-machine",
        "jobs-spread", "floor", "ceiling", "quantum", "seed", "scheduler",
-       "jobs", "engine", "backend", "thermal", "trace", "plan-cache"},
+       "jobs", "backend", "thermal", "trace", "plan-cache"},
       {"allocations", "report-machines"});
   if (!flags.has_value()) {
     return tools::usage_error(flags.error().message, kUsage);
   }
   const Flags& f = flags.value();
   tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);
@@ -81,7 +77,6 @@ int main(int argc, char** argv) {
   opts.jobs_per_machine =
       static_cast<std::size_t>(f.get_int("jobs-per-machine", 3));
   opts.jobs_spread = static_cast<std::size_t>(f.get_int("jobs-spread", 0));
-  opts.engine_mode = engine_mode.value();
   opts.backend = backend.value();
   opts.scheduler = f.get("scheduler", "hcs+");
   opts.plan_cache = plan_cache.value();

@@ -17,7 +17,7 @@ namespace {
 const char kUsage[] =
     "corun-profile --batch batch.csv --out profiles.csv [--online] "
     "[--sample-seconds 3.0] [--seed 42] [--cpu-levels 0,8] [--gpu-levels 0,5] "
-    "[--jobs N] [--engine event|tick] [--backend event|analytic|replay:PATH] "
+    "[--jobs N] [--backend tick|event|analytic|replay:PATH] "
     "[--thermal on|off] [--trace trace.json]";
 
 std::vector<corun::sim::FreqLevel> parse_levels(const std::string& csv) {
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto flags = Flags::parse(
       argc, argv,
       {"batch", "out", "sample-seconds", "seed", "cpu-levels", "gpu-levels",
-       "jobs", "engine", "backend", "thermal", "trace"},
+       "jobs", "backend", "thermal", "trace"},
       {"online"});
   if (!flags.has_value()) {
     return tools::usage_error(flags.error().message, kUsage);
@@ -59,10 +59,6 @@ int main(int argc, char** argv) {
   const sim::MachineConfig config = sim::ivy_bridge();
   const auto seed = static_cast<std::uint64_t>(f.get_int("seed", 42));
   (void)tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);

@@ -29,8 +29,8 @@ const char kUsage[] =
     "[--cap 15] [--scheduler hcs+|hcs|thermal|default|random|bnb|exhaustive] "
     "[--plan plan.csv] [--policy gpu|cpu] [--seed 42] "
     "[--events faults.csv|random:arrivals=2,caps=1,...] [--reschedule on|off] "
-    "[--power-trace power.csv] [--gantt] [--jobs N] [--engine event|tick] "
-    "[--backend event|analytic|replay:PATH] [--thermal on|off] "
+    "[--power-trace power.csv] [--gantt] [--jobs N] "
+    "[--backend tick|event|analytic|replay:PATH] [--thermal on|off] "
     "[--record-trace demand.csv] "
     "[--trace trace.json] [--plan-cache off|mem|mem:N|dir:PATH]";
 
@@ -180,23 +180,24 @@ int main(int argc, char** argv) {
   const auto flags = Flags::parse(argc, argv,
                                   {"batch", "profiles", "grid", "cap",
                                    "scheduler", "policy", "seed",
-                                   "power-trace", "plan", "jobs", "engine",
-                                   "backend", "thermal", "record-trace",
-                                   "trace", "events", "reschedule",
-                                   "plan-cache"},
+                                   "power-trace", "plan", "jobs", "backend",
+                                   "thermal", "record-trace", "trace",
+                                   "events", "reschedule", "plan-cache"},
                                   {"gantt"});
   if (!flags.has_value()) {
     return tools::usage_error(flags.error().message, kUsage);
   }
   const Flags& f = flags.value();
   tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);
+  }
+  if (f.has("record-trace") &&
+      backend.value().kind == sim::BackendKind::kReplay) {
+    // The recorder would capture the replayed trace, not a new run.
+    return tools::usage_error(
+        "--record-trace cannot be combined with a replay backend", kUsage);
   }
   const auto thermal = tools::configure_thermal(f);
   if (!thermal.has_value()) {

@@ -23,7 +23,7 @@ const char kUsage[] =
     "corun-schedule --batch batch.csv --profiles profiles.csv --grid grid.csv "
     "[--cap 15] [--scheduler hcs+|hcs|thermal|default|random|bnb|exhaustive] "
     "[--policy gpu|cpu] [--seed 42] [--save-plan plan.csv] [--explain] "
-    "[--jobs N] [--engine event|tick] [--backend event|analytic|replay:PATH] "
+    "[--jobs N] [--backend tick|event|analytic|replay:PATH] "
     "[--thermal on|off] [--trace trace.json] "
     "[--plan-cache off|mem|mem:N|dir:PATH]";
 }
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv, {"batch", "profiles", "grid", "cap", "scheduler", "policy",
-                   "seed", "save-plan", "jobs", "engine", "backend", "thermal",
+                   "seed", "save-plan", "jobs", "backend", "thermal",
                    "trace", "plan-cache"},
       {"explain"});
   if (!flags.has_value()) {
@@ -63,10 +63,6 @@ int main(int argc, char** argv) {
   const sim::MachineConfig config = sim::ivy_bridge();
   const model::CoRunPredictor predictor(db.value(), grid.value(), config);
   (void)tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);

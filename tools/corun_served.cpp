@@ -7,8 +7,8 @@
 //   corun-served --batch batch.csv --profiles profiles.csv --grid grid.csv
 //                [--socket /tmp/corun.sock]        # default: stdin/stdout
 //                [--queue-capacity 256] [--deadline-ms 0]
-//                [--jobs N] [--engine event|tick]
-//                [--backend event|analytic|replay:PATH] [--trace t.json]
+//                [--jobs N] [--backend tick|event|analytic|replay:PATH]
+//                [--trace t.json]
 //                [--plan-cache off|mem|mem:N[:S]|dir:PATH]   # default: mem
 //
 // Natural batching: every frame already readable on the transport is
@@ -49,7 +49,7 @@ namespace {
 const char kUsage[] =
     "corun-served --batch batch.csv --profiles profiles.csv --grid grid.csv "
     "[--socket PATH] [--queue-capacity 256] [--deadline-ms 0] [--jobs N] "
-    "[--engine event|tick] [--backend event|analytic|replay:PATH] "
+    "[--backend tick|event|analytic|replay:PATH] "
     "[--thermal on|off] [--trace trace.json] "
     "[--plan-cache off|mem|mem:N[:S]|dir:PATH]";
 
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   const auto flags = Flags::parse(
       argc, argv,
       {"batch", "profiles", "grid", "socket", "queue-capacity", "deadline-ms",
-       "jobs", "engine", "backend", "thermal", "trace", "plan-cache"},
+       "jobs", "backend", "thermal", "trace", "plan-cache"},
       {});
   if (!flags.has_value()) {
     return tools::usage_error(flags.error().message, kUsage);
@@ -210,10 +210,6 @@ int main(int argc, char** argv) {
   const sim::MachineConfig config = sim::ivy_bridge();
   const model::CoRunPredictor predictor(db.value(), grid.value(), config);
   (void)tools::configure_jobs(f);
-  const auto engine_mode = tools::configure_engine(f);
-  if (!engine_mode.has_value()) {
-    return tools::usage_error(engine_mode.error().message, kUsage);
-  }
   const auto backend = tools::configure_backend(f);
   if (!backend.has_value()) {
     return tools::usage_error(backend.error().message, kUsage);

@@ -59,15 +59,6 @@ std::size_t configure_jobs(const Flags& flags) {
   return common::default_jobs();
 }
 
-Expected<sim::EngineMode> configure_engine(const Flags& flags) {
-  const std::string name =
-      flags.get("engine", sim::engine_mode_name(sim::EngineMode::kEvent));
-  auto mode = sim::parse_engine_mode(name);
-  if (!mode.has_value()) return mode.error();
-  sim::set_default_engine_mode(mode.value());
-  return mode;
-}
-
 Expected<sim::BackendSpec> configure_backend(const Flags& flags) {
   std::string name = flags.get("backend", "");
   if (name.empty()) name = trimmed_env("CORUN_BACKEND");

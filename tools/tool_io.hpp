@@ -9,7 +9,6 @@
 #include "corun/common/flags.hpp"
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
 #include "corun/sim/backend.hpp"
-#include "corun/sim/engine.hpp"
 
 namespace corun::tools {
 
@@ -28,18 +27,12 @@ int usage_error(const std::string& message, const std::string& usage);
 /// byte-identical artifacts; N only changes wall-clock time.
 std::size_t configure_jobs(const Flags& flags);
 
-/// Applies the shared `--engine tick|event` flag to the simulator's default
-/// stepping mode (default: event). The two modes are bit-identical — tick is
-/// the slow reference oracle — so, like --jobs, the flag only changes
-/// wall-clock time. Returns an error on an unrecognized mode name.
-[[nodiscard]] Expected<sim::EngineMode> configure_engine(const Flags& flags);
-
-/// Applies the shared `--backend event|analytic|replay:PATH` flag (falling
-/// back to the CORUN_BACKEND environment variable; default event) and
-/// installs the spec process-wide via sim::set_default_backend. Call it
-/// after configure_engine: `--backend analytic` switches the default
-/// stepping mode to the closed-form core, while `--backend event` keeps an
-/// explicit `--engine tick` pin. For replay specs the trace file is
+/// Applies the shared `--backend tick|event|analytic|replay:PATH` flag
+/// (falling back to the CORUN_BACKEND environment variable; default event)
+/// and installs the spec process-wide via sim::set_default_backend, which
+/// also sets the default stepping core. tick and event are bit-identical —
+/// tick is the slow reference oracle — so, like --jobs, choosing between
+/// them only changes wall-clock time. For replay specs the trace file is
 /// pre-validated here, so a missing or malformed CSV is a usage error
 /// rather than a mid-run contract violation.
 [[nodiscard]] Expected<sim::BackendSpec> configure_backend(const Flags& flags);
@@ -53,7 +46,7 @@ std::size_t configure_jobs(const Flags& flags);
 [[nodiscard]] Expected<bool> configure_thermal(const Flags& flags);
 
 /// Applies the shared `--trace <file.json>` flag (falling back to the
-/// CORUN_TRACE environment variable, mirroring --engine/CORUN_ENGINE): when
+/// CORUN_TRACE environment variable, mirroring --backend/CORUN_BACKEND): when
 /// a path is given, starts a fresh trace session and arms recording.
 /// Returns the output path, or "" when tracing stays off.
 std::string configure_trace(const Flags& flags);
