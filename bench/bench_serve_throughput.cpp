@@ -1,12 +1,12 @@
 // Serving-core throughput: how many plans per second the daemon's planning
-// core (PlanService + ServeSession over the sharded plan cache) sustains,
+// core (PlanService + ServeSession over the shared plan cache) sustains,
 // with the transport stripped away. Three measurements on the 8-program
 // batch:
 //
 //   1. Exact-hit serving: a warmed cache answering repeated chunks of an
 //      11-cap ladder. This is the daemon's steady state; the acceptance
 //      floor is 10k plans/s (an exact hit is a signature assembly, one
-//      shard probe, a CSV parse, and an evaluator pass).
+//      cache probe, a CSV parse, and an evaluator pass).
 //   2. Cold misses: the same ladder against a fresh cache per pass — every
 //      request pays a full B&B search plus a store. The honest baseline
 //      the cache is amortizing.

@@ -11,7 +11,6 @@
 #include "corun/common/rng.hpp"
 #include "corun/common/trace/trace.hpp"
 #include "corun/core/model/corun_predictor.hpp"
-#include "corun/core/sched/branch_and_bound.hpp"
 #include "corun/core/sched/plan_cache/caching_scheduler.hpp"
 #include "corun/core/sched/registry.hpp"
 #include "corun/profile/online_profiler.hpp"
@@ -108,6 +107,12 @@ class Executor {
         ++ti;
       }
       feed_idle_devices();
+      // Feeding an idle machine launches a queued job whenever there is
+      // one; a job queued where the installed plan never pulls would
+      // otherwise spin this loop forever.
+      CORUN_CHECK_MSG(!engine_.idle() || queued_count() == 0,
+                      "dynamic run: an idle machine launched none of its "
+                      "queued jobs");
       const bool work = !engine_.idle() || queued_count() > 0;
       if (!work) {
         // Only arrivals can create new work; if none remain, the rest of
@@ -285,9 +290,17 @@ class Executor {
     ++report_.fallback_plans;
   }
 
-  /// Appends one job to the less-loaded device queue at the max level (GPU
-  /// wins ties — the higher-throughput device, as in the shared-queue rule).
+  /// Appends one job at the max level: to the shared queue when the
+  /// installed plan pulls from one (at the larger ladder's max, as
+  /// RandomScheduler requests; each device clamps it), else to the
+  /// less-loaded device queue (GPU wins ties — the higher-throughput
+  /// device, as in the shared-queue rule).
   void naive_place(std::size_t rec) {
+    if (shared_queue_) {
+      shared_.push_back({rec, std::max(config_.cpu_ladder.max_level(),
+                                       config_.gpu_ladder.max_level())});
+      return;
+    }
     const std::size_t cpu_load =
         cpu_.pending.size() + (device_busy(sim::DeviceKind::kCpu) ? 1 : 0);
     const std::size_t gpu_load =
@@ -323,23 +336,6 @@ class Executor {
         const sched::Schedule plan = scheduler->plan(ctx);
         plan.validate(sub.size());
         install(plan, subset);
-        // Per-plan search telemetry: budget truncation (the run's
-        // determinism guarantees are off the table when set). An exact
-        // cache hit skips the search entirely, leaving the inner planner's
-        // accessors describing a *previous* request — so they are only read
-        // when the search actually ran.
-        const sched::Scheduler* algo = scheduler.get();
-        bool searched = true;
-        if (const auto* caching =
-                dynamic_cast<const sched::CachingScheduler*>(algo)) {
-          searched = !caching->last_exact_hit();
-          algo = caching->inner();
-        }
-        if (const auto* bnb =
-                dynamic_cast<const sched::BranchAndBoundScheduler*>(algo);
-            bnb != nullptr && searched && bnb->exhausted_budget()) {
-          ++report_.bnb_budget_exhausted;
-        }
         return true;
       } catch (const ContractViolation&) {
         return false;

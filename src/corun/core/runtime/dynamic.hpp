@@ -20,7 +20,8 @@
 //   4. the configured scheduler still fails to plan    -> Default scheduler;
 //   5. Default fails too                               -> naive placement
 //      (append to the shorter device queue at max frequency) — also the
-//      arrival policy when rescheduling is disabled.
+//      arrival policy when rescheduling is disabled, where an arrival
+//      joins the shared queue instead if the installed plan pulls from one.
 //
 // Everything is deterministic: same batch + plan + options => byte-identical
 // reports at any --jobs count and in either engine mode (pinned by
@@ -129,12 +130,6 @@ struct DynamicReport {
   /// byte-identical on stdout.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
-
-  /// Plans where branch-and-bound stopped on its node budget. Non-zero
-  /// means those searches were truncated: the schedules are still valid
-  /// ("HCS+ or better") and deterministic, but may be worse than a full
-  /// search's. Always zero at the default budget and job limit.
-  std::size_t bnb_budget_exhausted = 0;
 
   [[nodiscard]] std::string summary() const;
 };

@@ -66,15 +66,6 @@ MethodResult run_method(const sim::MachineConfig& config,
   return result;
 }
 
-DynamicReport run_dynamic(const sim::MachineConfig& config,
-                          const workload::Batch& batch,
-                          const ModelArtifacts& artifacts,
-                          const sim::FaultPlan& plan,
-                          const DynamicOptions& options) {
-  const DynamicRuntime runtime(config, options);
-  return runtime.execute(batch, artifacts.db, artifacts.grid, plan);
-}
-
 const MethodResult& ComparisonResult::method(const std::string& name) const {
   const auto it =
       std::find_if(methods.begin(), methods.end(),

@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "corun/core/model/corun_predictor.hpp"
-#include "corun/core/runtime/dynamic.hpp"
 #include "corun/core/runtime/runtime.hpp"
 #include "corun/core/sched/scheduler.hpp"
 #include "corun/profile/profile_db.hpp"
-#include "corun/sim/fault_injector.hpp"
 #include "corun/workload/batch.hpp"
 
 namespace corun::runtime {
@@ -88,14 +86,5 @@ struct ComparisonResult {
                                       sched::Scheduler& scheduler,
                                       const RuntimeOptions& rt_options,
                                       const std::optional<Watts>& cap);
-
-/// Dynamic-event execution over the same offline artifacts: runs `batch`
-/// through `plan`'s fault stream with the online rescheduler (see
-/// runtime/dynamic.hpp for the event model and degradation ladder).
-[[nodiscard]] DynamicReport run_dynamic(const sim::MachineConfig& config,
-                                        const workload::Batch& batch,
-                                        const ModelArtifacts& artifacts,
-                                        const sim::FaultPlan& plan,
-                                        const DynamicOptions& options);
 
 }  // namespace corun::runtime

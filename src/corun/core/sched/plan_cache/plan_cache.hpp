@@ -4,14 +4,10 @@
 // schedule that request produced, stored in the by-name CSV form so a hit
 // can be remapped onto any batch ordering of the same job set. Two tiers:
 //
-//   - an in-memory LRU tier (always on), **sharded by signature family**:
-//     the family hash selects one of `shards` independent shards, each with
-//     its own mutex, LRU list, index, and atomic counters, so concurrent
-//     requests from a serving loop only contend when they share a family.
-//     Each shard holds up to `capacity` entries before evicting, least
-//     recently touched first; eviction order within a shard is strictly
-//     deterministic because it depends only on that shard's own operation
-//     sequence, never on cross-shard interleaving;
+//   - an in-memory LRU tier (always on): one mutex-guarded list and index
+//     holding up to `capacity` entries before evicting, least recently
+//     touched first. Eviction order is strictly deterministic for a given
+//     operation sequence;
 //   - an optional persistent tier: one CSV file per entry under `dir`,
 //     named by the 64-bit FNV-1a of the canonical signature and carrying
 //     the full signature for verification, so a hash collision or a stale
@@ -23,8 +19,8 @@
 //
 // Thread safety: every public method is safe to call concurrently. The
 // stats counters are atomics updated with relaxed ordering — `stats()`
-// may be called from any thread while other threads mutate a shard under
-// its own lock, and each counter read is an exact monotonic snapshot
+// may be called from any thread while other threads mutate the cache
+// under its lock, and each counter read is an exact monotonic snapshot
 // (diffing two snapshots around a single-threaded phase attributes that
 // phase's activity exactly; counters are monotonic, so diffs never go
 // negative even when other threads advance them concurrently).
@@ -47,15 +43,14 @@
 namespace corun::sched {
 
 struct PlanCacheConfig {
-  std::size_t capacity = 512;  ///< per-shard entries before LRU eviction
-  std::string dir;             ///< persistent tier directory ("" = off)
-  std::size_t shards = 8;      ///< per-family-hash shard count
+  std::size_t capacity = 4096;  ///< entries before LRU eviction
+  std::string dir;              ///< persistent tier directory ("" = off)
 };
 
 /// Monotonic counters; `snapshot()` them around a phase to attribute
 /// activity (the cache may be shared across runs). A plain value type —
-/// the cache keeps the live counters in per-shard atomics and `stats()`
-/// aggregates them into this snapshot form.
+/// the cache keeps the live counters in atomics and `stats()` copies them
+/// into this snapshot form.
 struct PlanCacheStats {
   std::uint64_t hits = 0;         ///< exact hits (search skipped)
   std::uint64_t misses = 0;       ///< neither tier had the exact entry
@@ -70,17 +65,16 @@ class PlanCache {
   explicit PlanCache(PlanCacheConfig config);
 
   /// Parses a --plan-cache / CORUN_PLAN_CACHE spec: "off" (returns null),
-  /// "mem", "mem:<capacity>", "mem:<capacity>:<shards>", or "dir:<path>"
-  /// (memory tier + persistence under <path>, created if missing). Fails
-  /// on anything else.
+  /// "mem", "mem:<capacity>", or "dir:<path>" (memory tier + persistence
+  /// under <path>, created if missing). Fails on anything else.
   [[nodiscard]] static Expected<std::shared_ptr<PlanCache>> from_spec(
       const std::string& spec);
 
   /// Exact lookup. On a hit the stored by-name schedule is resolved against
   /// `batch_names` (the requesting batch's instance names, in batch order)
   /// and validated; returns nullopt on a miss. Counts hits/misses. The CSV
-  /// parse happens outside the shard lock, so concurrent hits on one shard
-  /// only serialize on the index probe and LRU splice.
+  /// parse happens outside the lock, so concurrent hits only serialize on
+  /// the index probe and LRU splice.
   [[nodiscard]] std::optional<Schedule> lookup(
       const PlanSignature& sig, const std::vector<std::string>& batch_names);
 
@@ -95,16 +89,8 @@ class PlanCache {
     return config_;
   }
 
-  /// The shard a signature family maps to: `family_hash % shards`. Exposed
-  /// so tests (and capacity planning) can predict shard placement.
-  [[nodiscard]] std::size_t shard_index(
-      std::uint64_t family_hash) const noexcept {
-    return static_cast<std::size_t>(family_hash % config_.shards);
-  }
-
-  /// Keys currently in the memory tier: shards in index order, each
-  /// least-recently-used first — exposes the per-shard eviction order for
-  /// the determinism tests.
+  /// Keys currently in the memory tier, least-recently-used first —
+  /// exposes the eviction order for the determinism tests.
   [[nodiscard]] std::vector<std::string> lru_keys() const;
 
  private:
@@ -113,39 +99,26 @@ class PlanCache {
     std::string schedule_csv;  ///< by-name serialization
   };
 
-  /// Live counters for one shard. Relaxed ordering everywhere: each counter
-  /// is an independent monotonic event count, never used to synchronize
-  /// other memory.
-  struct ShardStats {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> disk_hits{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> io_failures{0};
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< front = least recently used
-    std::map<std::string, std::list<Entry>::iterator> index;
-    ShardStats stats;
-  };
-
-  [[nodiscard]] Shard& shard_for(const PlanSignature& sig) noexcept {
-    return shards_[shard_index(sig.family_hash)];
-  }
-
   /// Inserts (or refreshes) an entry at the MRU end, evicting if needed.
-  /// Caller holds the shard's mutex.
-  void insert_locked(Shard& shard, Entry entry);
-  [[nodiscard]] std::optional<Entry> load_from_disk(Shard& shard,
-                                                    const PlanSignature& sig);
-  void save_to_disk(Shard& shard, const Entry& entry, std::uint64_t hash);
+  /// Caller holds `mutex_`.
+  void insert_locked(Entry entry);
+  [[nodiscard]] std::optional<Entry> load_from_disk(const PlanSignature& sig);
+  void save_to_disk(const Entry& entry, std::uint64_t hash);
   [[nodiscard]] std::string entry_path(std::uint64_t hash) const;
 
   PlanCacheConfig config_;
-  std::vector<Shard> shards_;
+  mutable std::mutex mutex_;
+  std::list<Entry> lru_;  ///< front = least recently used
+  std::map<std::string, std::list<Entry>::iterator> index_;
+
+  // Live counters. Relaxed ordering everywhere: each is an independent
+  // monotonic event count, never used to synchronize other memory.
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> evictions_{0};
+  std::atomic<std::uint64_t> disk_hits_{0};
+  std::atomic<std::uint64_t> stores_{0};
+  std::atomic<std::uint64_t> io_failures_{0};
 };
 
 /// Serializes one cache entry to its persistent CSV form. Exposed for the

@@ -103,16 +103,13 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   std::vector<std::string> job_names = ctx.job_names();
   std::sort(job_names.begin(), job_names.end());
 
-  std::ostringstream family;
-  family << "v2;scheduler=" << scheduler_id << ";seed=" << seed << ";policy="
-         << (ctx.policy == sim::GovernorPolicy::kCpuBiased ? "cpu" : "gpu")
-         << ";machine=" << machine_hex << ";grid=" << grid_hex
-         << ";idle=" << idle_text;
-  sig.family = family.str();
-
   std::ostringstream canonical;
-  canonical << sig.family << ";cap=";
-  canonical << (ctx.cap ? csv_double(*ctx.cap) : "none");
+  canonical << "v2;scheduler=" << scheduler_id << ";seed=" << seed
+            << ";policy="
+            << (ctx.policy == sim::GovernorPolicy::kCpuBiased ? "cpu" : "gpu")
+            << ";machine=" << machine_hex << ";grid=" << grid_hex
+            << ";idle=" << idle_text << ";cap="
+            << (ctx.cap ? csv_double(*ctx.cap) : "none");
   for (const std::string& name : job_names) {
     canonical << ";job{" << name << "|" << job_hex(name) << "}";
   }
@@ -121,9 +118,6 @@ PlanSignature assemble_signature(const SchedulerContext& ctx,
   Fnv64 h;
   h.update(sig.canonical);
   sig.hash = h.digest();
-  Fnv64 fh;
-  fh.update(sig.family);
-  sig.family_hash = fh.digest();
   return sig;
 }
 

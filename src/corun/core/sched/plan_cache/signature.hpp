@@ -20,11 +20,7 @@
 //     entries instead of serving them. The cap and the idle power appear
 //     in the canonical string as %.17g text; both encodings tell apart
 //     every pair of distinct values;
-//   - two granularities: `canonical` identifies the exact request, while
-//     `family` drops the cap and the job set — entries of one family are
-//     re-plans of the same scheduler over the same model artifacts, and the
-//     cache keeps them in one shard;
-//   - versioned: both strings start with the encoding's tag (`v2;`). Any
+//   - versioned: the string starts with the encoding's tag (`v2;`). Any
 //     change to how a digest is computed must bump it, so that an entry
 //     persisted under another encoding never matches a request.
 #pragma once
@@ -79,10 +75,8 @@ class Fnv64 {
                                                const std::string& job);
 
 struct PlanSignature {
-  std::string canonical;  ///< exact request identity
-  std::string family;     ///< canonical minus cap + job set (shard key)
-  std::uint64_t hash = 0;        ///< FNV-1a of `canonical`
-  std::uint64_t family_hash = 0; ///< FNV-1a of `family`
+  std::string canonical;   ///< exact request identity
+  std::uint64_t hash = 0;  ///< FNV-1a of `canonical`
 };
 
 /// Builds the signature of one request. `scheduler_id` is the registry name

@@ -61,8 +61,9 @@ Expected<PlanResult> PlanService::plan(const PlanRequest& request) const {
         return fail("duplicate job '" + name + "' in request",
                     ErrorCategory::kInvalidArgument);
       }
-      const workload::BatchJob& job = batch_->job(it->second);
-      sub_batch.add(job.descriptor, job.seed, job.instance_name);
+      // The planners know jobs by name only; the lowered spec is copied,
+      // not rebuilt.
+      sub_batch.add(batch_->job(it->second));
     }
     planned_batch = &sub_batch;
   }
@@ -74,15 +75,11 @@ Expected<PlanResult> PlanService::plan(const PlanRequest& request) const {
   ctx.policy = request.policy == "cpu" ? sim::GovernorPolicy::kCpuBiased
                                        : sim::GovernorPolicy::kGpuBiased;
 
-  auto scheduler =
-      sched::make_cached_scheduler(request.scheduler, request.seed, cache_);
+  auto scheduler = sched::make_cached_scheduler(
+      request.scheduler, request.seed, cache_, signature_builder_);
   if (scheduler == nullptr) {
     return fail("unknown scheduler '" + request.scheduler + "'",
                 ErrorCategory::kNotFound);
-  }
-  if (auto* caching =
-          dynamic_cast<sched::CachingScheduler*>(scheduler.get())) {
-    caching->set_signature_builder(signature_builder_);
   }
 
   PlanResult result;

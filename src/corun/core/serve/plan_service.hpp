@@ -4,7 +4,7 @@
 // The service owns nothing heavy — it references the artifacts a daemon
 // loads once at startup (batch, predictor) and shares the plan cache. Per
 // request it constructs the requested registry scheduler (memoized through
-// the shared sharded PlanCache when one is attached), plans, evaluates the
+// the shared PlanCache when one is attached), plans, evaluates the
 // predicted makespan and the lower bound, and renders the canonical report
 // text. `render_plan_report` is the single source of that rendering, so a
 // daemon response is byte-identical to a `corun-schedule` run over the
@@ -12,7 +12,7 @@
 //
 // Thread safety: `plan()` is const and safe to call concurrently — the
 // referenced artifacts are immutable, the signature builder is immutable,
-// and the plan cache is internally synchronized (sharded). Each call
+// and the plan cache is internally synchronized. Each call
 // builds its own scheduler instance; schedulers are not shared between
 // requests.
 #pragma once

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -215,6 +216,26 @@ TEST(DynamicRuntime, RescheduleOffStillCompletesEverything) {
   EXPECT_EQ(r.replans, 0u);
   // 4 batch jobs + 2 arrivals - 1 cancellation.
   EXPECT_EQ(r.report.jobs.size() + r.cancelled.size(), 6u);
+}
+
+TEST(DynamicRuntime, RescheduleOffArrivalJoinsARandomPlansSharedQueue) {
+  // A Random plan feeds both devices from one shared queue. With
+  // rescheduling off, an arrival must join that queue: a device queue the
+  // plan never pulls from would leave the machine idle with work queued.
+  sim::FaultPlan plan;
+  plan.events.push_back(arrival_at(5.0, "hotspot", 0.7, 9));
+  DynamicOptions o = base_options();
+  o.scheduler = "random";
+  o.reschedule = false;
+  const DynamicReport r = run(o, plan);
+  EXPECT_EQ(r.replans, 0u);
+  EXPECT_EQ(r.arrivals, 1u);
+  ASSERT_EQ(r.report.jobs.size(), motivation_fixture().batch.size() + 1);
+  const auto arrived =
+      std::find_if(r.report.jobs.begin(), r.report.jobs.end(),
+                   [](const JobOutcome& j) { return j.name == "hotspot#d1"; });
+  ASSERT_NE(arrived, r.report.jobs.end());
+  EXPECT_GE(arrived->start, 5.0);
 }
 
 TEST(DynamicRuntime, ByteIdenticalAcrossEngineModes) {

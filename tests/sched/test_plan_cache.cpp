@@ -23,6 +23,7 @@
 #include "corun/core/sched/branch_and_bound.hpp"
 #include "corun/core/sched/plan_cache/caching_scheduler.hpp"
 #include "corun/core/sched/plan_cache/signature.hpp"
+#include "corun/core/sched/refiner.hpp"
 #include "corun/core/sched/registry.hpp"
 #include "corun/sim/fault_injector.hpp"
 
@@ -77,12 +78,9 @@ TEST(PlanSignature, FamilySharedAcrossCapsButNotSchedulers) {
       make_signature(f.context(std::nullopt), "bnb", 0);
   EXPECT_NE(low.canonical, high.canonical);
   EXPECT_NE(low.canonical, uncapped.canonical);
-  EXPECT_EQ(low.family, high.family);
-  EXPECT_EQ(low.family, uncapped.family);
 
   const PlanSignature hcs = make_signature(f.context(12.0), "hcs+", 0);
   EXPECT_NE(low.canonical, hcs.canonical);
-  EXPECT_NE(low.family, hcs.family);
 }
 
 TEST(PlanSignature, SeedAndPolicyArePartOfTheIdentity) {
@@ -176,7 +174,6 @@ TEST(PlanSignature, V2EncodingIsPinned) {
             "grid=4ef4f3983b803d78;idle=5.5;cap=12.5;"
             "job{a|f050c9092185a296};job{b|4a83859a5c01c6b5}");
   EXPECT_EQ(sig.hash, 0x833c5cc3c97cb533ULL);
-  EXPECT_EQ(sig.family_hash, 0x5998c1f0ff64d04cULL);
 }
 
 TEST(PlanSignature, OneUlpInAnyDigestedValueChangesTheCanonical) {
@@ -232,13 +229,14 @@ TEST(PlanCache, FromSpecParsesEveryForm) {
   EXPECT_EQ(PlanCache::from_spec("off").value(), nullptr);
   auto mem = PlanCache::from_spec("mem").value();
   ASSERT_NE(mem, nullptr);
-  EXPECT_EQ(mem->config().capacity, 512u);
+  EXPECT_EQ(mem->config().capacity, 4096u);
   auto sized = PlanCache::from_spec("mem:3").value();
   ASSERT_NE(sized, nullptr);
   EXPECT_EQ(sized->config().capacity, 3u);
   EXPECT_FALSE(PlanCache::from_spec("bogus").has_value());
   EXPECT_FALSE(PlanCache::from_spec("mem:0").has_value());
   EXPECT_FALSE(PlanCache::from_spec("mem:x").has_value());
+  EXPECT_FALSE(PlanCache::from_spec("mem:3:4").has_value());
   EXPECT_FALSE(PlanCache::from_spec("dir:").has_value());
 }
 
@@ -272,6 +270,28 @@ TEST(PlanCache, LruEvictionOrderIsDeterministic) {
                ctx18.job_names());
   EXPECT_TRUE(cache->lookup(sigs[1], names).has_value());
   EXPECT_FALSE(cache->lookup(sigs[2], names).has_value());
+}
+
+TEST(PlanCache, OneLruAcrossSchedulers) {
+  // The capacity bounds the whole memory tier: the least recently used
+  // entry goes first whichever scheduler planned it.
+  const auto& f = motivation_fixture();
+  auto cache = PlanCache::from_spec("mem:2").value();
+  const auto ctx12 = f.context(12.0);
+  const auto ctx14 = f.context(14.0);
+  const PlanSignature bnb = make_signature(ctx12, "bnb", 0);
+  const PlanSignature hcs12 = make_signature(ctx12, "hcs+", 0);
+  const PlanSignature hcs14 = make_signature(ctx14, "hcs+", 0);
+  cache->store(bnb, BranchAndBoundScheduler().plan(ctx12),
+               ctx12.job_names());
+  cache->store(hcs12, HcsPlusScheduler().plan(ctx12), ctx12.job_names());
+  cache->store(hcs14, HcsPlusScheduler().plan(ctx14), ctx14.job_names());
+
+  EXPECT_EQ(cache->size(), 2u);
+  EXPECT_EQ(cache->stats().evictions, 1u);
+  EXPECT_EQ(cache->lru_keys(),
+            (std::vector<std::string>{hcs12.canonical, hcs14.canonical}));
+  EXPECT_FALSE(cache->lookup(bnb, ctx12.job_names()).has_value());
 }
 
 TEST_F(PlanCacheDirTest, PersistentTierRoundTripsExactly) {
@@ -323,7 +343,9 @@ TEST_F(PlanCacheDirTest, OldLayoutEntryIsAnIoFailureMissUntilRestored) {
     std::ofstream out(path, std::ios::binary);
     CsvWriter writer(out);
     writer.write_row({"sig", sig.canonical});
-    writer.write_row({"family", sig.family});
+    // The old layout's family: the canonical without its cap and job set.
+    writer.write_row(
+        {"family", sig.canonical.substr(0, sig.canonical.find(";cap="))});
     writer.write_row({"makespan", csv_double(1.0 / 3.0)});
     std::vector<std::string> jobs_row{"jobs"};
     for (const std::string& name : ctx.job_names()) jobs_row.push_back(name);

@@ -1,10 +1,9 @@
-// Sharded plan cache: shard placement, spec parsing, and — the contract
-// the serving daemon stands on — concurrent hammering with exact aggregate
-// stats and per-request byte-identical results. Run under the tsan preset
-// to certify the locking discipline.
+// Plan cache under concurrency — the contract the serving daemon stands
+// on: concurrent hammering of the one LRU with exact aggregate stats and
+// per-request byte-identical results. Run under the tsan preset to certify
+// the locking discipline.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -22,18 +21,16 @@ namespace {
 
 using corun::testing::motivation_fixture;
 
-/// A signature population spanning `families` families ("bnb" under
-/// distinct seeds) with `caps_per_family` distinct caps each. Family
-/// membership is what decides shard placement, so this exercises both
-/// intra-shard contention (one family, many caps) and cross-shard spread.
-std::vector<PlanSignature> make_population(std::size_t families,
-                                           std::size_t caps_per_family) {
+/// `seeds` x `caps` distinct signatures: "bnb" under distinct seeds, each
+/// at `caps` distinct caps.
+std::vector<PlanSignature> make_population(std::size_t seeds,
+                                           std::size_t caps) {
   const auto& f = motivation_fixture();
   std::vector<PlanSignature> sigs;
-  for (std::size_t fam = 0; fam < families; ++fam) {
-    for (std::size_t c = 0; c < caps_per_family; ++c) {
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    for (std::size_t c = 0; c < caps; ++c) {
       const auto ctx = f.context(10.0 + 0.25 * static_cast<double>(c));
-      sigs.push_back(make_signature(ctx, "bnb", fam));
+      sigs.push_back(make_signature(ctx, "bnb", seed));
     }
   }
   return sigs;
@@ -48,84 +45,38 @@ void run_threads(std::size_t threads,
   for (std::thread& th : pool) th.join();
 }
 
-TEST(ShardedPlanCache, FamiliesColocateAndShardIndexIsFamilyHashModShards) {
-  const auto& f = motivation_fixture();
-  auto cache = PlanCache::from_spec("mem:4:8").value();
-  ASSERT_EQ(cache->config().shards, 8u);
-
-  // Same family (seed), different caps: one shard.
-  const PlanSignature a = make_signature(f.context(12.0), "bnb", 7);
-  const PlanSignature b = make_signature(f.context(18.0), "bnb", 7);
-  EXPECT_EQ(a.family_hash, b.family_hash);
-  EXPECT_EQ(cache->shard_index(a.family_hash),
-            cache->shard_index(b.family_hash));
-  EXPECT_EQ(cache->shard_index(a.family_hash), a.family_hash % 8u);
-
-  // Distinct families spread: with 64 seeds over 8 shards at least two
-  // shards must be populated (collision-proof pigeonhole, not a hash test).
-  std::vector<bool> seen(8, false);
-  for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const PlanSignature s = make_signature(f.context(12.0), "bnb", seed);
-    seen[cache->shard_index(s.family_hash)] = true;
-  }
-  EXPECT_GT(std::count(seen.begin(), seen.end(), true), 1);
-}
-
-TEST(ShardedPlanCache, FromSpecParsesShardCount) {
-  auto sized = PlanCache::from_spec("mem:3:4").value();
-  ASSERT_NE(sized, nullptr);
-  EXPECT_EQ(sized->config().capacity, 3u);
-  EXPECT_EQ(sized->config().shards, 4u);
-  EXPECT_EQ(PlanCache::from_spec("mem").value()->config().shards, 8u);
-  EXPECT_FALSE(PlanCache::from_spec("mem:3:0").has_value());
-  EXPECT_FALSE(PlanCache::from_spec("mem:3:x").has_value());
-  EXPECT_FALSE(PlanCache::from_spec("mem:3:4:5").has_value());
-}
-
-TEST(ShardedPlanCache, ConcurrentStoresUnderEvictionPressureKeepExactStats) {
+TEST(ConcurrentPlanCache, ConcurrentStoresUnderEvictionPressureKeepExactStats) {
   const auto& f = motivation_fixture();
   const auto ctx = f.context(15.0);
   const Schedule schedule = BranchAndBoundScheduler().plan(ctx);
   const auto names = ctx.job_names();
 
-  constexpr std::size_t kCapacity = 2;  // per shard — forces evictions
-  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kCapacity = 2;  // forces evictions
   constexpr std::size_t kThreads = 8;
-  auto cache = PlanCache::from_spec("mem:2:4").value();
+  auto cache = PlanCache::from_spec("mem:2").value();
   ASSERT_EQ(cache->config().capacity, kCapacity);
-  ASSERT_EQ(cache->config().shards, kShards);
 
   const std::vector<PlanSignature> sigs = make_population(12, 5);
 
-  // Disjoint slices stored concurrently. Which entries survive in an
-  // overflowing shard depends on interleaving, but the *counts* do not:
-  // every insert beyond a shard's capacity evicts exactly one entry.
+  // Disjoint slices of distinct keys stored concurrently. Which entries
+  // survive depends on interleaving, but the *counts* do not: every insert
+  // beyond the capacity evicts exactly one entry.
   run_threads(kThreads, [&](std::size_t t) {
     for (std::size_t i = t; i < sigs.size(); i += kThreads) {
       cache->store(sigs[i], schedule, names);
     }
   });
 
-  std::vector<std::size_t> per_shard(kShards, 0);
-  for (const PlanSignature& sig : sigs) {
-    ++per_shard[cache->shard_index(sig.family_hash)];
-  }
-  std::size_t expect_evictions = 0;
-  std::size_t expect_size = 0;
-  for (const std::size_t n : per_shard) {
-    expect_evictions += n > kCapacity ? n - kCapacity : 0;
-    expect_size += std::min(n, kCapacity);
-  }
   const PlanCacheStats stats = cache->stats();
   EXPECT_EQ(stats.stores, sigs.size());
-  EXPECT_EQ(stats.evictions, expect_evictions);
+  EXPECT_EQ(stats.evictions, stats.stores - kCapacity);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(cache->size(), expect_size);
-  EXPECT_EQ(cache->lru_keys().size(), expect_size);
+  EXPECT_EQ(cache->size(), kCapacity);
+  EXPECT_EQ(cache->lru_keys().size(), kCapacity);
 }
 
-TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
+TEST(ConcurrentPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
   const auto& f = motivation_fixture();
   const auto names = f.context(15.0).job_names();
 
@@ -140,27 +91,27 @@ TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
     expected_text.push_back(schedules.back().to_string(names));
   }
 
-  constexpr std::size_t kFamilies = 6;
+  constexpr std::size_t kSeeds = 6;
   constexpr std::size_t kThreads = 8;
   // Capacity large enough that nothing evicts: residency is total, so
   // every exact lookup must hit and the aggregate counts are exact.
-  auto cache = PlanCache::from_spec("mem:64:4").value();
-  const std::vector<PlanSignature> sigs = make_population(kFamilies, kCaps);
-  ASSERT_EQ(sigs.size(), kFamilies * kCaps);
+  auto cache = PlanCache::from_spec("mem:64").value();
+  const std::vector<PlanSignature> sigs = make_population(kSeeds, kCaps);
+  ASSERT_EQ(sigs.size(), kSeeds * kCaps);
   for (std::size_t i = 0; i < sigs.size(); ++i) {
     cache->store(sigs[i], schedules[i % kCaps], names);
   }
 
-  // Never-stored signatures (an unseen cap per family): deterministic
+  // Never-stored signatures (an unseen cap per seed): deterministic
   // misses.
   std::vector<PlanSignature> absent;
-  for (std::size_t fam = 0; fam < kFamilies; ++fam) {
-    absent.push_back(make_signature(f.context(99.0), "bnb", fam));
+  for (std::size_t seed = 0; seed < kSeeds; ++seed) {
+    absent.push_back(make_signature(f.context(99.0), "bnb", seed));
   }
 
   std::atomic<std::size_t> mismatches{0};
   run_threads(kThreads, [&](std::size_t t) {
-    // Stagger start offsets so threads collide on different shards first.
+    // Stagger start offsets so threads collide on different keys first.
     for (std::size_t k = 0; k < sigs.size(); ++k) {
       const std::size_t i = (k + t * 3) % sigs.size();
       const auto hit = cache->lookup(sigs[i], names);
@@ -185,13 +136,13 @@ TEST(ShardedPlanCache, ConcurrentMixedLookupsAreExactAndDeterministic) {
   EXPECT_EQ(cache->size(), sigs.size());
 }
 
-TEST(ShardedPlanCache, HammerMixedOperationsStayConsistent) {
+TEST(ConcurrentPlanCache, HammerMixedOperationsStayConsistent) {
   // The everything-at-once hammer: concurrent stores and exact lookups over
   // overlapping keys with real eviction pressure. No residency is
   // guaranteed, so the assertions are the invariants that must survive any
   // interleaving: a hit's bytes always match what was stored for that
   // signature, sizes never exceed capacity, and the accounting identities
-  // hold. This is the tsan workout for the per-shard locking discipline.
+  // hold. This is the tsan workout for the cache's locking discipline.
   const auto& f = motivation_fixture();
   const auto names = f.context(15.0).job_names();
 
@@ -210,7 +161,7 @@ TEST(ShardedPlanCache, HammerMixedOperationsStayConsistent) {
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRounds = 40;
-  auto cache = PlanCache::from_spec("mem:2:4").value();
+  auto cache = PlanCache::from_spec("mem:8").value();
 
   std::atomic<std::size_t> lookups{0};
   std::atomic<std::size_t> store_calls{0};
@@ -238,14 +189,13 @@ TEST(ShardedPlanCache, HammerMixedOperationsStayConsistent) {
   const PlanCacheStats stats = cache->stats();
   EXPECT_EQ(stats.stores, store_calls.load());
   EXPECT_EQ(stats.hits + stats.misses, lookups.load());
-  EXPECT_LE(cache->size(),
-            cache->config().capacity * cache->config().shards);
-  // Eviction accounting: every store either grew a shard or evicted one
+  EXPECT_LE(cache->size(), cache->config().capacity);
+  // Eviction accounting: every store either grew the cache or evicted one
   // entry (refreshes excepted), so evictions can never exceed stores.
   EXPECT_LE(stats.evictions, stats.stores);
 }
 
-TEST(ShardedPlanCache, SnapshotDiffAroundAPhaseIsExact) {
+TEST(ConcurrentPlanCache, SnapshotDiffAroundAPhaseIsExact) {
   // The DynamicRuntime contract: snapshot stats, run a phase, snapshot
   // again; the diff attributes exactly that phase's activity even if the
   // cache was already warm.
@@ -253,7 +203,7 @@ TEST(ShardedPlanCache, SnapshotDiffAroundAPhaseIsExact) {
   const auto ctx = f.context(15.0);
   const Schedule schedule = BranchAndBoundScheduler().plan(ctx);
   const auto names = ctx.job_names();
-  auto cache = PlanCache::from_spec("mem:8:2").value();
+  auto cache = PlanCache::from_spec("mem:8").value();
 
   const PlanSignature sig = make_signature(ctx, "bnb", 0);
   cache->store(sig, schedule, names);  // pre-phase warmth

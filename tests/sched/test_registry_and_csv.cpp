@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "../support/fixtures.hpp"
-#include "corun/core/sched/branch_and_bound.hpp"
 #include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/registry.hpp"
@@ -12,7 +10,6 @@
 namespace corun::sched {
 namespace {
 
-using corun::testing::eight_program_fixture;
 using corun::testing::motivation_fixture;
 
 TEST(Registry, EveryListedNameConstructs) {
@@ -36,27 +33,6 @@ TEST(Registry, ConstructedSchedulersPlan) {
     const Schedule s = scheduler->plan(ctx);
     EXPECT_NO_THROW(s.validate(4)) << name;
   }
-}
-
-TEST(Registry, BnbBudgetEnvAcceptsOnlyWholePositiveIntegers) {
-  // CORUN_BNB_BUDGET=1 starves the eight-job search at 15 W. A malformed
-  // value keeps the default budget rather than being read by its numeric
-  // prefix ("1e5" as 1, "12abc" as 12) or wrapped ("-1" as 2^64-1).
-  const auto ctx = eight_program_fixture().context(15.0);
-  auto exhausted_with = [&](const char* value) {
-    ::setenv("CORUN_BNB_BUDGET", value, 1);
-    const auto scheduler = make_scheduler("bnb");
-    ::unsetenv("CORUN_BNB_BUDGET");
-    auto* bnb = dynamic_cast<BranchAndBoundScheduler*>(scheduler.get());
-    EXPECT_NE(bnb, nullptr);
-    if (bnb == nullptr) return false;
-    (void)bnb->plan(ctx);
-    return bnb->exhausted_budget();
-  };
-  for (const char* malformed : {"1e5", "12abc", "-1"}) {
-    EXPECT_FALSE(exhausted_with(malformed)) << malformed;
-  }
-  EXPECT_TRUE(exhausted_with("1"));
 }
 
 TEST(ScheduleCsv, RoundTripPreservesEverything) {

@@ -158,16 +158,6 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
                                      report.report.thermal_trace);
     if (rc != 0) return rc;
   }
-  // Search-side statistics go to stderr (like the plan-cache report) so
-  // stdout stays byte-identical whether the cache is active or not.
-  if (report.bnb_budget_exhausted > 0) {
-    std::fprintf(stderr,
-                 "warning: %zu re-plan(s) served by a budget-truncated"
-                 " branch-and-bound search; schedules are valid and"
-                 " deterministic but may be worse than a full search's"
-                 " (raise CORUN_BNB_BUDGET or reduce the pending set)\n",
-                 report.bnb_budget_exhausted);
-  }
   tools::report_plan_cache(plan_cache.get());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;

@@ -9,7 +9,7 @@
 //                [--queue-capacity 256] [--deadline-ms 0]
 //                [--jobs N] [--backend tick|event|analytic|replay:PATH]
 //                [--trace t.json]
-//                [--plan-cache off|mem|mem:N[:S]|dir:PATH]   # default: mem
+//                [--plan-cache off|mem|mem:N|dir:PATH]   # default: mem
 //
 // Natural batching: every frame already readable on the transport is
 // drained into one chunk before planning, so a pipelining client amortizes
@@ -51,7 +51,7 @@ const char kUsage[] =
     "[--socket PATH] [--queue-capacity 256] [--deadline-ms 0] [--jobs N] "
     "[--backend tick|event|analytic|replay:PATH] "
     "[--thermal on|off] [--trace trace.json] "
-    "[--plan-cache off|mem|mem:N[:S]|dir:PATH]";
+    "[--plan-cache off|mem|mem:N|dir:PATH]";
 
 volatile sig_atomic_t g_stop = 0;
 
