@@ -6,11 +6,17 @@
 // (tests/sim/test_engine_equivalence.cpp) separately pins both modes to
 // identical results.
 //
+// The uncapped scenarios also write the event core's deterministic work
+// (`horizons_work`, `replayed_ticks_work`), which the bench guard compares
+// exactly: no meter reading decides anything on those machines, so the
+// counts depend on neither timing nor libm.
+//
 //   ./bench_engine_throughput [out.json]     (default: BENCH_engine.json)
 #include <chrono>
-#include <optional>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +43,8 @@ struct Measurement {
   Seconds simulated = 0.0;
   double wall = 0.0;
   Joules energy = 0.0;  ///< cross-mode sanity checksum
+  std::uint64_t horizons = 0;
+  std::uint64_t replayed_ticks = 0;
 };
 
 Measurement run_scenario(const Scenario& s, sim::EngineMode mode) {
@@ -69,6 +77,8 @@ Measurement run_scenario(const Scenario& s, sim::EngineMode mode) {
     }
     m.simulated += engine.now();
     m.energy += engine.telemetry().energy();
+    m.horizons += engine.counters().horizons;
+    m.replayed_ticks += engine.counters().replayed_ticks;
   }
   const auto t1 = std::chrono::steady_clock::now();
   m.wall = std::chrono::duration<double>(t1 - t0).count();
@@ -126,9 +136,17 @@ int main(int argc, char** argv) {
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    {\"scenario\": \"%s\", \"tick_sim_per_wall\": %.1f, "
-                  "\"event_sim_per_wall\": %.1f, \"speedup\": %.2f}",
+                  "\"event_sim_per_wall\": %.1f, \"speedup\": %.2f",
                   s.name.c_str(), rate(tick), rate(event), speedup);
     cells += buf;
+    if (!s.cap) {
+      std::snprintf(buf, sizeof(buf),
+                    ", \"horizons_work\": %llu, \"replayed_ticks_work\": %llu",
+                    static_cast<unsigned long long>(event.horizons),
+                    static_cast<unsigned long long>(event.replayed_ticks));
+      cells += buf;
+    }
+    cells += "}";
   }
   const double overall = rate(event_total) / rate(tick_total);
   table.add_row({"overall", Table::num(rate(tick_total)),

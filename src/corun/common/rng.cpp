@@ -1,8 +1,38 @@
 #include "corun/common/rng.hpp"
 
+#include <random>
+
 #include "corun/common/check.hpp"
 
 namespace corun {
+
+void Mt19937_64::refill() noexcept {
+  if (index_ == kUnseeded) {
+    state_[0] = seed_;
+    for (std::size_t i = 1; i < kStateSize; ++i) {
+      const result_type prev = state_[i - 1];
+      state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+  }
+  constexpr std::size_t kShift = 156;  // the standard's m
+  constexpr result_type kUpper = ~result_type{0} << 31;
+  constexpr result_type kA = 0xB5026F5AA96619E9ULL;
+  const auto twist = [](result_type cur, result_type next, result_type far) {
+    const result_type y = (cur & kUpper) | (next & ~kUpper);
+    return far ^ (y >> 1) ^ ((result_type{0} - (y & 1)) & kA);
+  };
+  std::size_t k = 0;
+  for (; k < kStateSize - kShift; ++k) {
+    state_[k] = twist(state_[k], state_[k + 1], state_[k + kShift]);
+  }
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] =
+        twist(state_[k], state_[k + 1], state_[k + kShift - kStateSize]);
+  }
+  state_[kStateSize - 1] =
+      twist(state_[kStateSize - 1], state_[0], state_[kShift - 1]);
+  index_ = 0;
+}
 
 double Rng::uniform(double lo, double hi) {
   CORUN_CHECK(lo <= hi);
@@ -18,8 +48,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double Rng::gaussian(double stddev) {
   CORUN_CHECK(stddev >= 0.0);
-  std::normal_distribution<double> dist(0.0, stddev);
-  return dist(engine_);
+  return polar_value(polar_draw(), stddev);
 }
 
 bool Rng::chance(double p) {

@@ -334,26 +334,47 @@ void Engine::advance_jobs(DeviceKind d, double sigma, Seconds dt,
 
 bool Engine::governor_phase() {
   const DvfsState before = dvfs_;
+  const bool cadence = now_ + 1e-12 >= next_governor_;
 
   // DVFS control loop (reacts to the previous tick's measured power).
   // Down-steps happen every tick a violation is measured (RAPL-style fast
   // clamping); up-steps only at the governor cadence (conservative ramp).
   if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
-    const Watts measured = read_cap_meter();
-    const bool violating = measured > *options_.power_cap;
-    if (violating || now_ + 1e-12 >= next_governor_) {
+    if (cadence) {
       dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
-                  .step(measured, dvfs_);
-    }
-    if (now_ + 1e-12 >= next_governor_) {
+                  .step(read_cap_meter(), dvfs_);
       next_governor_ = now_ + options_.governor_interval;
+    } else if (const std::optional<Watts> over = over_cap_reading()) {
+      dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
+                  .step(*over, dvfs_);
     }
-  } else if (now_ + 1e-12 >= next_governor_) {
+  } else if (cadence) {
+    // Without a cap or a policy PowerGovernor::step ignores the reading, so
+    // only the tick oracle values it; the other cores just draw, and on a
+    // control-free machine, where no reading is ever observed, not even
+    // that.
+    Watts measured = 0.0;
+    if (options_.mode == EngineMode::kTick) {
+      measured = meter_.read(last_true_power_);
+    } else if (!control_free()) {
+      meter_.draw(last_true_power_);
+    }
     dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
-                .step(meter_.read(last_true_power_), dvfs_);
+                .step(measured, dvfs_);
     next_governor_ = now_ + options_.governor_interval;
   }
   return levels_moved(before, dvfs_);
+}
+
+std::optional<Watts> Engine::over_cap_reading() {
+  const Watts cap = *options_.power_cap;
+  if (options_.mode == EngineMode::kTick || options_.cap_window > 0.0) {
+    const Watts measured = read_cap_meter();
+    if (!(measured > cap)) return std::nullopt;
+    return measured;
+  }
+  if (!meter_.exceeds(last_true_power_, cap)) return std::nullopt;
+  return meter_.reading();
 }
 
 Watts Engine::read_cap_meter() {
@@ -600,9 +621,9 @@ void Engine::flush_pending_telemetry() {
 
 void Engine::step_event_tick(std::vector<JobEvent>& events) {
   // 1. Control: runs per tick exactly as the oracle does, so the meter's
-  // RNG stream and every governor decision stay in lockstep. A level move —
-  // by the power governor or the thermal throttle — is an event: the
-  // horizon ends and the dynamics recompute.
+  // draws (none on a control-free machine) and every governor decision stay
+  // in lockstep. A level move — by the power governor or the thermal
+  // throttle — is an event: the horizon ends and the dynamics recompute.
   const bool dvfs_moved = governor_phase();
   const bool thermal_moved = thermal_phase();
   complete_event_tick(dvfs_moved || thermal_moved, events);
@@ -636,10 +657,7 @@ void Engine::complete_event_tick(bool dvfs_moved,
     advance_jobs(DeviceKind::kGpu, sigma_[1], dt, events);
     cache_.valid = false;  // phase indices / residency changed
   } else {
-    for (const JobAdvance& j : cache_.jobs) {
-      running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
-      j.stats->total_gb += j.gb_per_tick;
-    }
+    advance_jobs_one_tick();
   }
 
   // 3. Power accounting: the package power of this horizon is cached; the
@@ -676,18 +694,18 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
   std::size_t ticks = 0;
   const bool analytic = options_.mode == EngineMode::kAnalytic;
 
-  if (analytic && options_.policy == GovernorPolicy::kNone &&
-      !options_.record_samples && !thermal_) {
+  if (control_free()) {
     // Control-free machine (the profiler workload): under kNone the
     // governor unconditionally snaps the levels to the ceilings — which the
     // constructor and set_ceilings already did — so its cadence work and
     // its meter reads are unobservable, and with sampling off so are the
     // sample-point reads. Skip the RNG draws entirely and replay only the
     // cadence bookkeeping (the exact recurrences the oracle executes), so
-    // next_governor_/next_sample_ leave the window bit-identical. (The
-    // thermal throttle rules the skip out: under kNone the governor's
-    // snap-to-ceiling must replay so the thermal clamp can keep
-    // re-applying.)
+    // next_governor_/next_sample_ leave the window bit-identical, and the
+    // window runs to the horizon's end instead of stopping at every
+    // cadence point. (The thermal throttle rules the skip out: under kNone
+    // the governor's snap-to-ceiling must replay so the thermal clamp can
+    // keep re-applying.) kEvent keeps its per-tick job advance.
     while (budget > 0 && (!end || now_ + 1e-12 < *end)) {
       if (now_ + 1e-12 >= next_governor_) {
         next_governor_ = now_ + options_.governor_interval;
@@ -695,6 +713,7 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
       if (now_ + 1e-12 >= next_sample_) {
         next_sample_ = now_ + options_.sample_interval;
       }
+      if (!analytic) advance_jobs_one_tick();
       now_ += dt;
       --budget;
       ++ticks;
@@ -716,21 +735,20 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
   // ~9% longer on a 4-vCPU x86-64 VM.
   const auto replay = [&](auto is_capped, auto is_analytic) {
     // Cap-managed machine: the oracle reads the (noisy) meter every tick to
-    // test for violations, so those RNG draws replay per tick in the same
-    // order. The loop inlines governor_phase's violation test (the cadence
-    // branch cannot fire inside the window — `stop` is bounded by
-    // next_governor_), with the governor and cap hoisted out of it.
+    // test for violations, so the loop draws it per tick in the same order
+    // (over_cap_reading values a draw only when the meter's bound cannot
+    // settle the test). It inlines governor_phase's violation test (the
+    // cadence branch cannot fire inside the window — `stop` is bounded by
+    // next_governor_), with the governor hoisted out of it.
     std::optional<PowerGovernor> governor;
     if constexpr (is_capped()) {
       governor.emplace(options_.policy, options_.power_cap);
     }
-    const Watts cap = options_.power_cap.value_or(0.0);
     while (budget > 0 && now_ + 1e-12 < stop) {
       if constexpr (is_capped()) {
-        const Watts measured = read_cap_meter();
-        if (measured > cap) {
+        if (const std::optional<Watts> over = over_cap_reading()) {
           const DvfsState before = dvfs_;
-          dvfs_ = governor->step(measured, dvfs_);
+          dvfs_ = governor->step(*over, dvfs_);
           if (levels_moved(before, dvfs_)) {
             // Level move: the horizon ends here. Bank the replayed ticks,
             // then finish this tick on the event path (flush + rebuild with
@@ -751,12 +769,7 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
         complete_event_tick(/*dvfs_moved=*/true, events);
         return;
       }
-      if constexpr (!is_analytic()) {
-        for (const JobAdvance& j : cache_.jobs) {
-          running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
-          j.stats->total_gb += j.gb_per_tick;
-        }
-      }
+      if constexpr (!is_analytic()) advance_jobs_one_tick();
       if (thermal_) thermal_advance_tick(cache_.thermal_b);
       now_ += dt;
       --budget;
@@ -784,6 +797,13 @@ void Engine::bank_replayed_ticks(std::size_t ticks) {
   counters_.ticks += ticks;
   counters_.replayed_ticks += ticks;
   counters_.cache_hit_ticks += ticks;
+}
+
+void Engine::advance_jobs_one_tick() {
+  for (const JobAdvance& j : cache_.jobs) {
+    running_[j.run_idx].phase_ref_remaining -= j.ref_per_tick;
+    j.stats->total_gb += j.gb_per_tick;
+  }
 }
 
 void Engine::advance_jobs_bulk(std::size_t ticks) {

@@ -23,14 +23,19 @@
 //    horizon and cached. The per-tick remainder is strength-reduced to a few
 //    flops per resident job, replaying exactly the arithmetic the tick
 //    oracle performs so both modes produce bit-identical trajectories
-//    (pinned by tests/sim/test_engine_equivalence.cpp). Meter reads replay
-//    at the same points so the noise RNG stream stays in lockstep.
-//  - kAnalytic: the closed-form core. Shares kEvent's horizon replay but
-//    defers the per-job advance to one bulk update per replayed window
-//    (rem -= n * ref_per_tick instead of n subtractions) and, on
-//    control-free machines (GovernorPolicy::kNone, no sample recording, no
-//    thermal model), skips the governor/sample stops and the unobservable
-//    meter RNG draws entirely. Every clock/threshold decision still uses the
+//    (pinned by tests/sim/test_engine_equivalence.cpp). The meter is drawn
+//    at the oracle's points, so the noise stream stays in lockstep, but a
+//    draw is valued (log, divide, sqrt) only where its reading is observed:
+//    cadence steps, sample points, windowed caps, a dropout's start, and
+//    violation tests the meter's per-horizon bound cannot settle
+//    (power_meter.hpp). On control-free machines (GovernorPolicy::kNone, no
+//    sample recording, no thermal model) nothing observes the meter, so the
+//    replay skips its draws and runs through governor and sample points,
+//    stopping only at phase boundaries and run ends.
+//  - kAnalytic: the closed-form core. Shares kEvent's horizon replay,
+//    control-free windows included, but defers the per-job advance to one
+//    bulk update per replayed window (rem -= n * ref_per_tick instead of n
+//    subtractions). Every clock/threshold decision still uses the
 //    oracle's exact per-tick `now_ += dt` chain, so control decisions are
 //    bit-identical; only the job-progress accumulators carry closed-form
 //    rounding. Tolerance: 1e-9 on the scenario corpus
@@ -309,6 +314,13 @@ class Engine {
     Seconds next_up[kDeviceCount] = {0.0, 0.0};
   };
 
+  /// Governor policy kNone, no sample recording, no thermal model: no meter
+  /// reading can reach an output, so the event and analytic cores skip the
+  /// meter's draws and replay through governor and sample points.
+  [[nodiscard]] bool control_free() const noexcept {
+    return options_.policy == GovernorPolicy::kNone &&
+           !options_.record_samples && !thermal_;
+  }
   void tick(std::vector<JobEvent>& events);
   /// The DVFS control block of one tick (shared verbatim by every mode).
   /// Returns true when a frequency level or ceiling moved.
@@ -316,6 +328,11 @@ class Engine {
   /// The meter reading cap enforcement acts on: the noisy sample itself, or
   /// under a PL1 window (cap_window > 0) its exponential moving average.
   Watts read_cap_meter();
+  /// The violation test of a capped tick off the governor cadence: the
+  /// read_cap_meter() reading when it exceeds the cap, else nullopt. The
+  /// tick oracle and windowed caps read in full; otherwise the meter draws
+  /// and computes the reading only when its bound cannot settle the test.
+  std::optional<Watts> over_cap_reading();
   /// The temperature control block of one tick, run right after the
   /// governor by every mode: trips drop a domain's thermal allowance when
   /// its node is above the trip point, releases raise it back once the node
@@ -357,16 +374,19 @@ class Engine {
   /// no event (no governor or sample point, no phase boundary, `end` not
   /// reached) in one tight loop — the same arithmetic step_event_tick
   /// performs, with every event check hoisted. Under an active power cap the
-  /// loop still reads the meter every tick (RNG lockstep with the oracle)
-  /// but inlines the violation test, breaking out only when the governor
-  /// moves a level. kAnalytic defers the per-job advance to one
-  /// advance_jobs_bulk per window and, on control-free machines, also skips
-  /// the governor/sample stops. A no-op when the cache is cold.
+  /// loop still draws the meter every tick (lockstep with the oracle) and
+  /// inlines the violation test, breaking out only when the governor moves
+  /// a level. Control-free machines skip the draws and the governor/sample
+  /// stops. kAnalytic defers the per-job advance to one advance_jobs_bulk
+  /// per window. A no-op when the cache is cold.
   void replay_horizon(const std::optional<Seconds>& end,
                       std::vector<JobEvent>& events);
   /// Books `ticks` replayed ticks of the current horizon: the deferred
   /// telemetry, the counters and, under kAnalytic, the bulk job advance.
   void bank_replayed_ticks(std::size_t ticks);
+  /// Advances every cached job by one tick of the current horizon (the
+  /// oracle's per-tick subtraction, strength-reduced).
+  void advance_jobs_one_tick();
   /// Advances every cached job by `ticks` ticks in one fused update
   /// (rem -= n * ref_per_tick). Only called when the horizon bound proves
   /// no phase boundary lies inside the window.

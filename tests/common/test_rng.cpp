@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -103,6 +106,115 @@ TEST(Rng, InvalidArgsRejected) {
   EXPECT_THROW((void)rng.uniform_int(5, 4), ContractViolation);
   EXPECT_THROW((void)rng.gaussian(-1.0), ContractViolation);
   EXPECT_THROW((void)rng.chance(1.5), ContractViolation);
+}
+
+// --- the in-repo MT19937-64 and polar draw against the standard library ---
+
+constexpr std::uint64_t kPinSeeds[] = {0, 1, 42, 5489, 0x9e3779b97f4a7c15ULL,
+                                       ~std::uint64_t{0}};
+
+TEST(Mt19937_64, MatchesStdForAMillionOutputsAtSeveralSeeds) {
+  for (const std::uint64_t seed : kPinSeeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 theirs(seed);
+    for (int i = 0; i < 1000000; ++i) {
+      const std::uint64_t a = ours();
+      const std::uint64_t b = theirs();
+      ASSERT_EQ(a, b) << "seed " << seed << ", output " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, StandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-
+  // constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+  Mt19937_64 engine(5489);
+  std::uint64_t x = 0;
+  for (int i = 0; i < 10000; ++i) x = engine();
+  EXPECT_EQ(x, 9981545732273789042ULL);
+}
+
+TEST(Rng, DistributionsMatchTheStdEngineDrawForDraw) {
+  // Rng's uniform / uniform_int / chance / shuffle, interleaved on one
+  // stream, against the same standard distributions on std::mt19937_64.
+  for (const std::uint64_t seed : kPinSeeds) {
+    Rng ours(seed);
+    std::mt19937_64 theirs(seed);
+    std::vector<int> mine(37);
+    for (int i = 0; i < 37; ++i) mine[static_cast<std::size_t>(i)] = i;
+    std::vector<int> ref = mine;
+    for (int i = 0; i < 100000; ++i) {
+      switch (i % 4) {
+        case 0: {
+          const double lo = -3.5 + i % 7;
+          const double a = ours.uniform(lo, lo + 9.25);
+          const double b =
+              std::uniform_real_distribution<double>(lo, lo + 9.25)(theirs);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                    std::bit_cast<std::uint64_t>(b));
+          break;
+        }
+        case 1: {
+          const std::int64_t hi = 1 + i % 1000;
+          std::uniform_int_distribution<std::int64_t> dist(-5, hi);
+          ASSERT_EQ(ours.uniform_int(-5, hi), dist(theirs));
+          break;
+        }
+        case 2: {
+          const double p = (i % 11) / 10.0;
+          ASSERT_EQ(ours.chance(p), std::bernoulli_distribution(p)(theirs));
+          break;
+        }
+        default: {
+          ours.shuffle(mine);
+          for (std::size_t k = ref.size(); k > 1; --k) {
+            const auto j = static_cast<std::size_t>(
+                std::uniform_int_distribution<std::int64_t>(
+                    0, static_cast<std::int64_t>(k) - 1)(theirs));
+            std::swap(ref[k - 1], ref[j]);
+          }
+          ASSERT_EQ(mine, ref);
+          break;
+        }
+      }
+    }
+  }
+}
+
+#ifdef __GLIBCXX__
+TEST(Rng, PolarDrawIsLibstdcxxNormalDistributionBitForBit) {
+  // The meter's draw before it moved in-repo: a std::normal_distribution
+  // built fresh per call on std::mt19937_64.
+  for (const double sigma : {0.25, 2.0}) {
+    for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{5489}}) {
+      Rng ours(seed);
+      std::mt19937_64 theirs(seed);
+      for (int i = 0; i < 1000000; ++i) {
+        const double a = ours.gaussian(sigma);
+        const double b = std::normal_distribution<double>(0.0, sigma)(theirs);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a),
+                  std::bit_cast<std::uint64_t>(b))
+            << "sigma " << sigma << ", seed " << seed << ", draw " << i;
+      }
+    }
+  }
+}
+#endif
+
+TEST(Rng, PolarValueSplitsTheGaussian) {
+  Rng a(17);
+  Rng b(17);
+  for (int i = 0; i < 10000; ++i) {
+    const Rng::PolarDraw d = a.polar_draw();
+    ASSERT_GT(d.r2, 0.0);
+    ASSERT_LE(d.r2, 1.0);
+    ASSERT_LE(d.y * d.y, d.r2);
+    const double v = Rng::polar_value(d, 0.5);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(v),
+              std::bit_cast<std::uint64_t>(b.gaussian(0.5)));
+    ASSERT_LE(std::abs(v),
+              0.5 * std::sqrt(-2.0 * std::log(d.r2)) * (1 + 1e-12));
+  }
 }
 
 TEST(Hash64, StableAndDistinct) {

@@ -4,7 +4,8 @@
 The guard is the only thing standing between a silently-disabled fast path
 and a green CI run, so its own behaviour is pinned here: rate extraction
 (the `_per_wall` suffix contract, nesting, scenario labels), the pass /
-regression / missing-key verdicts, and the exit codes CI keys off.
+regression / missing-key verdicts, the exact `_work` count contract, and
+the exit codes CI keys off.
 
 Run directly (python3 tests/tools/test_check_bench_regression.py) or via
 ctest as `bench_regression_script`.
@@ -137,11 +138,64 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(run_guard(self.BASE, new)[0], 1)
         self.assertEqual(run_guard(self.BASE, new, factor=4.0)[0], 0)
 
+    def test_baseline_with_only_work_counts_is_judged(self):
+        base = {"scenarios": [{"scenario": "u", "horizons_work": 7}]}
+        self.assertEqual(run_guard(base, [base])[0], 0)
+
     def test_baseline_without_rates_exits_2(self):
         code, out, _ = run_guard({"event_speedup": 10.5},
                                  [{"cold_plans_per_wall": 1.0}])
         self.assertEqual(code, 2)
         self.assertIn("no *_per_wall rates", out)
+
+
+class WorkCountTest(unittest.TestCase):
+    """`*_work` keys are deterministic counts, compared exactly."""
+
+    BASE = {"x_per_wall": 100.0,
+            "scenarios": [{"scenario": "uncapped", "horizons_work": 1200,
+                           "replayed_ticks_work": 45000,
+                           "speedup": 11.0}]}
+
+    def new_doc(self, horizons=1200, ticks=45000, rate=100.0):
+        return {"x_per_wall": rate,
+                "scenarios": [{"scenario": "uncapped",
+                               "horizons_work": horizons,
+                               "replayed_ticks_work": ticks,
+                               "speedup": 3.0}]}
+
+    def test_extracts_work_keys_only(self):
+        self.assertEqual(guard.work_counts(self.BASE),
+                         {"scenarios[uncapped].horizons_work": 1200.0,
+                          "scenarios[uncapped].replayed_ticks_work": 45000.0})
+
+    def test_equal_counts_pass(self):
+        code, out, _ = run_guard(self.BASE, [self.new_doc(), self.new_doc()])
+        self.assertEqual(code, 0)
+        self.assertIn("all 2 work counts equal the baseline exactly", out)
+
+    def test_any_change_fails_even_within_the_rate_factor(self):
+        # One extra horizon is a changed count: no factor applies, and a
+        # faster run elsewhere does not excuse it.
+        code, out, err = run_guard(
+            self.BASE, [self.new_doc(), self.new_doc(horizons=1201)])
+        self.assertEqual(code, 1)
+        self.assertIn("scenarios[uncapped].horizons_work: baseline 1200, "
+                      "got 1201", out)
+        self.assertIn("compared exactly", err)
+
+    def test_fewer_replayed_ticks_fails(self):
+        code, _, err = run_guard(self.BASE, [self.new_doc(ticks=44999)])
+        self.assertEqual(code, 1)
+        self.assertIn("replayed_ticks_work", err)
+
+    def test_missing_work_key_fails(self):
+        new = {"x_per_wall": 100.0,
+               "scenarios": [{"scenario": "uncapped", "horizons_work": 1200}]}
+        code, out, err = run_guard(self.BASE, [new])
+        self.assertEqual(code, 1)
+        self.assertIn("missing from 1 of the 1 new result file(s)", out)
+        self.assertIn("replayed_ticks_work", err)
 
 
 if __name__ == "__main__":
