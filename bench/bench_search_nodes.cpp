@@ -8,10 +8,11 @@
 //      tree per cap. Every plan is CORUN_CHECKed against an exhaustive scan
 //      of the leaves: its predicted makespan must not exceed the best
 //      leaf's. The search is serial, so the counts are the same at any
-//      worker count.
+//      worker count; they are written as `*_work` keys, which
+//      scripts/check_bench_regression.py compares exactly.
 //   2. Planning throughput on the distinct batch (plans/sec across the
-//      ladder, best of rounds) — the *_per_wall rate key
-//      scripts/check_bench_regression.py gates on.
+//      ladder, best of rounds) — the *_per_wall rate key the guard
+//      gates on.
 //
 // Writes BENCH_search.json.
 //
@@ -183,9 +184,9 @@ int main(int argc, char** argv) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"search\",\n"
-                "  \"bnb_nodes\": %zu,\n"
-                "  \"clone_bnb_nodes\": %zu,\n"
-                "  \"uniform_bnb_nodes\": %zu,\n"
+                "  \"bnb_nodes_work\": %zu,\n"
+                "  \"clone_bnb_nodes_work\": %zu,\n"
+                "  \"uniform_bnb_nodes_work\": %zu,\n"
                 "  \"full_tree_nodes\": %zu,\n"
                 "  \"bnb_plans_per_wall\": %.1f\n}\n",
                 bnb_nodes, clone_bnb_nodes, uniform_bnb_nodes,

@@ -121,6 +121,28 @@ DegradationSpaceBuilder::DegradationSpaceBuilder(sim::MachineConfig config,
 double DegradationSpaceBuilder::measure_cell(sim::DeviceKind subject_device,
                                              GBps subject_bw,
                                              GBps partner_bw) const {
+  return corun_degradation(subject_device, subject_bw, partner_bw,
+                           solo_time(subject_device, subject_bw));
+}
+
+Seconds DegradationSpaceBuilder::solo_time(sim::DeviceKind subject_device,
+                                           GBps subject_bw) const {
+  const auto subject_desc =
+      workload::micro_kernel(subject_bw, options_.subject_duration);
+  CORUN_CHECK(subject_desc.has_value());
+  const sim::JobSpec subject =
+      workload::make_job_spec(subject_desc.value(), options_.seed);
+  // Standalone reference at max frequency.
+  return sim::run_standalone(config_, subject, subject_device,
+                             config_.cpu_ladder.max_level(),
+                             config_.gpu_ladder.max_level(), options_.seed,
+                             options_.backend)
+      .time;
+}
+
+double DegradationSpaceBuilder::corun_degradation(
+    sim::DeviceKind subject_device, GBps subject_bw, GBps partner_bw,
+    Seconds solo) const {
   const auto subject_desc =
       workload::micro_kernel(subject_bw, options_.subject_duration);
   const auto partner_desc = workload::micro_kernel(
@@ -133,11 +155,6 @@ double DegradationSpaceBuilder::measure_cell(sim::DeviceKind subject_device,
       workload::make_job_spec(partner_desc.value(), options_.seed + 1);
 
   const sim::DeviceKind partner_device = sim::other_device(subject_device);
-
-  // Standalone reference at max frequency.
-  const sim::StandaloneResult solo = sim::run_standalone(
-      config_, subject, subject_device, config_.cpu_ladder.max_level(),
-      config_.gpu_ladder.max_level(), options_.seed, options_.backend);
 
   // Contended run: partner outlives the subject, so the subject is under
   // co-run pressure for its entire execution.
@@ -158,7 +175,7 @@ double DegradationSpaceBuilder::measure_cell(sim::DeviceKind subject_device,
     if (engine.idle()) break;
   }
   const Seconds contended = engine.stats(subject_id).runtime();
-  return std::max(0.0, (contended - solo.time) / solo.time);
+  return std::max(0.0, (contended - solo) / solo);
 }
 
 DegradationGrid DegradationSpaceBuilder::characterize() const {
@@ -175,19 +192,35 @@ DegradationGrid DegradationSpaceBuilder::characterize(
   grid.cpu_deg.assign(grid.cpu_axis.size(),
                       std::vector<double>(grid.gpu_axis.size(), 0.0));
   grid.gpu_deg = grid.cpu_deg;
-  // One task per grid cell (two co-runs each). Every cell is a fixed-seed
-  // simulation writing its own pair of slots, so the grid — and the CSV
-  // artifact — is byte-identical whatever the worker count.
+  // A cell's solo reference depends only on its subject (device, axis
+  // value), so the standalone runs come first, one task per axis value
+  // and device, then one task per grid cell (two co-runs each). Every run
+  // is a fixed-seed simulation writing its own slot, so the grid — and the
+  // CSV artifact — is byte-identical whatever the worker count, and equal
+  // to measure_cell's cell by cell.
+  const std::size_t rows = grid.cpu_axis.size();
   const std::size_t cols = grid.gpu_axis.size();
-  common::TaskPool::shared().parallel_for_index(
-      grid.cpu_axis.size() * cols, [&](std::size_t cell) {
-        const std::size_t i = cell / cols;
-        const std::size_t j = cell % cols;
-        grid.cpu_deg[i][j] = measure_cell(sim::DeviceKind::kCpu,
-                                          grid.cpu_axis[i], grid.gpu_axis[j]);
-        grid.gpu_deg[i][j] = measure_cell(sim::DeviceKind::kGpu,
-                                          grid.gpu_axis[j], grid.cpu_axis[i]);
-      });
+  std::vector<Seconds> cpu_solo(rows);
+  std::vector<Seconds> gpu_solo(cols);
+  common::TaskPool& pool = common::TaskPool::shared();
+  pool.parallel_for_index(rows + cols, [&](std::size_t k) {
+    if (k < rows) {
+      cpu_solo[k] = solo_time(sim::DeviceKind::kCpu, grid.cpu_axis[k]);
+    } else {
+      gpu_solo[k - rows] =
+          solo_time(sim::DeviceKind::kGpu, grid.gpu_axis[k - rows]);
+    }
+  });
+  pool.parallel_for_index(rows * cols, [&](std::size_t cell) {
+    const std::size_t i = cell / cols;
+    const std::size_t j = cell % cols;
+    grid.cpu_deg[i][j] =
+        corun_degradation(sim::DeviceKind::kCpu, grid.cpu_axis[i],
+                          grid.gpu_axis[j], cpu_solo[i]);
+    grid.gpu_deg[i][j] =
+        corun_degradation(sim::DeviceKind::kGpu, grid.gpu_axis[j],
+                          grid.cpu_axis[i], gpu_solo[j]);
+  });
   return grid;
 }
 

@@ -64,10 +64,20 @@ class DegradationSpaceBuilder {
 
   /// Measures one cell: degradation of the subject on `subject_device`
   /// running at `subject_bw` against a long-running partner at `partner_bw`.
+  /// characterize() fills every cell with exactly this value.
   [[nodiscard]] double measure_cell(sim::DeviceKind subject_device,
                                     GBps subject_bw, GBps partner_bw) const;
 
  private:
+  /// The subject's standalone run time at max frequency: the reference of
+  /// every cell with this subject, whatever the partner.
+  [[nodiscard]] Seconds solo_time(sim::DeviceKind subject_device,
+                                  GBps subject_bw) const;
+  /// A cell's degradation against the subject's solo time.
+  [[nodiscard]] double corun_degradation(sim::DeviceKind subject_device,
+                                         GBps subject_bw, GBps partner_bw,
+                                         Seconds solo) const;
+
   sim::MachineConfig config_;
   CharacterizationOptions options_;
 };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 #include <type_traits>
 
@@ -67,7 +68,9 @@ Engine::Engine(MachineConfig config, EngineOptions options)
       options_(options),
       memory_(config_.memory),
       power_model_(config_.power, config_.cpu_ladder, config_.gpu_ladder),
-      meter_(Rng(options.seed).fork("power-meter"), options.meter_noise_stddev) {
+      meter_(Rng::fork_seed(options.seed, "power-meter"),
+             options.meter_noise_stddev),
+      governor_(options.policy, options.power_cap) {
   CORUN_CHECK(options_.dt > 0.0);
   CORUN_CHECK(options_.governor_interval >= options_.dt);
   CORUN_CHECK(options_.sample_interval >= options_.dt);
@@ -150,13 +153,11 @@ JobId Engine::launch(const JobSpec& spec, DeviceKind device) {
   st.start_time = now_;
   stats_[run.id] = st;
   running_.push_back(std::move(run));
-  flush_pending_telemetry();
   cache_.valid = false;  // residency changed: demand/contention/power move
   return next_id_ - 1;
 }
 
 void Engine::set_ceilings(FreqLevel cpu, FreqLevel gpu) {
-  flush_pending_telemetry();
   cache_.valid = false;  // levels may snap or clamp below
   dvfs_.cpu_ceiling = config_.cpu_ladder.clamp(cpu);
   dvfs_.gpu_ceiling = config_.gpu_ladder.clamp(gpu);
@@ -172,9 +173,7 @@ void Engine::set_ceilings(FreqLevel cpu, FreqLevel gpu) {
 }
 
 void Engine::set_power_cap(std::optional<Watts> cap) {
-  // Flush first: pending ticks were accumulated under the old cap and the
-  // telemetry's violation accounting reads the cap per flush.
-  flush_pending_telemetry();
+  governor_ = PowerGovernor(options_.policy, cap);
   cache_.valid = false;
   options_.power_cap = cap;
   ++counters_.cap_updates;
@@ -184,7 +183,6 @@ bool Engine::cancel(JobId id) {
   const auto it = std::find_if(running_.begin(), running_.end(),
                                [&](const RunningJob& r) { return r.id == id; });
   if (it == running_.end()) return false;
-  flush_pending_telemetry();
   JobStats& st = stats_.at(id);
   st.cancelled = true;
   st.finish_time = now_;
@@ -195,9 +193,7 @@ bool Engine::cancel(JobId id) {
 }
 
 void Engine::set_meter_dropout(bool active) {
-  // The dropout changes what the governor *sees* from the next read on;
-  // pending ticks were produced under the old readings, so flush them.
-  flush_pending_telemetry();
+  // The dropout changes what the governor *sees* from the next read on.
   cache_.valid = false;
   meter_.set_dropout(active);
 }
@@ -341,12 +337,10 @@ bool Engine::governor_phase() {
   // clamping); up-steps only at the governor cadence (conservative ramp).
   if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
     if (cadence) {
-      dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
-                  .step(read_cap_meter(), dvfs_);
+      dvfs_ = governor_.step(cadence_reading(), dvfs_);
       next_governor_ = now_ + options_.governor_interval;
     } else if (const std::optional<Watts> over = over_cap_reading()) {
-      dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
-                  .step(*over, dvfs_);
+      dvfs_ = governor_.step(*over, dvfs_);
     }
   } else if (cadence) {
     // Without a cap or a policy PowerGovernor::step ignores the reading, so
@@ -359,11 +353,19 @@ bool Engine::governor_phase() {
     } else if (!control_free()) {
       meter_.draw(last_true_power_);
     }
-    dvfs_ = PowerGovernor(options_.policy, options_.power_cap)
-                .step(measured, dvfs_);
+    dvfs_ = governor_.step(measured, dvfs_);
     next_governor_ = now_ + options_.governor_interval;
   }
   return levels_moved(before, dvfs_);
+}
+
+Watts Engine::cadence_reading() {
+  if (options_.mode == EngineMode::kTick || options_.cap_window > 0.0) {
+    return read_cap_meter();
+  }
+  const Watts cap = *options_.power_cap;
+  return meter_.threshold_reading(last_true_power_,
+                                  cap - PowerGovernor::kRaiseMargin, cap);
 }
 
 std::optional<Watts> Engine::over_cap_reading() {
@@ -610,15 +612,6 @@ void Engine::rebuild_dynamics() {
   ++counters_.horizons;
 }
 
-void Engine::flush_pending_telemetry() {
-  if (pending_ticks_ == 0) return;
-  telemetry_.record_interval(pending_ticks_, options_.dt, cache_.true_power,
-                             cache_.cpu_tick.busy, cache_.gpu_tick.busy,
-                             options_.power_cap.value_or(0.0),
-                             options_.power_cap.has_value());
-  pending_ticks_ = 0;
-}
-
 void Engine::step_event_tick(std::vector<JobEvent>& events) {
   // 1. Control: runs per tick exactly as the oracle does, so the meter's
   // draws (none on a control-free machine) and every governor decision stay
@@ -634,7 +627,6 @@ void Engine::complete_event_tick(bool dvfs_moved,
   const Seconds dt = options_.dt;
 
   if (dvfs_moved || !cache_.valid) {
-    flush_pending_telemetry();
     rebuild_dynamics();
   } else {
     ++counters_.cache_hit_ticks;
@@ -660,11 +652,11 @@ void Engine::complete_event_tick(bool dvfs_moved,
     advance_jobs_one_tick();
   }
 
-  // 3. Power accounting: the package power of this horizon is cached; the
-  // per-tick telemetry accumulation is deferred (identical arguments) and
-  // flushed through Telemetry::record_interval at the horizon's end.
+  // 3. Power accounting: the package power of this horizon is cached.
   last_true_power_ = cache_.true_power;
-  ++pending_ticks_;
+  telemetry_.record_tick(dt, cache_.true_power, cache_.cpu_tick.busy,
+                         cache_.gpu_tick.busy, options_.power_cap.value_or(0.0),
+                         options_.power_cap.has_value());
   if (thermal_) thermal_advance_tick(cache_.thermal_b);
 
   if (now_ + 1e-12 >= next_sample_) sample_point(cache_.contention);
@@ -677,12 +669,11 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
                             std::vector<JobEvent>& events) {
   if (!cache_.valid) return;
 
-  const Seconds dt = options_.dt;
   // Phase boundaries get a conservative tick-count bound (two ticks of
   // slack against accumulated-rounding drift); governor/sample/end points
-  // use the oracle's exact comparison per replayed tick, folded into one
-  // threshold. The per-tick path re-checks everything exactly, so an
-  // underestimate only costs a few slow ticks at the horizon's edge.
+  // use the oracle's exact comparison per replayed tick. The per-tick path
+  // re-checks everything exactly, so an underestimate only costs a few
+  // slow ticks at the horizon's edge.
   constexpr double kSlack = 2.0;
   double safe = 1e18;
   for (const JobAdvance& j : cache_.jobs) {
@@ -690,99 +681,167 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
         safe, running_[j.run_idx].phase_ref_remaining / j.ref_per_tick - kSlack);
   }
   if (!(safe >= 1.0)) return;  // also rejects NaN
-  std::size_t budget = static_cast<std::size_t>(safe);
-  std::size_t ticks = 0;
+  const std::size_t budget = static_cast<std::size_t>(safe);
   const bool analytic = options_.mode == EngineMode::kAnalytic;
+  const bool capped =
+      options_.policy != GovernorPolicy::kNone && options_.power_cap;
 
-  if (control_free()) {
-    // Control-free machine (the profiler workload): under kNone the
-    // governor unconditionally snaps the levels to the ceilings — which the
-    // constructor and set_ceilings already did — so its cadence work and
-    // its meter reads are unobservable, and with sampling off so are the
-    // sample-point reads. Skip the RNG draws entirely and replay only the
-    // cadence bookkeeping (the exact recurrences the oracle executes), so
-    // next_governor_/next_sample_ leave the window bit-identical, and the
-    // window runs to the horizon's end instead of stopping at every
-    // cadence point. (The thermal throttle rules the skip out: under kNone
-    // the governor's snap-to-ceiling must replay so the thermal clamp can
-    // keep re-applying.) kEvent keeps its per-tick job advance.
-    while (budget > 0 && (!end || now_ + 1e-12 < *end)) {
-      if (now_ + 1e-12 >= next_governor_) {
-        next_governor_ = now_ + options_.governor_interval;
-      }
-      if (now_ + 1e-12 >= next_sample_) {
-        next_sample_ = now_ + options_.sample_interval;
-      }
-      if (!analytic) advance_jobs_one_tick();
-      now_ += dt;
-      --budget;
-      ++ticks;
+  // Where the window must stop. A control-free window runs to the run's
+  // end. Otherwise sample points are left to the event path (those ticks
+  // record a reading), so the window stops short of them. A capped window
+  // runs through governor cadence points and stops only where the governor
+  // moves a level; an uncapped one (whose cadence steps the thermal clamp
+  // may undo) and a kAnalytic one (whose bulk advance rounds once per
+  // window) stop short of cadence points too.
+  const ReplayKind kind = control_free() ? ReplayKind::kControlFree
+                          : capped       ? ReplayKind::kCapped
+                                         : ReplayKind::kUncapped;
+  Seconds stop = end ? *end : std::numeric_limits<double>::infinity();
+  if (kind != ReplayKind::kControlFree) {
+    stop = std::min(stop, next_sample_);
+    if (kind == ReplayKind::kUncapped || analytic) {
+      stop = std::min(stop, next_governor_);
     }
-    bank_replayed_ticks(ticks);
-    return;
   }
 
-  // The replay is bit-identical to the same number of fast step_event_tick
-  // calls: the same per-job subtraction chain, the same repeated
-  // `now_ += dt`, and the same `now_ + 1e-12 >= threshold` event tests.
-  // Governor and sample points are left to the event path (those ticks read
-  // the meter), so the window stops short of them.
-  Seconds stop = std::min(next_governor_, next_sample_);
-  if (end) stop = std::min(stop, *end);
-  // One loop, instantiated per (capped, analytic) pair so each copy carries
-  // only its own per-tick work. With the two tests left as run-time
-  // branches, uncapped standalone runs (windows of at most 9 ticks) took
-  // ~9% longer on a 4-vCPU x86-64 VM.
-  const auto replay = [&](auto is_capped, auto is_analytic) {
-    // Cap-managed machine: the oracle reads the (noisy) meter every tick to
-    // test for violations, so the loop draws it per tick in the same order
-    // (over_cap_reading values a draw only when the meter's bound cannot
-    // settle the test). It inlines governor_phase's violation test (the
-    // cadence branch cannot fire inside the window — `stop` is bounded by
-    // next_governor_), with the governor hoisted out of it.
-    std::optional<PowerGovernor> governor;
-    if constexpr (is_capped()) {
-      governor.emplace(options_.policy, options_.power_cap);
+  // One loop, instantiated per (kind, jobs held) pair so each copy carries
+  // only its own per-tick work. kAnalytic holds no jobs (its advance is one
+  // bulk update per window); the event core holds one or two resident jobs'
+  // accumulators in locals and advances more in place.
+  const auto dispatch = [&](auto k) {
+    constexpr ReplayKind K = decltype(k)::value;
+    const std::size_t jobs = analytic ? 0 : cache_.jobs.size();
+    switch (jobs) {
+      case 0: return replay_window<K, 0>(budget, stop, events);
+      case 1: return replay_window<K, 1>(budget, stop, events);
+      case 2: return replay_window<K, 2>(budget, stop, events);
+      default: return replay_window<K, -1>(budget, stop, events);
     }
-    while (budget > 0 && now_ + 1e-12 < stop) {
-      if constexpr (is_capped()) {
-        if (const std::optional<Watts> over = over_cap_reading()) {
-          const DvfsState before = dvfs_;
-          dvfs_ = governor->step(*over, dvfs_);
-          if (levels_moved(before, dvfs_)) {
-            // Level move: the horizon ends here. Bank the replayed ticks,
-            // then finish this tick on the event path (flush + rebuild with
-            // the new levels happen inside) and hand back to the driver.
-            // The oracle's thermal check still runs on this tick, after the
-            // governor, exactly as in step_event_tick.
-            bank_replayed_ticks(ticks);
-            (void)thermal_phase();
-            complete_event_tick(/*dvfs_moved=*/true, events);
-            return;
-          }
-        }
-      }
-      if (thermal_ && thermal_phase()) {
-        // Thermal trip/release/clamp: an event, same banking as a governor
-        // move. (The governor ran above and held its levels this tick.)
-        bank_replayed_ticks(ticks);
-        complete_event_tick(/*dvfs_moved=*/true, events);
-        return;
-      }
-      if constexpr (!is_analytic()) advance_jobs_one_tick();
-      if (thermal_) thermal_advance_tick(cache_.thermal_b);
-      now_ += dt;
-      --budget;
-      ++ticks;
-    }
-    bank_replayed_ticks(ticks);
   };
-  using Yes = std::true_type;
-  using No = std::false_type;
-  if (options_.policy != GovernorPolicy::kNone && options_.power_cap) {
-    analytic ? replay(Yes{}, Yes{}) : replay(Yes{}, No{});
-  } else {
-    analytic ? replay(No{}, Yes{}) : replay(No{}, No{});
+  switch (kind) {
+    case ReplayKind::kControlFree:
+      return dispatch(std::integral_constant<ReplayKind,
+                                             ReplayKind::kControlFree>{});
+    case ReplayKind::kUncapped:
+      return dispatch(
+          std::integral_constant<ReplayKind, ReplayKind::kUncapped>{});
+    case ReplayKind::kCapped:
+      return dispatch(
+          std::integral_constant<ReplayKind, ReplayKind::kCapped>{});
+  }
+}
+
+template <Engine::ReplayKind kKind, int kHeld>
+void Engine::replay_window(std::size_t budget, Seconds stop,
+                           std::vector<JobEvent>& events) {
+  // Everything a replayed tick adds to lives in this function's locals —
+  // the clock, record_tick's sums and up to two jobs' progress — and is
+  // stored back once where the window ends. Each tick adds to them exactly
+  // what the oracle's tick adds (the same `now_ += dt` chain, the same
+  // per-tick += chains, the same per-job subtraction), so they leave the
+  // window bit-identical, without a store and reload per tick.
+  const Seconds dt = options_.dt;
+  Seconds now = now_;
+  Telemetry::TickSums sums = telemetry_.tick_sums();
+  const Joules joules = cache_.true_power * dt;
+  const bool cpu_busy = cache_.cpu_tick.busy;
+  const bool gpu_busy = cache_.gpu_tick.busy;
+  const bool over_cap =
+      options_.power_cap && cache_.true_power > *options_.power_cap;
+  constexpr std::size_t kSlots = kHeld > 0 ? kHeld : 1;
+  double rem[kSlots] = {};
+  double gb[kSlots] = {};
+  double ref_per_tick[kSlots] = {};
+  double gb_per_tick[kSlots] = {};
+  for (int k = 0; k < kHeld; ++k) {
+    const JobAdvance& j = cache_.jobs[k];
+    rem[k] = running_[j.run_idx].phase_ref_remaining;
+    gb[k] = j.stats->total_gb;
+    ref_per_tick[k] = j.ref_per_tick;
+    gb_per_tick[k] = j.gb_per_tick;
+  }
+
+  std::size_t ticks = 0;
+  bool governor_moved = false;
+  bool thermal_moved = false;
+  while (ticks < budget && now + 1e-12 < stop) {
+    if constexpr (kKind == ReplayKind::kControlFree) {
+      // Under kNone the governor unconditionally snaps the levels to the
+      // ceilings — which the constructor and set_ceilings already did — so
+      // its cadence work and its meter reads are unobservable, and with
+      // sampling off so are the sample-point reads. Skip the RNG draws
+      // entirely and replay only the cadence bookkeeping (the exact
+      // recurrences the oracle executes), so next_governor_/next_sample_
+      // leave the window bit-identical. (The thermal throttle rules the
+      // skip out: under kNone the governor's snap-to-ceiling must replay so
+      // the thermal clamp can keep re-applying.)
+      if (now + 1e-12 >= next_governor_) {
+        next_governor_ = now + options_.governor_interval;
+      }
+      if (now + 1e-12 >= next_sample_) {
+        next_sample_ = now + options_.sample_interval;
+      }
+    }
+    if constexpr (kKind == ReplayKind::kCapped) {
+      // governor_phase, inlined: the oracle's cadence step or its per-tick
+      // violation test, each drawing the meter once in the same order
+      // (cadence_reading and over_cap_reading value a draw only when the
+      // meter's bound cannot settle the governor's thresholds). A level
+      // move ends the horizon.
+      const DvfsState before = dvfs_;
+      if (now + 1e-12 >= next_governor_) {
+        dvfs_ = governor_.step(cadence_reading(), dvfs_);
+        next_governor_ = now + options_.governor_interval;
+        governor_moved = levels_moved(before, dvfs_);
+      } else if (const std::optional<Watts> over = over_cap_reading()) {
+        dvfs_ = governor_.step(*over, dvfs_);
+        governor_moved = levels_moved(before, dvfs_);
+      }
+      if (governor_moved) break;
+    }
+    if constexpr (kKind != ReplayKind::kControlFree) {
+      if (thermal_) {
+        now_ = now;
+        // Thermal trip/release/clamp: an event, like a governor move.
+        thermal_moved = thermal_phase();
+        if (thermal_moved) break;
+      }
+    }
+    if constexpr (kHeld > 0) {
+      for (int k = 0; k < kHeld; ++k) {
+        rem[k] -= ref_per_tick[k];
+        gb[k] += gb_per_tick[k];
+      }
+    } else if constexpr (kHeld < 0) {
+      advance_jobs_one_tick();
+    }
+    if constexpr (kKind != ReplayKind::kControlFree) {
+      if (thermal_) thermal_advance_tick(cache_.thermal_b);
+    }
+    sums.elapsed += dt;
+    sums.energy += joules;
+    if (cpu_busy) sums.cpu_busy += dt;
+    if (gpu_busy) sums.gpu_busy += dt;
+    if (over_cap) sums.over_cap += dt;
+    now += dt;
+    ++ticks;
+  }
+
+  for (int k = 0; k < kHeld; ++k) {
+    const JobAdvance& j = cache_.jobs[k];
+    running_[j.run_idx].phase_ref_remaining = rem[k];
+    j.stats->total_gb = gb[k];
+  }
+  now_ = now;
+  telemetry_.set_tick_sums(sums);
+  bank_replayed_ticks(ticks);
+  if (governor_moved || thermal_moved) {
+    // The horizon ends on this tick: finish it on the event path (the
+    // rebuild with the new levels happens inside) and hand back to the
+    // driver. After a governor move the oracle's thermal check still runs
+    // on this tick, after the governor, exactly as in step_event_tick.
+    if (governor_moved) (void)thermal_phase();
+    complete_event_tick(/*dvfs_moved=*/true, events);
   }
 }
 
@@ -793,7 +852,6 @@ void Engine::bank_replayed_ticks(std::size_t ticks) {
     counters_.analytic_ticks += ticks;
   }
   last_true_power_ = cache_.true_power;
-  pending_ticks_ += ticks;
   counters_.ticks += ticks;
   counters_.replayed_ticks += ticks;
   counters_.cache_hit_ticks += ticks;
@@ -831,7 +889,6 @@ void Engine::run_event_mode(std::vector<JobEvent>& events,
     step_event_tick(events);
     replay_horizon(end, events);
   }
-  flush_pending_telemetry();
 }
 
 std::vector<JobEvent> Engine::run_until_event() {

@@ -23,15 +23,20 @@
 //    horizon and cached. The per-tick remainder is strength-reduced to a few
 //    flops per resident job, replaying exactly the arithmetic the tick
 //    oracle performs so both modes produce bit-identical trajectories
-//    (pinned by tests/sim/test_engine_equivalence.cpp). The meter is drawn
-//    at the oracle's points, so the noise stream stays in lockstep, but a
-//    draw is valued (log, divide, sqrt) only where its reading is observed:
-//    cadence steps, sample points, windowed caps, a dropout's start, and
-//    violation tests the meter's per-horizon bound cannot settle
-//    (power_meter.hpp). On control-free machines (GovernorPolicy::kNone, no
-//    sample recording, no thermal model) nothing observes the meter, so the
-//    replay skips its draws and runs through governor and sample points,
-//    stopping only at phase boundaries and run ends.
+//    (pinned by tests/sim/test_engine_equivalence.cpp). The replay keeps
+//    the clock, the per-tick telemetry sums and one or two resident jobs'
+//    progress in locals for a window. The meter is drawn at the oracle's
+//    points, so the noise stream stays in lockstep, but a draw is valued
+//    (log, divide, sqrt) only where its reading is observed: sample points,
+//    windowed caps, a dropout's start, and violation tests and capped
+//    cadence steps the meter's per-horizon bound cannot settle against the
+//    governor's thresholds (power_meter.hpp). A capped replay window runs the governor inline,
+//    through cadence points, with the engine's one PowerGovernor, and ends
+//    only where it moves a level. On control-free machines
+//    (GovernorPolicy::kNone, no sample recording, no thermal model) nothing
+//    observes the meter, so the replay skips its draws and runs through
+//    governor and sample points, stopping only at phase boundaries and run
+//    ends.
 //  - kAnalytic: the closed-form core. Shares kEvent's horizon replay,
 //    control-free windows included, but defers the per-job advance to one
 //    bulk update per replayed window (rem -= n * ref_per_tick instead of n
@@ -328,6 +333,12 @@ class Engine {
   /// The meter reading cap enforcement acts on: the noisy sample itself, or
   /// under a PL1 window (cap_window > 0) its exponential moving average.
   Watts read_cap_meter();
+  /// The reading a capped governor cadence step acts on. The tick oracle
+  /// and windowed caps read in full; otherwise the meter draws and stands
+  /// in the true power for the reading whenever its bound settles both of
+  /// the governor's thresholds (the cap and the cap minus the raise
+  /// margin), so the step moves exactly the levels the reading would.
+  Watts cadence_reading();
   /// The violation test of a capped tick off the governor cadence: the
   /// read_cap_meter() reading when it exceeds the cap, else nullopt. The
   /// tick oracle and windowed caps read in full; otherwise the meter draws
@@ -371,18 +382,32 @@ class Engine {
   void run_event_mode(std::vector<JobEvent>& events,
                       const std::optional<Seconds>& end, bool stop_on_event);
   /// Replays as many whole ticks of the current horizon as provably contain
-  /// no event (no governor or sample point, no phase boundary, `end` not
-  /// reached) in one tight loop — the same arithmetic step_event_tick
-  /// performs, with every event check hoisted. Under an active power cap the
-  /// loop still draws the meter every tick (lockstep with the oracle) and
-  /// inlines the violation test, breaking out only when the governor moves
-  /// a level. Control-free machines skip the draws and the governor/sample
+  /// no event (no sample point, no phase boundary, `end` not reached) in
+  /// one tight loop — the same arithmetic step_event_tick performs, with
+  /// every event check hoisted. Under an active power cap the loop still
+  /// draws the meter every tick (lockstep with the oracle) and inlines the
+  /// governor — cadence steps and violation tests — breaking out only when
+  /// it moves a level. Uncapped windows also stop at governor cadence
+  /// points. Control-free machines skip the draws and the governor/sample
   /// stops. kAnalytic defers the per-job advance to one advance_jobs_bulk
-  /// per window. A no-op when the cache is cold.
+  /// per window and stops at cadence points. A no-op when the cache is
+  /// cold.
   void replay_horizon(const std::optional<Seconds>& end,
                       std::vector<JobEvent>& events);
-  /// Books `ticks` replayed ticks of the current horizon: the deferred
-  /// telemetry, the counters and, under kAnalytic, the bulk job advance.
+  /// What a replayed window does per tick besides the clock, telemetry and
+  /// job advance: nothing but cadence bookkeeping (control-free), nothing
+  /// (uncapped), or the governor (capped).
+  enum class ReplayKind { kControlFree, kUncapped, kCapped };
+  /// replay_horizon's loop for one window of at most `budget` ticks before
+  /// `stop`. The clock, the telemetry sums and — for kHeld = 1 or 2 resident
+  /// jobs — the jobs' progress live in locals for the window; kHeld = 0
+  /// advances no job per tick (kAnalytic, or an idle machine) and -1
+  /// advances them in place.
+  template <ReplayKind kKind, int kHeld>
+  void replay_window(std::size_t budget, Seconds stop,
+                     std::vector<JobEvent>& events);
+  /// Books `ticks` replayed ticks of the current horizon: the counters and,
+  /// under kAnalytic, the bulk job advance.
   void bank_replayed_ticks(std::size_t ticks);
   /// Advances every cached job by one tick of the current horizon (the
   /// oracle's per-tick subtraction, strength-reduced).
@@ -391,8 +416,6 @@ class Engine {
   /// (rem -= n * ref_per_tick). Only called when the horizon bound proves
   /// no phase boundary lies inside the window.
   void advance_jobs_bulk(std::size_t ticks);
-  /// Flushes deferred record_tick accumulation (see pending_ticks_).
-  void flush_pending_telemetry();
   [[nodiscard]] DeviceTick device_demand(DeviceKind d, double sigma) const;
   void advance_jobs(DeviceKind d, double sigma, Seconds dt,
                     std::vector<JobEvent>& events);
@@ -406,6 +429,7 @@ class Engine {
   MemorySystem memory_;
   PowerModel power_model_;
   PowerMeter meter_;
+  PowerGovernor governor_;  ///< options_.policy at the current power cap
 
   Seconds now_ = 0.0;
   DvfsState dvfs_;
@@ -415,20 +439,15 @@ class Engine {
   Seconds next_sample_ = 0.0;
 
   JobId next_id_ = 0;
+  bool ema_primed_ = false;  ///< power_ema_ holds a reading
   std::vector<RunningJob> running_;
   std::map<JobId, JobStats> stats_;
   Telemetry telemetry_;
   Watts power_ema_ = 0.0;  ///< windowed-cap moving average (cap_window > 0)
-  bool ema_primed_ = false;
 
   EngineCounters counters_;
   DynamicsCache cache_;
   std::optional<ThermalState> thermal_;
-  /// Ticks whose record_tick arguments are all identical (the cached power
-  /// and busy flags) and have not yet been pushed into telemetry_. Flushed
-  /// through Telemetry::record_interval before anything can observe or
-  /// change them.
-  std::size_t pending_ticks_ = 0;
 };
 
 }  // namespace corun::sim

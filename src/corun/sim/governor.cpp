@@ -15,24 +15,22 @@ const char* policy_name(GovernorPolicy p) noexcept {
   return "?";
 }
 
-PowerGovernor::PowerGovernor(GovernorPolicy policy, std::optional<Watts> cap,
-                             Watts raise_margin)
-    : policy_(policy), cap_(cap), raise_margin_(raise_margin) {
-  CORUN_CHECK(raise_margin_ >= 0.0);
-  if (cap_) CORUN_CHECK_MSG(*cap_ > 0.0, "power cap must be positive");
+PowerGovernor::PowerGovernor(GovernorPolicy policy, std::optional<Watts> cap)
+    : policy_(policy), cap_(cap.value_or(0.0)) {
+  if (cap) CORUN_CHECK_MSG(*cap > 0.0, "power cap must be positive");
 }
 
 DvfsState PowerGovernor::step(Watts measured_power, DvfsState s) const {
   s.cpu_level = std::min(s.cpu_level, s.cpu_ceiling);
   s.gpu_level = std::min(s.gpu_level, s.gpu_ceiling);
-  if (policy_ == GovernorPolicy::kNone || !cap_) {
+  if (policy_ == GovernorPolicy::kNone || !(cap_ > 0.0)) {
     s.cpu_level = s.cpu_ceiling;
     s.gpu_level = s.gpu_ceiling;
     return s;
   }
 
   const bool gpu_first_down = policy_ == GovernorPolicy::kGpuBiased;
-  if (measured_power > *cap_) {
+  if (measured_power > cap_) {
     // Overshoot: lower the sacrificial domain first, one step at a time.
     if (gpu_first_down) {
       if (s.cpu_level > 0) {
@@ -47,7 +45,7 @@ DvfsState PowerGovernor::step(Watts measured_power, DvfsState s) const {
         --s.cpu_level;
       }
     }
-  } else if (measured_power < *cap_ - raise_margin_) {
+  } else if (measured_power < cap_ - kRaiseMargin) {
     // Headroom: raise the favoured domain first, bounded by its ceiling.
     if (gpu_first_down) {
       if (s.gpu_level < s.gpu_ceiling) {

@@ -36,20 +36,24 @@ struct DvfsState {
 
 class PowerGovernor {
  public:
-  PowerGovernor(GovernorPolicy policy, std::optional<Watts> cap,
-                Watts raise_margin = 1.2);
+  /// A step raises a level only when the reading is below cap - this: the
+  /// dead band [cap - margin, cap] keeps the loop from chattering.
+  static constexpr Watts kRaiseMargin = 1.2;
+
+  PowerGovernor(GovernorPolicy policy, std::optional<Watts> cap);
 
   /// One control step: inspect the measured power and nudge levels by at
   /// most one step per domain. Returns the updated levels.
   [[nodiscard]] DvfsState step(Watts measured_power, DvfsState state) const;
 
   [[nodiscard]] GovernorPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] std::optional<Watts> cap() const noexcept { return cap_; }
+  [[nodiscard]] std::optional<Watts> cap() const noexcept {
+    return cap_ > 0.0 ? std::optional<Watts>(cap_) : std::nullopt;
+  }
 
  private:
   GovernorPolicy policy_;
-  std::optional<Watts> cap_;
-  Watts raise_margin_;
+  Watts cap_;  ///< positive; 0 = uncapped
 };
 
 }  // namespace corun::sim

@@ -7,8 +7,8 @@
 
 namespace corun::sim {
 
-PowerMeter::PowerMeter(Rng rng, Watts noise_stddev)
-    : rng_(rng), noise_stddev_(noise_stddev) {
+PowerMeter::PowerMeter(std::uint64_t seed, Watts noise_stddev)
+    : stream_(seed), noise_stddev_(noise_stddev) {
   CORUN_CHECK(noise_stddev >= 0.0);
 }
 
@@ -17,15 +17,6 @@ Watts PowerMeter::sample() const {
                           ? power_ + Rng::polar_value(noise_, noise_stddev_)
                           : power_;
   return std::max(0.0, noisy);
-}
-
-bool PowerMeter::exceeds(Watts true_power, Watts cap) {
-  draw(true_power);
-  if (dropout_) return held_ > cap;
-  if (noise_stddev_ > 0.0 && noise_.r2 > cap_bound(true_power, cap)) {
-    return true_power > cap;
-  }
-  return sample() > cap;
 }
 
 double PowerMeter::settling_r2(Watts true_power, Watts cap,
@@ -42,13 +33,11 @@ double PowerMeter::settling_r2(Watts true_power, Watts cap,
   return cap > 0.0 && t > 0.0 ? std::exp(-0.5 * t * t) * (1.0 + 1e-9) : 2.0;
 }
 
-double PowerMeter::cap_bound(Watts true_power, Watts cap) {
-  if (true_power != bound_power_ || cap != bound_cap_) {
-    bound_power_ = true_power;
-    bound_cap_ = cap;
-    bound_r2_ = settling_r2(true_power, cap, noise_stddev_);
-  }
-  return bound_r2_;
+void PowerMeter::refresh(Watts true_power, Watts hi) {
+  bound_power_ = true_power;
+  bound_hi_ = hi;
+  hi_r2_ = settling_r2(true_power, hi, noise_stddev_);
+  bound_lo_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 }  // namespace corun::sim

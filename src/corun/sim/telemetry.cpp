@@ -24,22 +24,6 @@ void Telemetry::record_tick(Seconds dt, Watts true_power, bool cpu_busy,
   if (cap_active && true_power > cap) cap_stats_.time_over_cap += dt;
 }
 
-void Telemetry::record_interval(std::size_t ticks, Seconds dt,
-                                Watts true_power, bool cpu_busy, bool gpu_busy,
-                                Watts cap, bool cap_active) {
-  // The per-tick quantities are loop-invariant, so hoist the branch work;
-  // the += chains must stay per-tick for bit-equality with record_tick.
-  const Joules joules_per_tick = true_power * dt;
-  const bool over = cap_active && true_power > cap;
-  for (std::size_t i = 0; i < ticks; ++i) {
-    elapsed_ += dt;
-    energy_ += joules_per_tick;
-    if (cpu_busy) cpu_busy_ += dt;
-    if (gpu_busy) gpu_busy_ += dt;
-    if (over) cap_stats_.time_over_cap += dt;
-  }
-}
-
 void Telemetry::clear() {
   samples_.clear();
   thermal_samples_.clear();

@@ -64,16 +64,32 @@ struct ThermalStats {
 /// Accumulating recorder; owned by the engine, readable by callers.
 class Telemetry {
  public:
+  /// The sums every tick adds to. The engine's replay loop copies them out
+  /// for a window, adds each replayed tick to the copy exactly as
+  /// record_tick would (one += per tick, never a closed-form `ticks * dt`,
+  /// which would round differently) and stores them back.
+  struct TickSums {
+    Seconds elapsed = 0.0;
+    Joules energy = 0.0;
+    Seconds cpu_busy = 0.0;
+    Seconds gpu_busy = 0.0;
+    Seconds over_cap = 0.0;  ///< CapViolationStats::time_over_cap
+  };
+
   void record_sample(const PowerSample& sample, Watts cap, bool cap_active);
   void record_tick(Seconds dt, Watts true_power, bool cpu_busy, bool gpu_busy,
                    Watts cap, bool cap_active);
-  /// Records `ticks` consecutive ticks that all share the same arguments —
-  /// the event engine's aggregate path. Replays the additions one by one so
-  /// the accumulators are bit-identical to `ticks` record_tick calls (a
-  /// closed-form `ticks * dt` multiply would round differently).
-  void record_interval(std::size_t ticks, Seconds dt, Watts true_power,
-                       bool cpu_busy, bool gpu_busy, Watts cap,
-                       bool cap_active);
+
+  [[nodiscard]] TickSums tick_sums() const noexcept {
+    return {elapsed_, energy_, cpu_busy_, gpu_busy_, cap_stats_.time_over_cap};
+  }
+  void set_tick_sums(const TickSums& sums) noexcept {
+    elapsed_ = sums.elapsed;
+    energy_ = sums.energy;
+    cpu_busy_ = sums.cpu_busy;
+    gpu_busy_ = sums.gpu_busy;
+    cap_stats_.time_over_cap = sums.over_cap;
+  }
 
   void record_thermal_sample(const ThermalSample& sample) {
     thermal_samples_.push_back(sample);

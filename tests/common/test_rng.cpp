@@ -217,6 +217,61 @@ TEST(Rng, PolarValueSplitsTheGaussian) {
   }
 }
 
+TEST(PolarStream, MatchesPolarDrawDrawForDrawAcrossRefills) {
+  // A million draws per seed cross some 8 000 block refills (at most 156
+  // accepted draws per 312-output block); the first draw is the stream's
+  // seeding refill.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{42}, std::uint64_t{5489},
+        Rng::fork_seed(7, "power-meter")}) {
+    Rng rng(seed);
+    PolarStream stream(seed);
+    for (int i = 0; i < 1000000; ++i) {
+      const Rng::PolarDraw a = rng.polar_draw();
+      const Rng::PolarDraw b = stream.next();
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.y),
+                std::bit_cast<std::uint64_t>(b.y))
+          << "seed " << seed << ", draw " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.r2),
+                std::bit_cast<std::uint64_t>(b.r2))
+          << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(PolarStream, CopyResumesWhereTheOriginalStands) {
+  // Engines (and their meters) are copyable; a copy taken mid-block, or
+  // before the first refill, continues the same stream.
+  PolarStream fresh(9);
+  PolarStream fresh_copy = fresh;
+  PolarStream original(9);
+  for (int i = 0; i < 200; ++i) (void)original.next();
+  PolarStream copy = original;
+  Rng rng(9);
+  for (int i = 0; i < 200; ++i) (void)rng.polar_draw();
+  for (int i = 0; i < 1000; ++i) {
+    const Rng::PolarDraw expected = rng.polar_draw();
+    const Rng::PolarDraw a = original.next();
+    const Rng::PolarDraw b = copy.next();
+    ASSERT_EQ(a.y, expected.y) << "draw " << i;
+    ASSERT_EQ(b.y, expected.y) << "draw " << i;
+    ASSERT_EQ(b.r2, expected.r2) << "draw " << i;
+  }
+  Rng from_start(9);
+  for (int i = 0; i < 1000; ++i) {
+    const Rng::PolarDraw expected = from_start.polar_draw();
+    ASSERT_EQ(fresh_copy.next().r2, expected.r2) << "draw " << i;
+    ASSERT_EQ(fresh.next().y, expected.y) << "draw " << i;
+  }
+}
+
+TEST(Rng, ForkSeedIsTheForkedStreamsSeed) {
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
+    EXPECT_EQ(Rng::fork_seed(seed, "power-meter"),
+              Rng(seed).fork("power-meter").seed());
+  }
+}
+
 TEST(Hash64, StableAndDistinct) {
   EXPECT_EQ(hash64("abc"), hash64("abc"));
   EXPECT_NE(hash64("abc"), hash64("abd"));

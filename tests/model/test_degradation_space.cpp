@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "corun/common/task_pool.hpp"
 #include "corun/sim/machine.hpp"
 
 namespace corun::model {
@@ -146,6 +148,34 @@ TEST(DegradationSpaceBuilder, MeasureCellSymmetryOfZero) {
   const DegradationSpaceBuilder builder(sim::ivy_bridge());
   EXPECT_NEAR(builder.measure_cell(sim::DeviceKind::kCpu, 5.0, 0.0), 0.0, 0.01);
   EXPECT_NEAR(builder.measure_cell(sim::DeviceKind::kGpu, 5.0, 0.0), 0.0, 0.01);
+}
+
+TEST(DegradationSpaceBuilder, CharacterizeEqualsMeasureCellAtAnyWorkerCount) {
+  // characterize() runs each subject's solo reference once per (device,
+  // axis value) and shares it across that subject's cells; measure_cell
+  // runs its own. Every cell must agree exactly, at one worker and at four.
+  const DegradationSpaceBuilder builder(sim::ivy_bridge());
+  const std::vector<GBps> cpu_axis = {0.0, 4.0, 9.5};
+  const std::vector<GBps> gpu_axis = {1.5, 7.0};
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << jobs << " worker(s)");
+    common::set_default_jobs(jobs);
+    const DegradationGrid g = builder.characterize(cpu_axis, gpu_axis);
+    ASSERT_TRUE(g.valid());
+    for (std::size_t i = 0; i < cpu_axis.size(); ++i) {
+      for (std::size_t j = 0; j < gpu_axis.size(); ++j) {
+        EXPECT_EQ(g.cpu_deg[i][j],
+                  builder.measure_cell(sim::DeviceKind::kCpu, cpu_axis[i],
+                                       gpu_axis[j]))
+            << "cell " << i << "," << j;
+        EXPECT_EQ(g.gpu_deg[i][j],
+                  builder.measure_cell(sim::DeviceKind::kGpu, gpu_axis[j],
+                                       cpu_axis[i]))
+            << "cell " << i << "," << j;
+      }
+    }
+  }
+  common::set_default_jobs(0);
 }
 
 }  // namespace

@@ -28,38 +28,6 @@
 namespace corun::sim {
 namespace {
 
-/// Bit-exact trajectory equality: the record-then-replay contract. Doubles
-/// are compared with EXPECT_EQ — the CSV schema round-trips via %.17g, so
-/// the replayed run re-executes the recording's arithmetic exactly.
-void expect_bit_identical(const Engine& a, const Engine& b) {
-  EXPECT_EQ(a.now(), b.now());
-  const std::vector<JobStats> as = a.all_stats();
-  const std::vector<JobStats> bs = b.all_stats();
-  ASSERT_EQ(as.size(), bs.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    EXPECT_EQ(as[i].id, bs[i].id);
-    EXPECT_EQ(as[i].finished, bs[i].finished);
-    EXPECT_EQ(as[i].cancelled, bs[i].cancelled);
-    EXPECT_EQ(as[i].start_time, bs[i].start_time);
-    EXPECT_EQ(as[i].finish_time, bs[i].finish_time) << "job " << as[i].name;
-    EXPECT_EQ(as[i].total_gb, bs[i].total_gb) << "job " << as[i].name;
-  }
-  EXPECT_EQ(a.telemetry().energy(), b.telemetry().energy());
-  EXPECT_EQ(a.telemetry().elapsed(), b.telemetry().elapsed());
-  EXPECT_EQ(a.telemetry().cpu_busy_time(), b.telemetry().cpu_busy_time());
-  EXPECT_EQ(a.telemetry().gpu_busy_time(), b.telemetry().gpu_busy_time());
-  ASSERT_EQ(a.telemetry().samples().size(), b.telemetry().samples().size());
-  for (std::size_t i = 0; i < a.telemetry().samples().size(); ++i) {
-    const PowerSample& x = a.telemetry().samples()[i];
-    const PowerSample& y = b.telemetry().samples()[i];
-    EXPECT_EQ(x.t, y.t) << "sample " << i;
-    EXPECT_EQ(x.measured, y.measured) << "sample " << i;
-    EXPECT_EQ(x.true_power, y.true_power) << "sample " << i;
-    EXPECT_EQ(x.cpu_level, y.cpu_level) << "sample " << i;
-    EXPECT_EQ(x.gpu_level, y.gpu_level) << "sample " << i;
-  }
-}
-
 class RandomBackendEquivalence : public ::testing::TestWithParam<int> {};
 
 /// Analytic backend vs the event engine on the shared scenario corpus.

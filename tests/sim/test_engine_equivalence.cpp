@@ -7,6 +7,8 @@
 // live in expect_equivalent.hpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <vector>
 
 #include "corun/common/rng.hpp"
@@ -111,6 +113,212 @@ TEST(EngineEquivalenceEdge, RunUntilEventParity) {
     if (tick.idle()) break;
   }
   expect_equivalent(tick, event);
+}
+
+// --- capped windows ---
+//
+// The event core's capped replay runs through governor cadence points: it
+// inlines each cadence step and decides it from the meter's bound on both
+// governor thresholds (the cap and the cap minus the raise margin) when it
+// can, valuing the reading when it cannot. These cases pin that loop to the
+// tick oracle bit for bit where it has edges.
+
+JobSpec phased_job(const char* name, std::vector<Phase> cpu,
+                   std::vector<Phase> gpu) {
+  JobSpec spec;
+  spec.name = name;
+  spec.cpu = DeviceProfile(std::move(cpu));
+  spec.gpu = DeviceProfile(std::move(gpu));
+  return spec;
+}
+
+void launch_pair(Engine& e) {
+  e.launch(phased_job("p", {{6.0, 0.3, 9.0}, {5.0, 0.8, 3.0}, {7.0, 0.5, 6.0}},
+                      {{4.0, 0.4, 10.0}, {6.0, 0.7, 4.0}}),
+           DeviceKind::kCpu);
+  e.launch(phased_job("q", {{8.0, 0.6, 5.0}, {4.0, 0.2, 11.0}},
+                      {{4.0, 0.4, 10.0}, {9.0, 0.7, 4.0}, {4.0, 0.2, 12.0}}),
+           DeviceKind::kGpu);
+}
+
+EngineOptions capped_options(Watts cap, double sigma, GovernorPolicy policy) {
+  EngineOptions o;
+  o.seed = 13;
+  o.power_cap = cap;
+  o.policy = policy;
+  o.meter_noise_stddev = sigma;
+  o.sample_interval = 1.0;
+  o.record_samples = true;
+  o.thermal = false;
+  return o;
+}
+
+/// Runs `script` on a tick and an event engine built from `options`,
+/// expects bit-identical trajectories and hands the event engine to
+/// `inspect`.
+template <typename Script, typename Inspect>
+void expect_modes_identical(EngineOptions options, Script script,
+                            Inspect inspect) {
+  options.mode = EngineMode::kTick;
+  Engine tick(ivy_bridge(), options);
+  options.mode = EngineMode::kEvent;
+  Engine event(ivy_bridge(), options);
+  for (Engine* e : {&tick, &event}) {
+    e->set_ceilings(15, 9);
+    script(*e);
+  }
+  expect_bit_identical(tick, event);
+  inspect(event);
+}
+
+const GovernorPolicy kPolicies[] = {GovernorPolicy::kGpuBiased,
+                                    GovernorPolicy::kCpuBiased};
+
+TEST(CappedWindowEquivalence, LevelMovesOnCadenceTicks) {
+  // The machine boots at level 0 under a cap with room to spare, so the
+  // governor raises a level at cadence tick after cadence tick, each raise
+  // decided inside a replay window and ending it; once the power nears the
+  // cap, cadence steps hold, lower and raise around it.
+  for (const double sigma : {0.25, 2.0}) {
+    for (const GovernorPolicy policy : kPolicies) {
+      for (const bool thermal : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "sigma " << sigma << ", policy "
+                                        << policy_name(policy)
+                                        << ", thermal " << thermal);
+        EngineOptions o = capped_options(16.0, sigma, policy);
+        o.thermal = thermal;
+        expect_modes_identical(
+            o,
+            [](Engine& e) {
+              launch_pair(e);
+              e.run_until_idle();
+            },
+            [sigma](const Engine& event) {
+              // Cadence ticks are replayed: windows that stopped at every
+              // cadence point (every 10th tick) would replay fewer. (At
+              // 2 W of noise frequent violations end windows early.)
+              if (sigma < 1.0) {
+                EXPECT_GT(event.counters().replayed_ticks * 10,
+                          event.counters().ticks * 9);
+              }
+            });
+      }
+    }
+  }
+}
+
+TEST(CappedWindowEquivalence, RaisesDecidedAtTheLowerThreshold) {
+  // Caps a quarter watt apart put some level's true power within the
+  // noise of cap - 1.2, the governor's raise threshold, where the meter's
+  // bound settles nothing and the cadence step values the reading; the
+  // samples confirm the sweep spends time there below the ceilings.
+  int near_raise_threshold = 0;
+  for (double cap = 9.0; cap <= 16.0; cap += 0.25) {
+    for (const double sigma : {0.25, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << ", sigma " << sigma);
+      expect_modes_identical(
+          capped_options(cap, sigma, GovernorPolicy::kGpuBiased),
+          [](Engine& e) {
+            launch_pair(e);
+            e.run_until_idle();
+          },
+          [&](const Engine& event) {
+            for (const PowerSample& s : event.telemetry().samples()) {
+              const bool below_ceiling = s.cpu_level < 15 || s.gpu_level < 9;
+              if (below_ceiling &&
+                  std::abs(s.true_power - (cap - 1.2)) < 2.0 * sigma) {
+                ++near_raise_threshold;
+              }
+            }
+          });
+    }
+  }
+  EXPECT_GT(near_raise_threshold, 50);
+}
+
+TEST(CappedWindowEquivalence, WindowedCap) {
+  // Under a PL1 window every reading feeds the moving average, so cadence
+  // steps value the reading in full inside the window.
+  for (const double cap : {12.0, 15.0}) {
+    for (const double sigma : {0.25, 2.0}) {
+      EngineOptions o = capped_options(cap, sigma, GovernorPolicy::kCpuBiased);
+      o.cap_window = 1.0;
+      expect_modes_identical(
+          o,
+          [](Engine& e) {
+            launch_pair(e);
+            e.run_until_idle();
+          },
+          [](const Engine& event) {
+            EXPECT_GT(event.counters().replayed_ticks, 0u);
+          });
+    }
+  }
+}
+
+TEST(CappedWindowEquivalence, DropoutStartingMidWindow) {
+  // Dropouts start and end off every cadence and sample point; while one
+  // lasts, cadence steps and violation tests act on the held reading.
+  for (const double sigma : {0.25, 2.0}) {
+    for (const GovernorPolicy policy : kPolicies) {
+      expect_modes_identical(
+          capped_options(13.0, sigma, policy),
+          [](Engine& e) {
+            launch_pair(e);
+            (void)e.run_for(3.37);
+            e.set_meter_dropout(true);
+            (void)e.run_for(2.05);
+            e.set_meter_dropout(false);
+            (void)e.run_for(1.234);
+            e.set_meter_dropout(true);
+            (void)e.run_until_event();
+            e.set_meter_dropout(false);
+            e.run_until_idle();
+          },
+          [](const Engine& event) { EXPECT_FALSE(event.meter_dropout()); });
+    }
+  }
+}
+
+TEST(CappedWindowEquivalence, SetPowerCapBetweenRuns) {
+  // Each cap move replaces the engine's governor; the next windows decide
+  // on the new thresholds (and none at all while uncapped).
+  for (const double sigma : {0.25, 2.0}) {
+    expect_modes_identical(
+        capped_options(14.0, sigma, GovernorPolicy::kGpuBiased),
+        [](Engine& e) {
+          launch_pair(e);
+          (void)e.run_for(4.0);
+          e.set_power_cap(11.0);
+          (void)e.run_for(3.05);
+          e.set_power_cap(std::nullopt);
+          (void)e.run_for(2.0);
+          e.set_power_cap(16.5);
+          e.run_until_idle();
+        },
+        [](const Engine& event) {
+          EXPECT_EQ(event.counters().cap_updates, 3u);
+        });
+  }
+}
+
+TEST(CappedWindowEquivalence, RunForEndingOnACadenceTick) {
+  // Every slice ends exactly on a governor cadence point (and every other
+  // one on a sample point too), so each window's end bound and the cadence
+  // test meet at the same tick.
+  for (const Seconds interval : {0.1, 0.3}) {
+    EngineOptions o = capped_options(14.0, 0.25, GovernorPolicy::kCpuBiased);
+    o.governor_interval = interval;
+    o.sample_interval = 2.0 * 5.0 * interval;
+    expect_modes_identical(
+        o,
+        [interval](Engine& e) {
+          launch_pair(e);
+          for (int k = 0; k < 40; ++k) (void)e.run_for(5.0 * interval);
+          e.run_until_idle();
+        },
+        [](const Engine& event) { EXPECT_TRUE(event.idle()); });
+  }
 }
 
 }  // namespace

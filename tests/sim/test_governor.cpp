@@ -61,7 +61,8 @@ TEST(Governor, RaisesFavouredDomainWithHeadroom) {
 }
 
 TEST(Governor, DeadBandHolds) {
-  const PowerGovernor g(GovernorPolicy::kGpuBiased, 15.0, /*raise_margin=*/1.2);
+  const PowerGovernor g(GovernorPolicy::kGpuBiased, 15.0);
+  ASSERT_EQ(PowerGovernor::kRaiseMargin, 1.2);
   DvfsState s = mid_state();
   const DvfsState held = g.step(14.5, s);  // inside [cap - margin, cap]
   EXPECT_EQ(held.cpu_level, s.cpu_level);

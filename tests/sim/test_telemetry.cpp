@@ -54,12 +54,12 @@ TEST(Telemetry, ClearResets) {
 }
 
 TEST(PowerMeter, ZeroNoiseIsExact) {
-  PowerMeter meter(Rng(1), 0.0);
+  PowerMeter meter(1, 0.0);
   EXPECT_DOUBLE_EQ(meter.read(12.34), 12.34);
 }
 
 TEST(PowerMeter, NoiseIsBoundedAndUnbiased) {
-  PowerMeter meter(Rng(2), 0.25);
+  PowerMeter meter(2, 0.25);
   double sum = 0.0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -71,14 +71,14 @@ TEST(PowerMeter, NoiseIsBoundedAndUnbiased) {
 }
 
 TEST(PowerMeter, NeverNegative) {
-  PowerMeter meter(Rng(3), 5.0);
+  PowerMeter meter(3, 5.0);
   for (int i = 0; i < 200; ++i) {
     EXPECT_GE(meter.read(0.1), 0.0);
   }
 }
 
 TEST(PowerMeter, NegativeStddevRejected) {
-  EXPECT_THROW(PowerMeter(Rng(1), -0.1), corun::ContractViolation);
+  EXPECT_THROW(PowerMeter(1, -0.1), corun::ContractViolation);
 }
 
 }  // namespace
