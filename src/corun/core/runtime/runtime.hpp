@@ -7,11 +7,11 @@
 // and leaves residual cap enforcement to the reactive governor. All three
 // schedule shapes are supported — two sequences (+ solo tail), the Default
 // baseline's batch-launched CPU partition, and the Random baseline's shared
-// pull queue.
+// pull queue. It shares one executor core (queues, operating point, report)
+// with DynamicRuntime; only the loop over the schedule is its own.
 #pragma once
 
 #include <optional>
-
 #include <string>
 
 #include "corun/core/model/corun_predictor.hpp"
@@ -62,8 +62,6 @@ class CoRunRuntime {
   }
 
  private:
-  [[nodiscard]] sim::EngineOptions engine_options() const;
-
   sim::MachineConfig config_;
   RuntimeOptions options_;
 };

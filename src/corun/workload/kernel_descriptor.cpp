@@ -29,12 +29,6 @@ sim::JobSpec make_job_spec(const KernelDescriptor& desc, std::uint64_t seed) {
   return spec;
 }
 
-ocl::KernelSource make_kernel_source(const KernelDescriptor& desc,
-                                     std::uint64_t seed) {
-  return ocl::KernelSource{.spec = make_job_spec(desc, seed),
-                           .num_args = desc.num_args};
-}
-
 KernelDescriptor random_descriptor(Rng& rng, const std::string& name,
                                    const RandomWorkloadParams& params) {
   CORUN_CHECK(params.min_time > 0.0 && params.max_time > params.min_time);

@@ -4,14 +4,13 @@
 // behaves on each device when compiled for it (standalone time at max
 // frequency, average compute fraction, memory appetite). `make_job_spec`
 // plays the role of the device compiler, lowering the descriptor into the
-// phase traces the simulator executes; `make_kernel_source` wraps the same
-// thing for the mini-OpenCL Program/Kernel API.
+// phase traces the simulator executes; the runtimes launch the resulting
+// sim::JobSpec on sim::Engine.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "corun/ocl/program.hpp"
 #include "corun/sim/job.hpp"
 #include "corun/workload/phase_trace.hpp"
 
@@ -30,7 +29,6 @@ struct KernelDescriptor {
   std::string name;
   DeviceCharacter cpu;
   DeviceCharacter gpu;
-  int num_args = 3;             ///< host-visible __kernel parameter count
   unsigned phase_count = 14;
   double phase_variability = 0.25;
   double input_scale = 1.0;     ///< scales base times (different input sizes)
@@ -50,10 +48,6 @@ struct KernelDescriptor {
 /// produces the same program; distinct seeds model distinct inputs.
 [[nodiscard]] sim::JobSpec make_job_spec(const KernelDescriptor& desc,
                                          std::uint64_t seed);
-
-/// Same lowering, packaged for ocl::Program::build.
-[[nodiscard]] ocl::KernelSource make_kernel_source(const KernelDescriptor& desc,
-                                                   std::uint64_t seed);
 
 /// Bounds for random workload synthesis (fuzzing, stress batches).
 struct RandomWorkloadParams {

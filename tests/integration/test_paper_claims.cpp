@@ -57,24 +57,6 @@ TEST_F(PaperClaimsTest, Fig10_BoundLeavesHeadroom) {
   }
 }
 
-TEST_F(PaperClaimsTest, SchedulingOverheadBelowPaperBudget) {
-  // Sec. VI-D: scheduling takes < 0.1% of the makespan. Planning time is
-  // wall clock, so allow 3x headroom against CI scheduling noise — typical
-  // measurements sit near 0.02%. Sanitizer builds slow planning (wall
-  // clock) without touching the simulated makespan, so widen the budget
-  // rather than measure instrumentation overhead.
-  double budget = 0.003;
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  budget *= 20.0;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  budget *= 20.0;
-#endif
-#endif
-  EXPECT_LT(result8_->method("HCS").report.planning_overhead(), budget);
-  EXPECT_LT(result8_->method("HCS+").report.planning_overhead(), budget);
-}
-
 TEST(PaperClaims16, Fig11_DefaultCollapsesAtSixteenJobs) {
   // Fig. 11: with 16 instances the Default baselines fall *below* Random
   // (CPU time-sharing overheads), while HCS+ stays clearly above it.

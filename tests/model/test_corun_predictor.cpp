@@ -57,6 +57,9 @@ TEST_F(CoRunPredictorTest, RecordedLevelsPassThrough) {
   EXPECT_DOUBLE_EQ(
       predictor_->standalone_time("dwt2d", sim::DeviceKind::kCpu, 15),
       db_->at("dwt2d", sim::DeviceKind::kCpu, 15).time);
+  EXPECT_DOUBLE_EQ(
+      predictor_->standalone_power("dwt2d", sim::DeviceKind::kCpu, 15),
+      db_->at("dwt2d", sim::DeviceKind::kCpu, 15).avg_power);
 }
 
 TEST_F(CoRunPredictorTest, MissingLevelsInterpolated) {
@@ -164,13 +167,40 @@ TEST_F(CoRunPredictorTest, BestLevelAgainstPinnedPartner) {
       predictor_->corun_feasible("dwt2d", *level, "streamcluster", 9, 16.0));
 }
 
-TEST_F(CoRunPredictorTest, PowerPredictionMatchesPowerPredictorFormula) {
+// Fig. 8's model: co-run package power is the two standalone powers at the
+// same levels minus the one idle-package term both of them include.
+TEST_F(CoRunPredictorTest, PowerPredictionIsStandaloneSumMinusIdle) {
   const Watts p = predictor_->predict_power("dwt2d", 15, "streamcluster", 9);
   const Watts expected =
       predictor_->standalone_power("dwt2d", sim::DeviceKind::kCpu, 15) +
       predictor_->standalone_power("streamcluster", sim::DeviceKind::kGpu, 9) -
       db_->idle_power();
   EXPECT_DOUBLE_EQ(p, expected);
+}
+
+TEST_F(CoRunPredictorTest, LowerFrequencyPairsDrawLess) {
+  EXPECT_LT(predictor_->predict_power("dwt2d", 0, "streamcluster", 0),
+            predictor_->predict_power("dwt2d", 15, "streamcluster", 9));
+}
+
+TEST_F(CoRunPredictorTest, FeasibilityAgainstCap) {
+  const Watts corun = predictor_->predict_power("dwt2d", 15, "streamcluster", 9);
+  EXPECT_FALSE(predictor_->corun_feasible("dwt2d", 15, "streamcluster", 9,
+                                          corun - 1.0));
+  EXPECT_TRUE(predictor_->corun_feasible("dwt2d", 15, "streamcluster", 9,
+                                         corun + 1.0));
+  const Watts solo =
+      predictor_->standalone_power("dwt2d", sim::DeviceKind::kCpu, 15);
+  EXPECT_FALSE(predictor_->solo_feasible("dwt2d", sim::DeviceKind::kCpu, 15,
+                                         solo - 1.0));
+  EXPECT_TRUE(predictor_->solo_feasible("dwt2d", sim::DeviceKind::kCpu, 15,
+                                        solo + 1.0));
+}
+
+TEST_F(CoRunPredictorTest, RequiresIdlePower) {
+  const profile::ProfileDB empty;
+  EXPECT_THROW(CoRunPredictor(empty, *grid_, *config_),
+               corun::ContractViolation);
 }
 
 /// The analytic-tables contract: every point query answered from the dense

@@ -30,8 +30,8 @@ TEST(RunMethod, TimesPlanningAndExecutes) {
   EXPECT_GT(result.makespan, 0.0);
   EXPECT_GT(result.planning_seconds, 0.0);
   EXPECT_EQ(result.report.jobs.size(), 4u);
-  // Sec. VI-D: scheduling overhead below 0.1% of the makespan.
-  EXPECT_LT(result.report.planning_overhead(), 0.001);
+  // Sec. VI-D's overhead budget compares wall-clock planning time with the
+  // makespan, so bench/fig10_speedup_8 CHECKs it, not this suite.
 }
 
 class ComparisonTest : public ::testing::Test {
