@@ -13,6 +13,10 @@
 //   2. Planning throughput on the distinct batch (plans/sec across the
 //      ladder, best of rounds) — the *_per_wall rate key the guard
 //      gates on.
+//   3. HCS+ throughput on the 16-job batch across the same ladder, the
+//      planner every dynamic replan and fleet machine runs. Each plan is
+//      CORUN_CHECKed to validate and to predict no worse than its HCS
+//      seed (the refiner keeps only strict improvements).
 //
 // Writes BENCH_search.json.
 //
@@ -30,7 +34,9 @@
 #include "corun/common/check.hpp"
 #include "corun/core/model/corun_predictor.hpp"
 #include "corun/core/sched/branch_and_bound.hpp"
+#include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
+#include "corun/core/sched/refiner.hpp"
 #include "corun/core/sched/scheduler.hpp"
 #include "corun/workload/batch.hpp"
 #include "corun/workload/rodinia.hpp"
@@ -181,6 +187,38 @@ int main(int argc, char** argv) {
   }
   std::printf("search throughput: %.1f plans/s (11-cap ladder)\n", best_rate);
 
+  // -- 3. HCS+ throughput --------------------------------------------------
+  const workload::Batch batch16 = workload::make_batch_16(42);
+  const runtime::ModelArtifacts artifacts16 = artifacts_for(batch16);
+  const model::CoRunPredictor predictor16(artifacts16.db, artifacts16.grid,
+                                          config);
+  for (const Watts cap : caps) {
+    const sched::SchedulerContext ctx = make_ctx(batch16, predictor16, cap);
+    const sched::Schedule seed = sched::HcsScheduler().plan(ctx);
+    const sched::Schedule plan = sched::HcsPlusScheduler().plan(ctx);
+    plan.validate(batch16.size());
+    const sched::MakespanEvaluator evaluator(ctx);
+    CORUN_CHECK_MSG(evaluator.makespan(plan) <= evaluator.makespan(seed),
+                    "HCS+ plan predicted worse than its HCS seed");
+  }
+  double hcs_plus_rate = 0.0;
+  for (int round = 0; round < rounds; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Watts cap : caps) {
+      const sched::SchedulerContext ctx = make_ctx(batch16, predictor16, cap);
+      const sched::Schedule plan = sched::HcsPlusScheduler().plan(ctx);
+      CORUN_CHECK(plan.job_count() == batch16.size());
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double wall = std::chrono::duration<double>(t1 - t0).count();
+    if (wall > 0.0) {
+      hcs_plus_rate =
+          std::max(hcs_plus_rate, static_cast<double>(caps.size()) / wall);
+    }
+  }
+  std::printf("HCS+ throughput: %.1f plans/s (16 jobs, 11-cap ladder)\n",
+              hcs_plus_rate);
+
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\n  \"bench\": \"search\",\n"
@@ -188,9 +226,10 @@ int main(int argc, char** argv) {
                 "  \"clone_bnb_nodes_work\": %zu,\n"
                 "  \"uniform_bnb_nodes_work\": %zu,\n"
                 "  \"full_tree_nodes\": %zu,\n"
-                "  \"bnb_plans_per_wall\": %.1f\n}\n",
+                "  \"bnb_plans_per_wall\": %.1f,\n"
+                "  \"hcs_plus_plans_per_wall\": %.1f\n}\n",
                 bnb_nodes, clone_bnb_nodes, uniform_bnb_nodes,
-                full_tree_nodes, best_rate);
+                full_tree_nodes, best_rate, hcs_plus_rate);
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());

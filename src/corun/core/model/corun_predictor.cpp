@@ -1,6 +1,7 @@
 #include "corun/core/model/corun_predictor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -18,14 +19,22 @@ bool fits(Watts power, std::optional<Watts> cap) {
   return !cap || power <= *cap;
 }
 
-/// Row of `job` in one device's index; a job without profiles on that
-/// device fails exactly as the on-demand path's entry_at does.
-std::size_t row_of(const std::unordered_map<std::string, std::size_t>& index,
-                   const std::string& job) {
-  const auto it = index.find(job);
-  CORUN_CHECK_MSG(it != index.end(), "no profiles for " + job);
-  return it->second;
+/// The weight ratios where weight_bucket's rounded quarter-octave log
+/// steps up one bucket: 2^((k - 23.5) / 4) for k in [0, 48). Built by
+/// repeated multiplication by 2^(1/4) from 2^-6 * 2^(1/8); each is within
+/// a few ulps of its exact value, far inside kBoundaryMargin.
+constexpr std::array<double, CoRunPredictor::kWeightBuckets - 1>
+make_bucket_bounds() {
+  std::array<double, CoRunPredictor::kWeightBuckets - 1> bounds{};
+  double b = 0x1p-6 * 0x1.172b83c7d517bp+0;
+  for (double& bound : bounds) {
+    bound = b;
+    b *= 0x1.306fe0a31b715p+0;
+  }
+  return bounds;
 }
+constexpr auto kBucketBounds = make_bucket_bounds();
+constexpr double kBoundaryMargin = 1e-9;
 
 /// One (job, device) row as ProfileDB::row returns it: (level, entry) by
 /// ascending level.
@@ -94,51 +103,6 @@ struct CoRunPredictor::Core {
   std::vector<std::unique_ptr<PairPrediction[]>> block_storage;
   std::mutex fill_mutex;
   std::size_t filled_blocks = 0;  ///< under fill_mutex
-
-  [[nodiscard]] const profile::ProfileEntry* entry(
-      sim::DeviceKind device, const std::string& job,
-      sim::FreqLevel level) const {
-    const bool cpu = device == sim::DeviceKind::kCpu;
-    const std::size_t n = cpu ? cpu_levels : gpu_levels;
-    if (level < 0 || static_cast<std::size_t>(level) >= n) return nullptr;
-    const auto& index = cpu ? cpu_index : gpu_index;
-    const auto it = index.find(job);
-    if (it == index.end()) return nullptr;
-    const auto& entries = cpu ? cpu_entries : gpu_entries;
-    return &entries[it->second * n + static_cast<std::size_t>(level)];
-  }
-};
-
-struct CoRunPredictor::PairCells {
-  const CoRunPredictor* self = nullptr;
-  const std::string* cpu_job = nullptr;
-  const std::string* gpu_job = nullptr;
-  std::size_t block = 0;  ///< the memo key's pair: cpu row * gpu rows + gpu row
-  sim::FreqLevel cpu_max = 0;
-  sim::FreqLevel gpu_max = 0;
-  const PairPrediction* table = nullptr;  ///< nullptr: tables off
-
-  [[nodiscard]] PairPrediction at(sim::FreqLevel cpu_level,
-                                  sim::FreqLevel gpu_level) const {
-    if (table != nullptr) {
-      return table[static_cast<std::size_t>(cpu_level) *
-                       static_cast<std::size_t>(gpu_max + 1) +
-                   static_cast<std::size_t>(gpu_level)];
-    }
-    return self->predict_legacy(*cpu_job, cpu_level, *gpu_job, gpu_level);
-  }
-
-  /// Calls fn(cpu level, gpu level, cell) for every cell, CPU level outer —
-  /// the legacy searches' scan order — counting one table hit per scan.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (table != nullptr) self->count_analytic_hit();
-    for (sim::FreqLevel fc = 0; fc <= cpu_max; ++fc) {
-      for (sim::FreqLevel fg = 0; fg <= gpu_max; ++fg) {
-        fn(fc, fg, at(fc, fg));
-      }
-    }
-  }
 };
 
 std::size_t CoRunPredictor::SearchKeyHash::operator()(
@@ -262,26 +226,61 @@ const PairPrediction* CoRunPredictor::pair_block(Core& core,
   return filled;
 }
 
-CoRunPredictor::PairCells CoRunPredictor::pair_cells(
-    const std::string& cpu_job, const std::string& gpu_job) const {
+JobRow CoRunPredictor::row(const std::string& job,
+                           sim::DeviceKind device) const {
+  const Core& c = core();
+  const bool cpu = device == sim::DeviceKind::kCpu;
+  JobRow out;
+  out.job = &job;
+  out.device = device;
+  const auto& index = cpu ? c.cpu_index : c.gpu_index;
+  const auto it = index.find(job);
+  if (it == index.end()) return out;
+  out.index = it->second;
+  if (options_.analytic_tables) {
+    out.entries = (cpu ? c.cpu_entries : c.gpu_entries).data() +
+                  out.index * (cpu ? c.cpu_levels : c.gpu_levels);
+  }
+  return out;
+}
+
+CoRunPredictor::PairCells CoRunPredictor::pair(const JobRow& cpu,
+                                               const JobRow& gpu) const {
+  // A job without profiles on its side fails exactly as the on-demand
+  // path's entry_at does.
+  CORUN_CHECK_MSG(cpu.profiled(), "no profiles for " + *cpu.job);
+  CORUN_CHECK_MSG(gpu.profiled(), "no profiles for " + *gpu.job);
   Core& c = core();
   PairCells cells;
   cells.self = this;
-  cells.cpu_job = &cpu_job;
-  cells.gpu_job = &gpu_job;
-  cells.block = row_of(c.cpu_index, cpu_job) * c.gpu_index.size() +
-                row_of(c.gpu_index, gpu_job);
+  cells.cpu_job = cpu.job;
+  cells.gpu_job = gpu.job;
+  cells.block = cpu.index * c.gpu_index.size() + gpu.index;
   cells.cpu_max = config_.cpu_ladder.max_level();
   cells.gpu_max = config_.gpu_ladder.max_level();
   if (options_.analytic_tables) cells.table = pair_block(c, cells.block);
   return cells;
 }
 
-void CoRunPredictor::count_analytic_hit() const {
+CoRunPredictor::PairCells CoRunPredictor::pair_cells(
+    const std::string& cpu_job, const std::string& gpu_job) const {
+  return pair(row(cpu_job, sim::DeviceKind::kCpu),
+              row(gpu_job, sim::DeviceKind::kGpu));
+}
+
+bool CoRunPredictor::in_table(const JobRow& row,
+                              sim::FreqLevel level) const noexcept {
+  return row.entries != nullptr && level >= 0 &&
+         level <= config_.ladder(row.device).max_level();
+}
+
+void CoRunPredictor::count_analytic_hit() const { count_analytic_hits(1); }
+
+void CoRunPredictor::count_analytic_hits(std::uint64_t hits) const {
   // The tally only feeds the backend.analytic_hits trace counter; skip the
   // shared-cache-line increment entirely when tracing is off.
   if (trace::enabled()) {
-    analytic_hits_.fetch_add(1, std::memory_order_relaxed);
+    analytic_hits_.fetch_add(hits, std::memory_order_relaxed);
   }
 }
 
@@ -327,75 +326,93 @@ PairPrediction CoRunPredictor::predict_legacy(const std::string& cpu_job,
                  interp_.locate_gpu(gpu_entry.avg_bw));
 }
 
+Seconds CoRunPredictor::standalone_time(const JobRow& row,
+                                        sim::FreqLevel level) const {
+  if (in_table(row, level)) {
+    count_analytic_hit();
+    return row.entries[level].time;
+  }
+  return entry_at(*row.job, row.device, level).time;
+}
+
+GBps CoRunPredictor::standalone_bw(const JobRow& row,
+                                   sim::FreqLevel level) const {
+  if (in_table(row, level)) {
+    count_analytic_hit();
+    return row.entries[level].avg_bw;
+  }
+  return entry_at(*row.job, row.device, level).avg_bw;
+}
+
+Watts CoRunPredictor::standalone_power(const JobRow& row,
+                                       sim::FreqLevel level) const {
+  if (in_table(row, level)) {
+    count_analytic_hit();
+    return row.entries[level].avg_power;
+  }
+  return entry_at(*row.job, row.device, level).avg_power;
+}
+
+PairPrediction CoRunPredictor::predict(const JobRow& cpu,
+                                       sim::FreqLevel cpu_level,
+                                       const JobRow& gpu,
+                                       sim::FreqLevel gpu_level) const {
+  // Off-ladder levels have no table cell; the on-demand path clamps them.
+  if (options_.analytic_tables && cpu_level >= 0 &&
+      cpu_level <= config_.cpu_ladder.max_level() && gpu_level >= 0 &&
+      gpu_level <= config_.gpu_ladder.max_level()) {
+    const PairCells cells = pair(cpu, gpu);
+    count_analytic_hit();
+    return cells.at(cpu_level, gpu_level);
+  }
+  return predict_legacy(*cpu.job, cpu_level, *gpu.job, gpu_level);
+}
+
+Watts CoRunPredictor::predict_power(const JobRow& cpu,
+                                    sim::FreqLevel cpu_level,
+                                    const JobRow& gpu,
+                                    sim::FreqLevel gpu_level) const {
+  if (in_table(cpu, cpu_level) && in_table(gpu, gpu_level)) {
+    count_analytic_hit();
+    return cpu.entries[cpu_level].avg_power +
+           gpu.entries[gpu_level].avg_power - db_.idle_power();
+  }
+  return standalone_power(cpu, cpu_level) + standalone_power(gpu, gpu_level) -
+         db_.idle_power();
+}
+
 Seconds CoRunPredictor::standalone_time(const std::string& job,
                                         sim::DeviceKind device,
                                         sim::FreqLevel level) const {
-  if (options_.analytic_tables) {
-    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
-      count_analytic_hit();
-      return e->time;
-    }
-  }
-  return entry_at(job, device, level).time;
+  return standalone_time(row(job, device), level);
 }
 
 GBps CoRunPredictor::standalone_bw(const std::string& job,
                                    sim::DeviceKind device,
                                    sim::FreqLevel level) const {
-  if (options_.analytic_tables) {
-    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
-      count_analytic_hit();
-      return e->avg_bw;
-    }
-  }
-  return entry_at(job, device, level).avg_bw;
+  return standalone_bw(row(job, device), level);
 }
 
 Watts CoRunPredictor::standalone_power(const std::string& job,
                                        sim::DeviceKind device,
                                        sim::FreqLevel level) const {
-  if (options_.analytic_tables) {
-    if (const profile::ProfileEntry* e = core().entry(device, job, level)) {
-      count_analytic_hit();
-      return e->avg_power;
-    }
-  }
-  return entry_at(job, device, level).avg_power;
+  return standalone_power(row(job, device), level);
 }
 
 PairPrediction CoRunPredictor::predict(const std::string& cpu_job,
                                        sim::FreqLevel cpu_level,
                                        const std::string& gpu_job,
                                        sim::FreqLevel gpu_level) const {
-  // Off-ladder levels have no table cell; the on-demand path clamps them.
-  if (options_.analytic_tables && cpu_level >= 0 &&
-      cpu_level <= config_.cpu_ladder.max_level() && gpu_level >= 0 &&
-      gpu_level <= config_.gpu_ladder.max_level()) {
-    const PairCells cells = pair_cells(cpu_job, gpu_job);
-    count_analytic_hit();
-    return cells.at(cpu_level, gpu_level);
-  }
-  return predict_legacy(cpu_job, cpu_level, gpu_job, gpu_level);
+  return predict(row(cpu_job, sim::DeviceKind::kCpu), cpu_level,
+                 row(gpu_job, sim::DeviceKind::kGpu), gpu_level);
 }
 
 Watts CoRunPredictor::predict_power(const std::string& cpu_job,
                                     sim::FreqLevel cpu_level,
                                     const std::string& gpu_job,
                                     sim::FreqLevel gpu_level) const {
-  if (options_.analytic_tables) {
-    const Core& c = core();
-    const profile::ProfileEntry* ce =
-        c.entry(sim::DeviceKind::kCpu, cpu_job, cpu_level);
-    const profile::ProfileEntry* ge =
-        c.entry(sim::DeviceKind::kGpu, gpu_job, gpu_level);
-    if (ce != nullptr && ge != nullptr) {
-      count_analytic_hit();
-      return ce->avg_power + ge->avg_power - db_.idle_power();
-    }
-  }
-  return standalone_power(cpu_job, sim::DeviceKind::kCpu, cpu_level) +
-         standalone_power(gpu_job, sim::DeviceKind::kGpu, gpu_level) -
-         db_.idle_power();
+  return predict_power(row(cpu_job, sim::DeviceKind::kCpu), cpu_level,
+                       row(gpu_job, sim::DeviceKind::kGpu), gpu_level);
 }
 
 bool CoRunPredictor::corun_feasible(const std::string& cpu_job,
@@ -415,18 +432,17 @@ bool CoRunPredictor::solo_feasible(const std::string& job,
 }
 
 std::optional<std::pair<sim::FreqLevel, Seconds>> CoRunPredictor::best_solo(
-    const std::string& job, sim::DeviceKind device,
-    std::optional<Watts> cap) const {
-  // A job without profiles on `device` has no table row; entry_at reports
-  // it.
-  const profile::ProfileEntry* row =
-      options_.analytic_tables ? core().entry(device, job, 0) : nullptr;
-  if (row != nullptr) count_analytic_hit();
+    const JobRow& row, std::optional<Watts> cap) const {
+  // A job without profiles on the row's device has no table row; entry_at
+  // reports it.
+  if (row.entries != nullptr) count_analytic_hit();
   std::optional<std::pair<sim::FreqLevel, Seconds>> best;
   Seconds best_time = std::numeric_limits<Seconds>::infinity();
-  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
-    const profile::ProfileEntry e =
-        row != nullptr ? row[l] : entry_at(job, device, l);
+  for (sim::FreqLevel l = 0; l <= config_.ladder(row.device).max_level();
+       ++l) {
+    const profile::ProfileEntry e = row.entries != nullptr
+                                        ? row.entries[l]
+                                        : entry_at(*row.job, row.device, l);
     if (!fits(e.avg_power, cap)) continue;
     if (e.time < best_time) {
       best_time = e.time;
@@ -439,7 +455,7 @@ std::optional<std::pair<sim::FreqLevel, Seconds>> CoRunPredictor::best_solo(
 std::optional<sim::FreqLevel> CoRunPredictor::best_solo_level(
     const std::string& job, sim::DeviceKind device,
     std::optional<Watts> cap) const {
-  const auto best = best_solo(job, device, cap);
+  const auto best = best_solo(row(job, device), cap);
   if (!best) return std::nullopt;
   return best->first;
 }
@@ -447,7 +463,7 @@ std::optional<sim::FreqLevel> CoRunPredictor::best_solo_level(
 Seconds CoRunPredictor::best_solo_time(const std::string& job,
                                        sim::DeviceKind device,
                                        std::optional<Watts> cap) const {
-  const auto best = best_solo(job, device, cap);
+  const auto best = best_solo(row(job, device), cap);
   CORUN_CHECK_MSG(best.has_value(),
                   "no cap-feasible standalone level for " + job);
   return best->second;
@@ -461,26 +477,31 @@ CoRunPredictor::SearchKey CoRunPredictor::SearchKey::of(
           .variant = variant};
 }
 
-Seconds CoRunPredictor::min_corun_time(const std::string& job,
-                                       sim::DeviceKind device,
-                                       const std::string& partner,
-                                       std::optional<Watts> cap,
-                                       bool include_floor_pair) const {
-  const bool on_cpu = device == sim::DeviceKind::kCpu;
-  const PairCells cells =
-      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job);
-  // Exact cap: the minimum feeds admissible lower bounds, where serving a
-  // neighbouring cap's value would silently change pruning decisions.
-  const SearchKey key = SearchKey::of(
-      cells.block, cap, (on_cpu ? 2 : 0) + (include_floor_pair ? 1 : 0));
-  {
-    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    if (const auto it = corun_min_cache_.find(key);
-        it != corun_min_cache_.end()) {
-      return it->second;
-    }
-  }
+int CoRunPredictor::weight_bucket(double cpu_weight, double gpu_weight) {
+  CORUN_CHECK(cpu_weight > 0.0 && gpu_weight > 0.0);
+  const double ratio = gpu_weight / cpu_weight;
+  // A ratio clear of every bucket boundary by a relative kBoundaryMargin
+  // lies in the bucket the boundaries below it count: log2 errs by an ulp
+  // or so, far too little to carry the rounded log across a boundary from
+  // there. A ratio near a boundary (or NaN) takes the rounded log itself.
+  const std::size_t below = static_cast<std::size_t>(
+      std::lower_bound(kBucketBounds.begin(), kBucketBounds.end(), ratio) -
+      kBucketBounds.begin());
+  const bool clear =
+      (below == 0 ||
+       ratio > kBucketBounds[below - 1] * (1.0 + kBoundaryMargin)) &&
+      (below == kBucketBounds.size() ||
+       ratio < kBucketBounds[below] * (1.0 - kBoundaryMargin));
+  if (clear) return static_cast<int>(below) - kWeightBuckets / 2;
+  const double log_ratio = std::clamp(std::log2(ratio), -6.0, 6.0);
+  return static_cast<int>(std::lround(log_ratio * 4.0));
+}
 
+Seconds CoRunPredictor::scan_min_corun_time(const PairCells& cells,
+                                            sim::DeviceKind device,
+                                            std::optional<Watts> cap,
+                                            bool include_floor_pair) const {
+  const bool on_cpu = device == sim::DeviceKind::kCpu;
   Seconds best = std::numeric_limits<Seconds>::infinity();
   cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
                      const PairPrediction& p) {
@@ -489,11 +510,134 @@ Seconds CoRunPredictor::min_corun_time(const std::string& job,
     }
     best = std::min(best, on_cpu ? p.cpu_time : p.gpu_time);
   });
+  return best;
+}
+
+std::optional<FreqPair> CoRunPredictor::scan_best_pair_weighted(
+    const PairCells& cells, std::optional<Watts> cap, int bucket) const {
+  const double wc = 1.0;
+  const double wg = std::exp2(static_cast<double>(bucket) / 4.0);
+  const Watts limit = cap.value_or(std::numeric_limits<Watts>::infinity());
+  double best_metric = std::numeric_limits<double>::infinity();
+  FreqPair best_pair;
+  bool found = false;
+  cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
+                     const PairPrediction& p) {
+    // Tiny secondary objective: among near-equal maxima prefer the pair
+    // that also finishes the lighter side sooner.
+    const double metric = std::max(wc * p.cpu_time, wg * p.gpu_time) +
+                          1e-4 * (wc * p.cpu_time + wg * p.gpu_time);
+    // The first strictly better feasible cell wins, written as selects.
+    const bool better = p.power <= limit && metric < best_metric;
+    best_metric = better ? metric : best_metric;
+    best_pair.cpu = better ? fc : best_pair.cpu;
+    best_pair.gpu = better ? fg : best_pair.gpu;
+    found = found || better;
+  });
+  if (!found) return std::nullopt;
+  return best_pair;
+}
+
+std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
+    const PairCells& cells, std::optional<Watts> cap) const {
+  std::optional<FreqPair> best;
+  double best_metric = std::numeric_limits<double>::infinity();
+  cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
+                     const PairPrediction& p) {
+    if (!fits(p.power, cap)) return;
+    // Among equal degradations prefer the higher-frequency (faster) pair;
+    // folding a small negative frequency bonus into the metric does that
+    // without a separate tie-break pass.
+    const double freq_bonus = 1e-3 * (config_.cpu_ladder.fraction(fc) +
+                                      config_.gpu_ladder.fraction(fg));
+    const double metric = p.cpu_degradation + p.gpu_degradation - freq_bonus;
+    if (metric < best_metric) {
+      best_metric = metric;
+      best = FreqPair{fc, fg};
+    }
+  });
+  return best;
+}
+
+std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
+    const PairCells& cells, sim::DeviceKind device,
+    sim::FreqLevel partner_level, std::optional<Watts> cap) const {
+  const bool on_cpu = device == sim::DeviceKind::kCpu;
+  PairCells scan = cells;
+  // An off-ladder partner level has no table cell; the on-demand path
+  // clamps it.
+  const sim::FreqLevel partner_max = on_cpu ? scan.gpu_max : scan.cpu_max;
+  if (partner_level < 0 || partner_level > partner_max) scan.table = nullptr;
+  if (scan.table != nullptr) count_analytic_hit();
+  std::optional<sim::FreqLevel> best;
+  double best_time = std::numeric_limits<double>::infinity();
+  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
+    const PairPrediction p =
+        on_cpu ? scan.at(l, partner_level) : scan.at(partner_level, l);
+    if (!fits(p.power, cap)) continue;
+    const double t = on_cpu ? p.cpu_time : p.gpu_time;
+    if (t < best_time) {
+      best_time = t;
+      best = l;
+    }
+  }
+  return best;
+}
+
+Seconds CoRunPredictor::min_corun_time(const PairCells& cells,
+                                       sim::DeviceKind device,
+                                       std::optional<Watts> cap,
+                                       bool include_floor_pair) const {
+  // Exact cap: the minimum feeds admissible lower bounds, where serving a
+  // neighbouring cap's value would silently change pruning decisions.
+  const SearchKey key =
+      SearchKey::of(cells.block, cap,
+                    (device == sim::DeviceKind::kCpu ? 2 : 0) +
+                        (include_floor_pair ? 1 : 0));
+  {
+    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
+    if (const auto it = corun_min_cache_.find(key);
+        it != corun_min_cache_.end()) {
+      return it->second;
+    }
+  }
+  const Seconds best =
+      scan_min_corun_time(cells, device, cap, include_floor_pair);
   {
     const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
     corun_min_cache_.emplace(key, best);
   }
   return best;
+}
+
+std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
+    const PairCells& cells, std::optional<Watts> cap, int bucket) const {
+  // The cap keys exactly: feasibility is tested against it.
+  const SearchKey key = SearchKey::of(cells.block, cap, bucket);
+  {
+    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
+    if (const auto it = pair_cache_.find(key); it != pair_cache_.end()) {
+      return it->second;
+    }
+  }
+  const std::optional<FreqPair> best =
+      scan_best_pair_weighted(cells, cap, bucket);
+  {
+    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
+    pair_cache_.emplace(key, best);
+  }
+  return best;
+}
+
+Seconds CoRunPredictor::min_corun_time(const std::string& job,
+                                       sim::DeviceKind device,
+                                       const std::string& partner,
+                                       std::optional<Watts> cap,
+                                       bool include_floor_pair) const {
+  return min_corun_time(device == sim::DeviceKind::kCpu
+                            ? pair_cells(job, partner)
+                            : pair_cells(partner, job),
+                        device, cap, include_floor_pair);
 }
 
 std::optional<FreqPair> CoRunPredictor::best_pair_min_makespan(
@@ -505,94 +649,23 @@ std::optional<FreqPair> CoRunPredictor::best_pair_min_makespan(
 std::optional<FreqPair> CoRunPredictor::best_pair_weighted(
     const std::string& cpu_job, const std::string& gpu_job,
     std::optional<Watts> cap, double cpu_weight, double gpu_weight) const {
-  CORUN_CHECK(cpu_weight > 0.0 && gpu_weight > 0.0);
-
-  // Only the weight ratio matters; quantize it to quarter-octaves (clamped
-  // to +-6 octaves) so repeated near-identical queries hit the memo cache.
-  // The cap, by contrast, keys exactly: feasibility is tested against it.
-  const double log_ratio =
-      std::clamp(std::log2(gpu_weight / cpu_weight), -6.0, 6.0);
-  const int bucket = static_cast<int>(std::lround(log_ratio * 4.0));
-  const PairCells cells = pair_cells(cpu_job, gpu_job);
-  const SearchKey key = SearchKey::of(cells.block, cap, bucket);
-  {
-    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    if (const auto it = pair_cache_.find(key); it != pair_cache_.end()) {
-      return it->second;
-    }
-  }
-  const double wc = 1.0;
-  const double wg = std::exp2(static_cast<double>(bucket) / 4.0);
-
-  std::optional<FreqPair> best;
-  double best_metric = std::numeric_limits<double>::infinity();
-  cells.for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
-                     const PairPrediction& p) {
-    if (!fits(p.power, cap)) return;
-    // Tiny secondary objective: among near-equal maxima prefer the pair
-    // that also finishes the lighter side sooner.
-    const double metric = std::max(wc * p.cpu_time, wg * p.gpu_time) +
-                          1e-4 * (wc * p.cpu_time + wg * p.gpu_time);
-    if (metric < best_metric) {
-      best_metric = metric;
-      best = FreqPair{fc, fg};
-    }
-  });
-  {
-    const std::lock_guard<std::mutex> lock(pair_cache_mutex_);
-    pair_cache_.emplace(key, best);
-  }
-  return best;
+  return best_pair_weighted(pair_cells(cpu_job, gpu_job), cap,
+                            weight_bucket(cpu_weight, gpu_weight));
 }
 
 std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
     const std::string& cpu_job, const std::string& gpu_job,
     std::optional<Watts> cap) const {
-  std::optional<FreqPair> best;
-  double best_metric = std::numeric_limits<double>::infinity();
-  pair_cells(cpu_job, gpu_job)
-      .for_each([&](sim::FreqLevel fc, sim::FreqLevel fg,
-                    const PairPrediction& p) {
-        if (!fits(p.power, cap)) return;
-        // Among equal degradations prefer the higher-frequency (faster)
-        // pair; folding a small negative frequency bonus into the metric
-        // does that without a separate tie-break pass.
-        const double freq_bonus = 1e-3 * (config_.cpu_ladder.fraction(fc) +
-                                          config_.gpu_ladder.fraction(fg));
-        const double metric =
-            p.cpu_degradation + p.gpu_degradation - freq_bonus;
-        if (metric < best_metric) {
-          best_metric = metric;
-          best = FreqPair{fc, fg};
-        }
-      });
-  return best;
+  return best_pair_min_degradation(pair_cells(cpu_job, gpu_job), cap);
 }
 
 std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
     const std::string& job, sim::DeviceKind device, const std::string& partner,
     sim::FreqLevel partner_level, std::optional<Watts> cap) const {
   const bool on_cpu = device == sim::DeviceKind::kCpu;
-  PairCells cells =
-      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job);
-  // An off-ladder partner level has no table cell; the on-demand path
-  // clamps it.
-  const sim::FreqLevel partner_max = on_cpu ? cells.gpu_max : cells.cpu_max;
-  if (partner_level < 0 || partner_level > partner_max) cells.table = nullptr;
-  if (cells.table != nullptr) count_analytic_hit();
-  std::optional<sim::FreqLevel> best;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
-    const PairPrediction p = on_cpu ? cells.at(l, partner_level)
-                                    : cells.at(partner_level, l);
-    if (!fits(p.power, cap)) continue;
-    const double t = on_cpu ? p.cpu_time : p.gpu_time;
-    if (t < best_time) {
-      best_time = t;
-      best = l;
-    }
-  }
-  return best;
+  return best_level_against(
+      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job), device,
+      partner_level, cap);
 }
 
 }  // namespace corun::model

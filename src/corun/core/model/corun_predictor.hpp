@@ -57,6 +57,23 @@ struct PairPrediction {
   Watts power = 0.0;             ///< predicted package power of the co-run
 };
 
+/// One job's row on one device, resolved once by CoRunPredictor::row so
+/// that repeated queries about the job hash no name. With the tables on,
+/// `entries` points at the row's table entries; with them off, or for a
+/// job the DB has no profiles for on this device, the row-keyed queries
+/// answer by name through the on-demand path (which reports a missing
+/// profile). Valid while the predictor and the name it points to live.
+struct JobRow {
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  const std::string* job = nullptr;
+  sim::DeviceKind device = sim::DeviceKind::kCpu;
+  std::size_t index = kNoRow;  ///< row in the device's index; kNoRow: none
+  const profile::ProfileEntry* entries = nullptr;  ///< [level], tables only
+
+  [[nodiscard]] bool profiled() const noexcept { return index != kNoRow; }
+};
+
 class CoRunPredictor {
  public:
   /// `db` must outlive the predictor — and must not be mutated while the
@@ -120,8 +137,7 @@ class CoRunPredictor {
   /// `include_floor_pair` the floor pair participates even when it
   /// violates the cap (the governor's tolerated last resort), which the
   /// search's admissible occupancy bound requires. Infinity when the
-  /// candidate set is empty. Memoized: the lower bounds issue the same
-  /// O(jobs^2) queries on every (re-)plan.
+  /// candidate set is empty. Memoized across calls.
   [[nodiscard]] Seconds min_corun_time(const std::string& job,
                                        sim::DeviceKind device,
                                        const std::string& partner,
@@ -159,6 +175,108 @@ class CoRunPredictor {
       const std::string& partner, sim::FreqLevel partner_level,
       std::optional<Watts> cap) const;
 
+  // --- row-keyed queries ---
+  //
+  // The name-keyed queries above are one-line wrappers over these, so each
+  // query and search has one implementation. A planner resolves its jobs
+  // once (row) and then queries without hashing a name; only the
+  // name-keyed pair searches consult the memo maps below.
+
+  /// A (CPU job, GPU job) pair resolved for cell reads: its table block,
+  /// or with the tables off the two names the on-demand path reads.
+  struct PairCells {
+    const CoRunPredictor* self = nullptr;
+    const std::string* cpu_job = nullptr;
+    const std::string* gpu_job = nullptr;
+    std::size_t block = 0;  ///< cpu row * gpu rows + gpu row
+    sim::FreqLevel cpu_max = 0;
+    sim::FreqLevel gpu_max = 0;
+    const PairPrediction* table = nullptr;  ///< nullptr: tables off
+
+    /// The cell at two ladder levels.
+    [[nodiscard]] PairPrediction at(sim::FreqLevel cpu_level,
+                                    sim::FreqLevel gpu_level) const {
+      if (table != nullptr) {
+        return table[static_cast<std::size_t>(cpu_level) *
+                         static_cast<std::size_t>(gpu_max + 1) +
+                     static_cast<std::size_t>(gpu_level)];
+      }
+      return self->predict_legacy(*cpu_job, cpu_level, *gpu_job, gpu_level);
+    }
+
+    /// Calls fn(cpu level, gpu level, cell) for every cell, CPU level
+    /// outer — the searches' scan order, which is the block's layout —
+    /// counting one table hit per scan.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      if (table != nullptr) {
+        self->count_analytic_hit();
+        const PairPrediction* cell = table;
+        for (sim::FreqLevel fc = 0; fc <= cpu_max; ++fc) {
+          for (sim::FreqLevel fg = 0; fg <= gpu_max; ++fg) fn(fc, fg, *cell++);
+        }
+        return;
+      }
+      for (sim::FreqLevel fc = 0; fc <= cpu_max; ++fc) {
+        for (sim::FreqLevel fg = 0; fg <= gpu_max; ++fg) {
+          fn(fc, fg, at(fc, fg));
+        }
+      }
+    }
+  };
+
+  /// Resolves `job`'s row on `device`. Never fails: an unprofiled job
+  /// yields a row whose queries report the missing profile.
+  [[nodiscard]] JobRow row(const std::string& job,
+                           sim::DeviceKind device) const;
+  /// The pair's cells; both rows must be profiled (CPU and GPU rows).
+  [[nodiscard]] PairCells pair(const JobRow& cpu, const JobRow& gpu) const;
+  /// Adds table reads a caller made itself — through JobRow::entries and
+  /// PairCells::at — to the backend.analytic_hits tally.
+  void count_analytic_hits(std::uint64_t hits) const;
+
+  [[nodiscard]] Seconds standalone_time(const JobRow& row,
+                                        sim::FreqLevel level) const;
+  [[nodiscard]] GBps standalone_bw(const JobRow& row,
+                                   sim::FreqLevel level) const;
+  [[nodiscard]] Watts standalone_power(const JobRow& row,
+                                       sim::FreqLevel level) const;
+  [[nodiscard]] PairPrediction predict(const JobRow& cpu,
+                                       sim::FreqLevel cpu_level,
+                                       const JobRow& gpu,
+                                       sim::FreqLevel gpu_level) const;
+  [[nodiscard]] Watts predict_power(const JobRow& cpu, sim::FreqLevel cpu_level,
+                                    const JobRow& gpu,
+                                    sim::FreqLevel gpu_level) const;
+  /// Fastest cap-feasible standalone level and its time, scanning the
+  /// row's entries; nullopt if even the lowest level breaks the cap.
+  [[nodiscard]] std::optional<std::pair<sim::FreqLevel, Seconds>> best_solo(
+      const JobRow& row, std::optional<Watts> cap) const;
+
+  /// The weight-ratio bucket best_pair_weighted searches at: log2 of
+  /// gpu_weight / cpu_weight in quarter-octaves, clamped to +-6 octaves, so
+  /// in [-kWeightBuckets/2, kWeightBuckets/2]. The bucket, not the exact
+  /// ratio, decides which pair is chosen.
+  static constexpr int kWeightBuckets = 49;
+  [[nodiscard]] static int weight_bucket(double cpu_weight, double gpu_weight);
+
+  /// The searches of the name-keyed methods above. The backlog-weighted
+  /// search (at a weight bucket) and the min-co-run search are memoized
+  /// per predictor, keyed by the pair's block, the exact cap and the
+  /// bucket or side, so repeated plans over the same pairs and caps (a
+  /// serving daemon's requests, a cap ladder) share their answers.
+  [[nodiscard]] std::optional<FreqPair> best_pair_weighted(
+      const PairCells& cells, std::optional<Watts> cap, int bucket) const;
+  [[nodiscard]] Seconds min_corun_time(const PairCells& cells,
+                                       sim::DeviceKind device,
+                                       std::optional<Watts> cap,
+                                       bool include_floor_pair) const;
+  [[nodiscard]] std::optional<FreqPair> best_pair_min_degradation(
+      const PairCells& cells, std::optional<Watts> cap) const;
+  [[nodiscard]] std::optional<sim::FreqLevel> best_level_against(
+      const PairCells& cells, sim::DeviceKind device,
+      sim::FreqLevel partner_level, std::optional<Watts> cap) const;
+
   [[nodiscard]] const profile::ProfileDB& db() const noexcept { return db_; }
   [[nodiscard]] const StagedInterpolator& interpolator() const noexcept {
     return interp_;
@@ -180,8 +298,6 @@ class CoRunPredictor {
   /// per (cpu job, gpu job), covering every (cpu level, gpu level) cell,
   /// filled on first use.
   struct Core;
-  /// One (cpu job, gpu job) pair's cells, at every level pair.
-  struct PairCells;
 
   /// Memo key of one pair search: the pair's block, the exact cap (its
   /// bits, so caps a hair apart never share an answer) and the search's own
@@ -206,15 +322,19 @@ class CoRunPredictor {
   /// use.
   [[nodiscard]] const PairPrediction* pair_block(Core& core,
                                                  std::size_t block) const;
-  /// Resolves both names once. The cells come from the pair's table block,
-  /// or, with the tables off, from predict_legacy on access.
+  /// Both names' rows resolved, then pair().
   [[nodiscard]] PairCells pair_cells(const std::string& cpu_job,
                                      const std::string& gpu_job) const;
-  /// Fastest cap-feasible standalone level and its time, scanning the
-  /// job's entry row.
-  [[nodiscard]] std::optional<std::pair<sim::FreqLevel, Seconds>> best_solo(
-      const std::string& job, sim::DeviceKind device,
-      std::optional<Watts> cap) const;
+  /// True when `level` has a table entry on the row's device.
+  [[nodiscard]] bool in_table(const JobRow& row,
+                              sim::FreqLevel level) const noexcept;
+  /// The memoized searches' scans.
+  [[nodiscard]] std::optional<FreqPair> scan_best_pair_weighted(
+      const PairCells& cells, std::optional<Watts> cap, int bucket) const;
+  [[nodiscard]] Seconds scan_min_corun_time(const PairCells& cells,
+                                            sim::DeviceKind device,
+                                            std::optional<Watts> cap,
+                                            bool include_floor_pair) const;
   void count_analytic_hit() const;
 
   /// Linear interpolation of a profiled quantity across frequency.
@@ -244,14 +364,15 @@ class CoRunPredictor {
   mutable std::atomic<Core*> core_{nullptr};
   mutable std::atomic<std::uint64_t> analytic_hits_{0};
 
-  // Pair-search memoization. Only the weight *ratio* affects the argmin
-  // (scaling both weights scales the whole metric), so the pair cache keys
-  // on the log-ratio quantized to quarter-octaves — schedulers issue the
-  // same queries thousands of times during refinement. Both caches are pure
-  // functions of their keys, so concurrent fills from the parallel schedule
-  // searches always agree on the value; the mutex only protects the map
-  // structure (lookups and inserts are brief, the search itself runs
-  // unlocked and may rarely be duplicated).
+  // Memoization of the pair searches across calls: the runtimes issue them
+  // on every change of the running set, and a planner's per-plan memo
+  // (sched::PlanView) falls back here on its first query of a key. Only
+  // the weight *ratio* affects the argmin (scaling both weights scales the
+  // whole metric), so the pair cache keys on its bucket. Both caches are
+  // pure functions of their keys, so concurrent fills always agree on the
+  // value; the mutex only protects the map structure (lookups and inserts
+  // are brief, the search itself runs unlocked and may rarely be
+  // duplicated).
   mutable std::mutex pair_cache_mutex_;
   mutable std::unordered_map<SearchKey, std::optional<FreqPair>, SearchKeyHash>
       pair_cache_;

@@ -9,6 +9,7 @@
 #include "corun/common/trace/trace.hpp"
 #include "corun/core/sched/lower_bound.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/core/sched/refiner.hpp"
 #include "corun/profile/profile_db.hpp"
 
@@ -52,7 +53,10 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
                   "branch-and-bound limited to " +
                       std::to_string(options_.max_jobs) + " jobs");
   const model::CoRunPredictor& m = ctx.model();
-  const MakespanEvaluator evaluator(ctx);
+  // Every query below — the HCS+ seed, the bound tables, each leaf and the
+  // final polish — goes through this one view of the batch.
+  const PlanView view(ctx);
+  const MakespanEvaluator evaluator(view);
 
   // Optimistic per-device times (best cap-feasible level, no degradation)
   // and the levels a leaf runs each job at.
@@ -61,19 +65,18 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   std::vector<sim::FreqLevel> level_cpu(n, 0);
   std::vector<sim::FreqLevel> level_gpu(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string& name = ctx.job_name(i);
-    if (const auto l = m.best_solo_level(name, sim::DeviceKind::kCpu, ctx.cap)) {
-      t_cpu[i] = m.standalone_time(name, sim::DeviceKind::kCpu, *l);
+    if (const auto l = view.best_solo_level(i, sim::DeviceKind::kCpu)) {
+      t_cpu[i] = view.best_solo_time(i, sim::DeviceKind::kCpu);
       level_cpu[i] = *l;
     }
-    if (const auto l = m.best_solo_level(name, sim::DeviceKind::kGpu, ctx.cap)) {
-      t_gpu[i] = m.standalone_time(name, sim::DeviceKind::kGpu, *l);
+    if (const auto l = view.best_solo_level(i, sim::DeviceKind::kGpu)) {
+      t_gpu[i] = view.best_solo_time(i, sim::DeviceKind::kGpu);
       level_gpu[i] = *l;
     }
     CORUN_CHECK_MSG(t_cpu[i] < 1e18 || t_gpu[i] < 1e18,
-                    "job " + name + " infeasible on both devices");
+                    "job " + ctx.job_name(i) + " infeasible on both devices");
   }
-  const IncrementalBound bound_model(ctx, t_cpu, t_gpu);
+  const IncrementalBound bound_model(view, t_cpu, t_gpu);
 
   // Same-class index runs for equivalence dominance: maximal runs of
   // consecutive jobs with identical profile entries. Only runs count: the
@@ -93,8 +96,11 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
 
   // Incumbent: the HCS+ seed, returned unless some leaf is strictly better
   // (or the budget runs out first).
-  Schedule best_schedule = HcsPlusScheduler().plan(ctx);
+  Schedule best_schedule = HcsPlusScheduler().plan(view);
   Seconds best = evaluator.makespan(best_schedule);
+  // One leaf schedule, refilled in place at every leaf.
+  Schedule leaf;
+  leaf.model_dvfs = true;
 
   nodes_ = 0;
   bound_prunes_ = 0;
@@ -121,8 +127,8 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
     const std::size_t job = cur.depth();
     if (job == n) {
       ++leaves_;
-      Schedule leaf;
-      leaf.model_dvfs = true;
+      leaf.cpu.clear();
+      leaf.gpu.clear();
       for (std::size_t i = 0; i < n; ++i) {
         if (cur.device_at(i) == sim::DeviceKind::kCpu) {
           leaf.cpu.push_back({i, level_cpu[i]});
@@ -130,10 +136,12 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
           leaf.gpu.push_back({i, level_gpu[i]});
         }
       }
-      const Seconds makespan = evaluator.makespan(leaf);
+      // Only a strictly better leaf replaces the incumbent, so its
+      // evaluation stops at the incumbent's makespan.
+      const Seconds makespan = evaluator.makespan(leaf, best);
       if (makespan < best) {
         best = makespan;
-        best_schedule = std::move(leaf);
+        best_schedule = leaf;
         ++incumbent_updates_;
       }
       return true;
@@ -175,8 +183,8 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   if (budget_exhausted_) CORUN_TRACE_COUNTER("bnb.budget_exhausted", 1);
 
   // Polish the winning placement's per-device order.
-  Schedule refined = Refiner().refine(ctx, best_schedule);
-  if (evaluator.makespan(refined) < best) {
+  Schedule refined = Refiner().refine(view, best_schedule);
+  if (evaluator.makespan(refined, best) < best) {
     best_schedule = std::move(refined);
   }
 

@@ -21,7 +21,6 @@ Schedule ExhaustiveScheduler::plan(const SchedulerContext& ctx) {
   CORUN_CHECK_MSG(n <= max_jobs_,
                   "exhaustive search limited to " + std::to_string(max_jobs_) +
                       " jobs");
-  const MakespanEvaluator evaluator(ctx);
   const sim::FreqLevel cpu_max = ctx.model().machine().cpu_ladder.max_level();
   const sim::FreqLevel gpu_max = ctx.model().machine().gpu_ladder.max_level();
 
@@ -38,6 +37,8 @@ Schedule ExhaustiveScheduler::plan(const SchedulerContext& ctx) {
   const std::size_t masks = 1ull << n;
   std::vector<MaskBest> per_mask(masks);
   common::TaskPool::shared().parallel_for_index(masks, [&](std::size_t mask) {
+    // An evaluator reuses its scratch, so each task replays with its own.
+    const MakespanEvaluator evaluator(ctx);
     MaskBest local;
     std::vector<std::size_t> cpu_jobs;
     std::vector<std::size_t> gpu_jobs;
@@ -60,7 +61,9 @@ Schedule ExhaustiveScheduler::plan(const SchedulerContext& ctx) {
         for (const std::size_t job : gpu_perm) {
           candidate.gpu.push_back({job, gpu_max});
         }
-        const Seconds makespan = evaluator.makespan(candidate);
+        // Only a strict improvement is kept, so the replay stops at the
+        // mask's incumbent.
+        const Seconds makespan = evaluator.makespan(candidate, local.makespan);
         ++local.evaluated;
         if (makespan < local.makespan) {
           local.makespan = makespan;

@@ -34,53 +34,52 @@ HcsScheduler::HcsScheduler(HcsOptions options) : options_(options) {
 }
 
 std::optional<model::FreqPair> HcsScheduler::choose_pair(
-    const SchedulerContext& ctx, const std::string& cpu_job,
-    const std::string& gpu_job) const {
+    const PlanView& view, std::size_t cpu_job, std::size_t gpu_job) const {
   return options_.min_degradation_freq
-             ? ctx.model().best_pair_min_degradation(cpu_job, gpu_job, ctx.cap)
-             : ctx.model().best_pair_min_makespan(cpu_job, gpu_job, ctx.cap);
+             ? view.best_pair_min_degradation(cpu_job, gpu_job)
+             : view.best_pair_min_makespan(cpu_job, gpu_job);
 }
 
 bool HcsScheduler::pair_beneficial(const SchedulerContext& ctx, std::size_t i,
                                    std::size_t j) const {
-  const model::CoRunPredictor& m = ctx.model();
-  const std::string& a = ctx.job_name(i);
-  const std::string& b = ctx.job_name(j);
+  const PlanView view(ctx);
+  return pair_beneficial(view, i, j);
+}
 
+bool HcsScheduler::pair_beneficial(const PlanView& view, std::size_t i,
+                                   std::size_t j) const {
   // Sequential alternative: each job solo on its best cap-feasible device.
-  auto best_solo = [&](const std::string& job) {
-    Seconds best = std::numeric_limits<Seconds>::infinity();
-    for (const sim::DeviceKind d :
-         {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
-      if (m.best_solo_level(job, d, ctx.cap)) {
-        best = std::min(best, m.best_solo_time(job, d, ctx.cap));
-      }
-    }
-    return best;
+  auto best_solo = [&](std::size_t job) {
+    return std::min(view.best_solo_time(job, sim::DeviceKind::kCpu),
+                    view.best_solo_time(job, sim::DeviceKind::kGpu));
   };
-  const Seconds sequential = best_solo(a) + best_solo(b);
+  const Seconds sequential = best_solo(i) + best_solo(j);
 
   // Co-run alternative: both placements, best cap-feasible frequency pair.
   // The theorem's conservative criterion compares the fully-degraded co-run
   // makespan (both jobs contended throughout, as in a drained-queue steady
   // state) against sequential execution — this is what lets genuinely
   // antagonistic jobs land in S_seq.
-  auto corun_makespan = [&](const std::string& cpu_job,
-                            const std::string& gpu_job) {
-    const auto pair = choose_pair(ctx, cpu_job, gpu_job);
+  auto corun_makespan = [&](std::size_t cpu_job, std::size_t gpu_job) {
+    const auto pair = choose_pair(view, cpu_job, gpu_job);
     if (!pair) return std::numeric_limits<Seconds>::infinity();
     const model::PairPrediction p =
-        m.predict(cpu_job, pair->cpu, gpu_job, pair->gpu);
+        view.predict(cpu_job, pair->cpu, gpu_job, pair->gpu);
     return std::max(p.cpu_time, p.gpu_time);
   };
   const Seconds best_corun =
-      std::min(corun_makespan(a, b), corun_makespan(b, a));
+      std::min(corun_makespan(i, j), corun_makespan(j, i));
   return best_corun < sequential;
 }
 
 std::vector<bool> HcsScheduler::corun_partition(
     const SchedulerContext& ctx) const {
-  const std::size_t n = ctx.jobs().size();
+  const PlanView view(ctx);
+  return corun_partition(view);
+}
+
+std::vector<bool> HcsScheduler::corun_partition(const PlanView& view) const {
+  const std::size_t n = view.size();
   std::vector<bool> in_corun(n, true);
   if (!options_.use_theorem_partition || n < 2) {
     return in_corun;
@@ -89,7 +88,7 @@ std::vector<bool> HcsScheduler::corun_partition(
     bool any = false;
     for (std::size_t j = 0; j < n && !any; ++j) {
       if (j == i) continue;
-      any = pair_beneficial(ctx, i, j);
+      any = pair_beneficial(view, i, j);
     }
     in_corun[i] = any;
   }
@@ -98,17 +97,22 @@ std::vector<bool> HcsScheduler::corun_partition(
 
 Preference HcsScheduler::categorize(const SchedulerContext& ctx,
                                     std::size_t job) const {
-  const model::CoRunPredictor& m = ctx.model();
-  const std::string& name = ctx.job_name(job);
-  const auto cpu_level = m.best_solo_level(name, sim::DeviceKind::kCpu, ctx.cap);
-  const auto gpu_level = m.best_solo_level(name, sim::DeviceKind::kGpu, ctx.cap);
+  const PlanView view(ctx);
+  return categorize(view, job);
+}
+
+Preference HcsScheduler::categorize(const PlanView& view,
+                                    std::size_t job) const {
+  const auto cpu_level = view.best_solo_level(job, sim::DeviceKind::kCpu);
+  const auto gpu_level = view.best_solo_level(job, sim::DeviceKind::kGpu);
   CORUN_CHECK_MSG(cpu_level || gpu_level,
-                  "job " + name + " cannot run under the cap on any device");
+                  "job " + view.ctx().job_name(job) +
+                      " cannot run under the cap on any device");
   if (!cpu_level) return Preference::kGpu;
   if (!gpu_level) return Preference::kCpu;
 
-  const Seconds t_cpu = m.standalone_time(name, sim::DeviceKind::kCpu, *cpu_level);
-  const Seconds t_gpu = m.standalone_time(name, sim::DeviceKind::kGpu, *gpu_level);
+  const Seconds t_cpu = view.best_solo_time(job, sim::DeviceKind::kCpu);
+  const Seconds t_gpu = view.best_solo_time(job, sim::DeviceKind::kGpu);
   const Seconds diff = std::abs(t_cpu - t_gpu) / std::max(t_cpu, t_gpu);
   if (diff <= options_.preference_threshold) return Preference::kNone;
   return t_cpu < t_gpu ? Preference::kCpu : Preference::kGpu;
@@ -153,20 +157,24 @@ Schedule HcsScheduler::plan(const SchedulerContext& ctx) {
 
 Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
                                    HcsTrace* trace) {
+  const PlanView view(ctx);
+  return plan_traced(view, trace);
+}
+
+Schedule HcsScheduler::plan_traced(const PlanView& view, HcsTrace* trace) {
   CORUN_TRACE_SPAN("sched", "hcs.plan");
-  const model::CoRunPredictor& m = ctx.model();
-  const std::size_t n = ctx.jobs().size();
+  const std::size_t n = view.size();
   Schedule schedule;
   if (n == 0) return schedule;
 
   // Step 1: theorem-based partition.
-  const std::vector<bool> in_corun = corun_partition(ctx);
+  const std::vector<bool> in_corun = corun_partition(view);
 
   // Step 2: preference categorization of the co-run set.
   std::vector<Preference> pref(n, Preference::kNone);
   std::vector<std::size_t> remaining;  // S_co members not yet placed
   for (std::size_t i = 0; i < n; ++i) {
-    pref[i] = categorize(ctx, i);
+    pref[i] = categorize(view, i);
     if (in_corun[i]) {
       remaining.push_back(i);
     }
@@ -189,14 +197,11 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
   };
 
   auto best_solo_time_on = [&](std::size_t job, sim::DeviceKind d) {
-    const auto lvl = m.best_solo_level(ctx.job_name(job), d, ctx.cap);
-    return lvl ? m.standalone_time(ctx.job_name(job), d, *lvl)
-               : std::numeric_limits<Seconds>::infinity();
+    return view.best_solo_time(job, d);
   };
 
   auto t_max = [&](std::size_t job, sim::DeviceKind d) {
-    return m.standalone_time(ctx.job_name(job), d,
-                             m.machine().ladder(d).max_level());
+    return view.t_max(job, d);
   };
 
   // Estimated backlog of a device in a hypothetical pairing: the pairing's
@@ -206,8 +211,7 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
   auto weighted_pair = [&](std::size_t cpu_job, std::size_t gpu_job)
       -> std::optional<model::FreqPair> {
     if (options_.min_degradation_freq) {
-      return m.best_pair_min_degradation(ctx.job_name(cpu_job),
-                                         ctx.job_name(gpu_job), ctx.cap);
+      return view.best_pair_min_degradation(cpu_job, gpu_job);
     }
     Seconds b_cpu = t_max(cpu_job, sim::DeviceKind::kCpu);
     Seconds b_gpu = t_max(gpu_job, sim::DeviceKind::kGpu);
@@ -222,10 +226,9 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
         b_gpu += 0.5 * t_max(k, sim::DeviceKind::kGpu);
       }
     }
-    return m.best_pair_weighted(ctx.job_name(cpu_job), ctx.job_name(gpu_job),
-                                ctx.cap,
-                                b_cpu / t_max(cpu_job, sim::DeviceKind::kCpu),
-                                b_gpu / t_max(gpu_job, sim::DeviceKind::kGpu));
+    return view.best_pair_weighted(
+        cpu_job, gpu_job, b_cpu / t_max(cpu_job, sim::DeviceKind::kCpu),
+        b_gpu / t_max(gpu_job, sim::DeviceKind::kGpu));
   };
 
   // Joint prediction for a hypothetical pairing, at the jointly optimized
@@ -235,8 +238,7 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
       -> std::optional<model::PairPrediction> {
     const auto pair = weighted_pair(cpu_job, gpu_job);
     if (!pair) return std::nullopt;
-    return m.predict(ctx.job_name(cpu_job), pair->cpu, ctx.job_name(gpu_job),
-                     pair->gpu);
+    return view.predict(cpu_job, pair->cpu, gpu_job, pair->gpu);
   };
 
   // Predicted completion of `job` here, degraded against the other device's
@@ -262,9 +264,8 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
     const sim::DeviceKind home = sim::other_device(d);
     Seconds home_backlog = 0.0;
     if (other.job) {
-      home_backlog += other.frac *
-                      m.standalone_time(ctx.job_name(*other.job), home,
-                                        other.level);
+      home_backlog +=
+          other.frac * view.standalone_time(*other.job, home, other.level);
     }
     for (const std::size_t k : remaining) {
       if (k == job) continue;
@@ -335,7 +336,7 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
     take(job);
     own.job = job;
     own.frac = 1.0;
-    own.level = m.best_solo_level(ctx.job_name(job), device, ctx.cap).value_or(0);
+    own.level = view.best_solo_level(job, device).value_or(0);
     double interference = 0.0;
     if (other.job) {
       const bool on_cpu = device == sim::DeviceKind::kCpu;
@@ -352,7 +353,7 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
     }
     auto& seq = device == sim::DeviceKind::kCpu ? schedule.cpu : schedule.gpu;
     const sim::FreqLevel stored =
-        m.best_solo_level(ctx.job_name(job), device, ctx.cap).value_or(0);
+        view.best_solo_level(job, device).value_or(0);
     seq.push_back({job, stored});
     CORUN_TRACE_COUNTER("hcs.placements", 1);
     if (trace != nullptr) {
@@ -393,10 +394,10 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
     Seconds t_cpu = 0.0;
     Seconds t_gpu = 0.0;
     if (cpu.job && gpu.job) {
+      const auto joint = predict_pair(*cpu.job, *gpu.job);
       const model::PairPrediction p =
-          predict_pair(*cpu.job, *gpu.job)
-              .value_or(m.predict(ctx.job_name(*cpu.job), cpu.level,
-                                  ctx.job_name(*gpu.job), gpu.level));
+          joint ? *joint
+                : view.predict(*cpu.job, cpu.level, *gpu.job, gpu.level);
       d_cpu = p.cpu_degradation;
       d_gpu = p.gpu_degradation;
       t_cpu = p.cpu_solo_time;
@@ -454,15 +455,14 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
   }
   std::vector<SoloJob> solo;
   for (const std::size_t job : solo_jobs) {
-    const std::string& name = ctx.job_name(job);
     sim::DeviceKind device = sim::DeviceKind::kCpu;
     Seconds best = std::numeric_limits<Seconds>::infinity();
     sim::FreqLevel level = 0;
     for (const sim::DeviceKind d :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
-      const auto lvl = m.best_solo_level(name, d, ctx.cap);
+      const auto lvl = view.best_solo_level(job, d);
       if (!lvl) continue;
-      const Seconds t = m.standalone_time(name, d, *lvl);
+      const Seconds t = view.best_solo_time(job, d);
       if (t < best) {
         best = t;
         device = d;
@@ -472,14 +472,18 @@ Schedule HcsScheduler::plan_traced(const SchedulerContext& ctx,
     solo.push_back({job, device, level});
   }
   std::sort(solo.begin(), solo.end(), [&](const SoloJob& a, const SoloJob& b) {
-    return m.standalone_time(ctx.job_name(a.job), a.device, a.level) >
-           m.standalone_time(ctx.job_name(b.job), b.device, b.level);
+    return view.standalone_time(a.job, a.device, a.level) >
+           view.standalone_time(b.job, b.device, b.level);
   });
   schedule.solo = std::move(solo);
   schedule.model_dvfs = true;
 
   schedule.validate(n);
-  CORUN_LOG(kDebug) << "HCS plan: " << schedule.to_string(ctx.job_names());
+  // Rendering the plan costs more than some plans: only when it is shown.
+  if (log_level() <= LogLevel::kDebug) {
+    CORUN_LOG(kDebug) << "HCS plan: "
+                      << schedule.to_string(view.ctx().job_names());
+  }
   return schedule;
 }
 

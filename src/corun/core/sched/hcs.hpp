@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/core/sched/scheduler.hpp"
 
 namespace corun::sched {
@@ -70,6 +71,8 @@ class HcsScheduler : public Scheduler {
   /// plan() that also records the decision trace (pass nullptr to skip).
   [[nodiscard]] Schedule plan_traced(const SchedulerContext& ctx,
                                      HcsTrace* trace);
+  /// plan_traced() through a plan's view.
+  [[nodiscard]] Schedule plan_traced(const PlanView& view, HcsTrace* trace);
 
   [[nodiscard]] std::string name() const override { return "HCS"; }
 
@@ -78,20 +81,24 @@ class HcsScheduler : public Scheduler {
   /// Step 1: true at index i iff job i belongs to S_co.
   [[nodiscard]] std::vector<bool> corun_partition(
       const SchedulerContext& ctx) const;
+  [[nodiscard]] std::vector<bool> corun_partition(const PlanView& view) const;
 
   /// Step 2: preference class of one job.
   [[nodiscard]] Preference categorize(const SchedulerContext& ctx,
+                                      std::size_t job) const;
+  [[nodiscard]] Preference categorize(const PlanView& view,
                                       std::size_t job) const;
 
   /// Whether jobs i and j can profitably co-run in any placement at any
   /// cap-feasible frequency pair (the theorem test of step 1).
   [[nodiscard]] bool pair_beneficial(const SchedulerContext& ctx,
                                      std::size_t i, std::size_t j) const;
+  [[nodiscard]] bool pair_beneficial(const PlanView& view, std::size_t i,
+                                     std::size_t j) const;
 
  private:
   [[nodiscard]] std::optional<model::FreqPair> choose_pair(
-      const SchedulerContext& ctx, const std::string& cpu_job,
-      const std::string& gpu_job) const;
+      const PlanView& view, std::size_t cpu_job, std::size_t gpu_job) const;
 
   HcsOptions options_;
 };

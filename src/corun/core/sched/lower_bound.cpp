@@ -23,17 +23,20 @@ constexpr double kRoundingGuard = 1.0 - 1e-12;
 
 DeviceOccupancy device_occupancy(const SchedulerContext& ctx, std::size_t i,
                                  sim::DeviceKind p, bool include_floor_pair) {
-  const model::CoRunPredictor& m = ctx.model();
-  const std::size_t n = ctx.jobs().size();
-  const std::string& job = ctx.job_name(i);
+  const PlanView view(ctx);
+  return device_occupancy(view, i, p, include_floor_pair);
+}
+
+DeviceOccupancy device_occupancy(const PlanView& view, std::size_t i,
+                                 sim::DeviceKind p, bool include_floor_pair) {
+  const std::size_t n = view.size();
 
   DeviceOccupancy out{kInf, kInf};
 
   // (b) twice the best standalone time on p under the cap.
-  const auto solo_level = m.best_solo_level(job, p, ctx.cap);
   Seconds solo_occupancy = kInf;
-  if (solo_level) {
-    const Seconds t = m.standalone_time(job, p, *solo_level);
+  if (view.best_solo_level(i, p)) {
+    const Seconds t = view.best_solo_time(i, p);
     solo_occupancy = 2.0 * t;
     out.best_time = std::min(out.best_time, t);
   }
@@ -43,14 +46,12 @@ DeviceOccupancy device_occupancy(const SchedulerContext& ctx, std::size_t i,
   // pairs, plus — when `include_floor_pair` — the floor pair, which the
   // reactive governor falls back to (tolerating the violation) when no
   // feasible pair exists, so leaves may legally run at it. The per-partner
-  // scan goes through the predictor's memoized min (min over doubles is
-  // order-independent, so the value matches the inline scan bit-for-bit);
-  // re-plans over overlapping job sets then rebuild bounds from cache hits.
+  // scan goes through the view's memoized min (min over doubles is
+  // order-independent, so the value matches the inline scan bit-for-bit).
   Seconds corun_occupancy = kInf;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == i) continue;
-    const Seconds t =
-        m.min_corun_time(job, p, ctx.job_name(j), ctx.cap, include_floor_pair);
+    const Seconds t = view.min_corun_time(i, p, j, include_floor_pair);
     corun_occupancy = std::min(corun_occupancy, t);
     out.best_time = std::min(out.best_time, t);
   }
@@ -60,7 +61,8 @@ DeviceOccupancy device_occupancy(const SchedulerContext& ctx, std::size_t i,
 }
 
 LowerBoundResult compute_lower_bound(const SchedulerContext& ctx) {
-  const std::size_t n = ctx.jobs().size();
+  const PlanView view(ctx);
+  const std::size_t n = view.size();
 
   LowerBoundResult out;
   Seconds sum = 0.0;
@@ -72,7 +74,7 @@ LowerBoundResult compute_lower_bound(const SchedulerContext& ctx) {
     for (const sim::DeviceKind p :
          {sim::DeviceKind::kCpu, sim::DeviceKind::kGpu}) {
       const DeviceOccupancy d =
-          device_occupancy(ctx, i, p, /*include_floor_pair=*/false);
+          device_occupancy(view, i, p, /*include_floor_pair=*/false);
       best_occupancy = std::min(best_occupancy, d.occupancy);
       best_time = std::min(best_time, d.best_time);
     }
@@ -91,8 +93,13 @@ LowerBoundResult compute_lower_bound(const SchedulerContext& ctx) {
 IncrementalBound::IncrementalBound(const SchedulerContext& ctx,
                                    std::vector<Seconds> t_cpu,
                                    std::vector<Seconds> t_gpu)
+    : IncrementalBound(PlanView(ctx), std::move(t_cpu), std::move(t_gpu)) {}
+
+IncrementalBound::IncrementalBound(const PlanView& view,
+                                   std::vector<Seconds> t_cpu,
+                                   std::vector<Seconds> t_gpu)
     : n_(t_cpu.size()), t_cpu_(std::move(t_cpu)), t_gpu_(std::move(t_gpu)) {
-  CORUN_CHECK(t_gpu_.size() == n_ && ctx.jobs().size() == n_);
+  CORUN_CHECK(t_gpu_.size() == n_ && view.size() == n_);
 
   // Device occupancies. A cap-infeasible device stays at infinity: the
   // search's leaf space never places the job there, so it must not lower
@@ -102,18 +109,18 @@ IncrementalBound::IncrementalBound(const SchedulerContext& ctx,
   occ_min_.assign(n_, kInf);
   for (std::size_t i = 0; i < n_; ++i) {
     if (t_cpu_[i] < 1e18) {
-      occ_cpu_[i] = device_occupancy(ctx, i, sim::DeviceKind::kCpu,
+      occ_cpu_[i] = device_occupancy(view, i, sim::DeviceKind::kCpu,
                                      /*include_floor_pair=*/true)
                         .occupancy;
     }
     if (t_gpu_[i] < 1e18) {
-      occ_gpu_[i] = device_occupancy(ctx, i, sim::DeviceKind::kGpu,
+      occ_gpu_[i] = device_occupancy(view, i, sim::DeviceKind::kGpu,
                                      /*include_floor_pair=*/true)
                         .occupancy;
     }
     occ_min_[i] = std::min(occ_cpu_[i], occ_gpu_[i]);
-    CORUN_CHECK_MSG(occ_min_[i] < kInf,
-                    "job " + ctx.job_name(i) + " infeasible on both devices");
+    CORUN_CHECK_MSG(occ_min_[i] < kInf, "job " + view.ctx().job_name(i) +
+                                            " infeasible on both devices");
   }
 
   // Per-depth suffix structures for the fractional relaxation. n is capped

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "corun/common/units.hpp"
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/core/sched/scheduler.hpp"
 
 namespace corun::sched {
@@ -72,6 +73,10 @@ struct DeviceOccupancy {
                                                std::size_t i,
                                                sim::DeviceKind p,
                                                bool include_floor_pair);
+[[nodiscard]] DeviceOccupancy device_occupancy(const PlanView& view,
+                                               std::size_t i,
+                                               sim::DeviceKind p,
+                                               bool include_floor_pair);
 
 /// Immutable per-instance tables behind the search's incremental bound:
 /// optimistic solo times, per-device occupancies, and per-depth suffix
@@ -85,6 +90,9 @@ class IncrementalBound {
   /// compute_lower_bound — and happens once; queries never touch the
   /// predictor again.
   IncrementalBound(const SchedulerContext& ctx, std::vector<Seconds> t_cpu,
+                   std::vector<Seconds> t_gpu);
+  /// The same tables, the occupancies read through a plan's view.
+  IncrementalBound(const PlanView& view, std::vector<Seconds> t_cpu,
                    std::vector<Seconds> t_gpu);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }

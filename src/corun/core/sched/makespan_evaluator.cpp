@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -22,32 +21,32 @@ struct DeviceState {
 
 }  // namespace
 
-MakespanEvaluator::MakespanEvaluator(const SchedulerContext& ctx) : ctx_(ctx) {
-  CORUN_CHECK(ctx.batch != nullptr && ctx.predictor != nullptr);
-}
+MakespanEvaluator::MakespanEvaluator(const SchedulerContext& ctx)
+    : own_view_(std::in_place, ctx), view_(*own_view_) {}
+
+MakespanEvaluator::MakespanEvaluator(const PlanView& view) : view_(view) {}
 
 model::FreqPair MakespanEvaluator::enforce_cap(
     std::optional<std::size_t> cpu_job, std::optional<std::size_t> gpu_job,
     model::FreqPair levels) const {
-  if (!ctx_.cap) return levels;
-  const model::CoRunPredictor& m = ctx_.model();
-  const Watts cap = *ctx_.cap;
+  const SchedulerContext& ctx = view_.ctx();
+  if (!ctx.cap) return levels;
+  const Watts cap = *ctx.cap;
   auto power = [&] {
     if (cpu_job && gpu_job) {
-      return m.predict_power(ctx_.job_name(*cpu_job), levels.cpu,
-                             ctx_.job_name(*gpu_job), levels.gpu);
+      return view_.predict_power(*cpu_job, levels.cpu, *gpu_job, levels.gpu);
     }
     if (cpu_job) {
-      return m.standalone_power(ctx_.job_name(*cpu_job), sim::DeviceKind::kCpu,
-                                levels.cpu);
+      return view_.standalone_power(*cpu_job, sim::DeviceKind::kCpu,
+                                    levels.cpu);
     }
     if (gpu_job) {
-      return m.standalone_power(ctx_.job_name(*gpu_job), sim::DeviceKind::kGpu,
-                                levels.gpu);
+      return view_.standalone_power(*gpu_job, sim::DeviceKind::kGpu,
+                                    levels.gpu);
     }
     return 0.0;
   };
-  const bool cpu_first = ctx_.policy != sim::GovernorPolicy::kCpuBiased;
+  const bool cpu_first = ctx.policy != sim::GovernorPolicy::kCpuBiased;
   while (power() > cap) {
     if (cpu_first) {
       if (cpu_job && levels.cpu > 0) {
@@ -71,44 +70,58 @@ model::FreqPair MakespanEvaluator::enforce_cap(
 }
 
 Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
-  const workload::Batch& batch = ctx_.jobs();
-  schedule.validate(batch.size());
-  const model::CoRunPredictor& m = ctx_.model();
-
   Evaluation out;
-  out.finish_time.assign(batch.size(), 0.0);
+  out.makespan = replay(schedule, std::numeric_limits<Seconds>::infinity(),
+                        &out);
+  return out;
+}
 
-  // Pending queues. Shared-queue schedules feed both devices from one list.
-  std::deque<ScheduledJob> cpu_pending(schedule.cpu.begin(), schedule.cpu.end());
-  std::deque<ScheduledJob> gpu_pending(schedule.gpu.begin(), schedule.gpu.end());
-  std::deque<ScheduledJob> shared_pending(schedule.shared.begin(),
-                                          schedule.shared.end());
+Seconds MakespanEvaluator::makespan(const Schedule& schedule) const {
+  return replay(schedule, std::numeric_limits<Seconds>::infinity(), nullptr);
+}
+
+Seconds MakespanEvaluator::makespan(const Schedule& schedule,
+                                    Seconds limit) const {
+  return replay(schedule, limit, nullptr);
+}
+
+Seconds MakespanEvaluator::replay(const Schedule& schedule, Seconds limit,
+                                  Evaluation* out) const {
+  const std::size_t n = view_.size();
+  schedule.validate(n, seen_);
+  const model::CoRunPredictor& m = view_.model();
+  if (out != nullptr) out->finish_time.assign(n, 0.0);
+
+  // Pending queues: each device's sequence from its cursor on. Shared-queue
+  // schedules feed both devices from one list.
+  std::size_t cpu_next = 0;
+  std::size_t gpu_next = 0;
+  std::size_t shared_next = 0;
 
   // Default-baseline approximation: the whole CPU partition time-shares, so
   // each CPU job behaves as if stretched by the oversubscription overheads.
   double cpu_stretch = 1.0;
   if (schedule.cpu_batch_launch && schedule.cpu.size() > 1) {
-    const auto n = static_cast<double>(schedule.cpu.size());
+    const auto jobs = static_cast<double>(schedule.cpu.size());
     const sim::MachineConfig& mc = m.machine();
-    cpu_stretch = (1.0 + mc.cs_overhead * (n - 1.0)) *
-                  (1.0 + 0.5 * mc.cs_locality_penalty * (n - 1.0));
+    cpu_stretch = (1.0 + mc.cs_overhead * (jobs - 1.0)) *
+                  (1.0 + 0.5 * mc.cs_locality_penalty * (jobs - 1.0));
   }
 
   auto pull = [&](sim::DeviceKind d) -> std::optional<ScheduledJob> {
     if (schedule.shared_queue) {
-      if (shared_pending.empty()) return std::nullopt;
-      ScheduledJob j = shared_pending.front();
-      shared_pending.pop_front();
+      if (shared_next == schedule.shared.size()) return std::nullopt;
+      ScheduledJob j = schedule.shared[shared_next++];
       // Shared-queue jobs carry no device-specific level choice: clamp to
       // the pulling device's ladder.
       j.level = m.machine().ladder(d).clamp(j.level);
       return j;
     }
-    auto& q = d == sim::DeviceKind::kCpu ? cpu_pending : gpu_pending;
-    if (q.empty()) return std::nullopt;
-    const ScheduledJob j = q.front();
-    q.pop_front();
-    return j;
+    const bool on_cpu = d == sim::DeviceKind::kCpu;
+    const std::vector<ScheduledJob>& seq = on_cpu ? schedule.cpu : schedule.gpu;
+    std::size_t& next = on_cpu ? cpu_next : gpu_next;
+    if (next == seq.size()) return std::nullopt;
+    return seq[next++];
   };
 
   DeviceState cpu;
@@ -131,23 +144,13 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
   start_on(sim::DeviceKind::kGpu);
   start_on(sim::DeviceKind::kCpu);
 
-  // Standalone time at the device's max level: the normalization unit for
-  // backlog weighting. Looked up on first use, so at most once per (job,
-  // device) and only on a device the job is queued on.
-  std::vector<Seconds> t_max_memo(2 * batch.size(),
-                                  std::numeric_limits<Seconds>::quiet_NaN());
-  auto t_max = [&](std::size_t job, sim::DeviceKind d) {
-    Seconds& t = t_max_memo[2 * job + (d == sim::DeviceKind::kGpu ? 1 : 0)];
-    if (std::isnan(t)) {
-      t = m.standalone_time(ctx_.job_name(job), d,
-                            m.machine().ladder(d).max_level());
-    }
-    return t;
-  };
-
   // Model-driven DVFS: re-derive the operating point for the current
   // running set (see Schedule::model_dvfs), weighting each device by its
-  // remaining backlog so one pair does not starve the busier pipeline.
+  // remaining backlog — in standalone seconds at max level, the view's
+  // t_max — so one pair does not starve the busier pipeline. A pair or
+  // level the searches find fits the cap by construction (they test the
+  // very power enforce_cap predicts), so only the stored fallback levels
+  // go through enforce_cap.
   auto resolve_levels = [&](const std::optional<std::size_t>& cpu_job,
                             const std::optional<std::size_t>& gpu_job,
                             model::FreqPair stored) -> model::FreqPair {
@@ -155,28 +158,29 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
     model::FreqPair levels = stored;
     if (cpu_job && gpu_job) {
       auto backlog = [&](sim::DeviceKind d, std::size_t current, double frac,
-                         const std::deque<ScheduledJob>& pending) {
-        Seconds b = frac * t_max(current, d);
-        for (const ScheduledJob& q : pending) b += t_max(q.job, d);
+                         const std::vector<ScheduledJob>& seq,
+                         std::size_t next) {
+        Seconds b = frac * view_.t_max(current, d);
+        for (std::size_t k = next; k < seq.size(); ++k) {
+          b += view_.t_max(seq[k].job, d);
+        }
         return std::max(b, 1e-6);
       };
-      const Seconds b_cpu =
-          backlog(sim::DeviceKind::kCpu, *cpu_job, cpu.frac, cpu_pending);
-      const Seconds b_gpu =
-          backlog(sim::DeviceKind::kGpu, *gpu_job, gpu.frac, gpu_pending);
-      const auto pair = m.best_pair_weighted(
-          ctx_.job_name(*cpu_job), ctx_.job_name(*gpu_job), ctx_.cap,
-          b_cpu / t_max(*cpu_job, sim::DeviceKind::kCpu),
-          b_gpu / t_max(*gpu_job, sim::DeviceKind::kGpu));
-      if (pair) levels = *pair;
+      const Seconds b_cpu = backlog(sim::DeviceKind::kCpu, *cpu_job, cpu.frac,
+                                   schedule.cpu, cpu_next);
+      const Seconds b_gpu = backlog(sim::DeviceKind::kGpu, *gpu_job, gpu.frac,
+                                    schedule.gpu, gpu_next);
+      const auto pair = view_.best_pair_weighted(
+          *cpu_job, *gpu_job,
+          b_cpu / view_.t_max(*cpu_job, sim::DeviceKind::kCpu),
+          b_gpu / view_.t_max(*gpu_job, sim::DeviceKind::kGpu));
+      if (pair) return *pair;
     } else if (cpu_job) {
-      const auto lvl = m.best_solo_level(ctx_.job_name(*cpu_job),
-                                         sim::DeviceKind::kCpu, ctx_.cap);
-      if (lvl) levels.cpu = *lvl;
+      const auto lvl = view_.best_solo_level(*cpu_job, sim::DeviceKind::kCpu);
+      if (lvl) return model::FreqPair{*lvl, levels.gpu};
     } else if (gpu_job) {
-      const auto lvl = m.best_solo_level(ctx_.job_name(*gpu_job),
-                                         sim::DeviceKind::kGpu, ctx_.cap);
-      if (lvl) levels.gpu = *lvl;
+      const auto lvl = view_.best_solo_level(*gpu_job, sim::DeviceKind::kGpu);
+      if (lvl) return model::FreqPair{levels.cpu, *lvl};
     }
     return enforce_cap(cpu_job, gpu_job, levels);
   };
@@ -191,18 +195,17 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
     Seconds t_gpu_solo = 0.0;
     if (cpu.job && gpu.job) {
       const model::PairPrediction p =
-          m.predict(ctx_.job_name(*cpu.job), levels.cpu,
-                    ctx_.job_name(*gpu.job), levels.gpu);
+          view_.predict(*cpu.job, levels.cpu, *gpu.job, levels.gpu);
       d_cpu = p.cpu_degradation;
       d_gpu = p.gpu_degradation;
       t_cpu_solo = p.cpu_solo_time;
       t_gpu_solo = p.gpu_solo_time;
     } else if (cpu.job) {
-      t_cpu_solo = m.standalone_time(ctx_.job_name(*cpu.job),
-                                     sim::DeviceKind::kCpu, levels.cpu);
+      t_cpu_solo =
+          view_.standalone_time(*cpu.job, sim::DeviceKind::kCpu, levels.cpu);
     } else if (gpu.job) {
-      t_gpu_solo = m.standalone_time(ctx_.job_name(*gpu.job),
-                                     sim::DeviceKind::kGpu, levels.gpu);
+      t_gpu_solo =
+          view_.standalone_time(*gpu.job, sim::DeviceKind::kGpu, levels.gpu);
     }
 
     const Seconds cpu_to_finish =
@@ -215,13 +218,15 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
     CORUN_CHECK_MSG(dt > 0.0 && dt < std::numeric_limits<Seconds>::infinity(),
                     "evaluator made no progress");
 
-    out.timeline.push_back(EvalSegment{.start = now,
-                                       .end = now + dt,
-                                       .cpu_job = cpu.job,
-                                       .gpu_job = gpu.job,
-                                       .levels = levels,
-                                       .cpu_degradation = d_cpu,
-                                       .gpu_degradation = d_gpu});
+    if (out != nullptr) {
+      out->timeline.push_back(EvalSegment{.start = now,
+                                          .end = now + dt,
+                                          .cpu_job = cpu.job,
+                                          .gpu_job = gpu.job,
+                                          .levels = levels,
+                                          .cpu_degradation = d_cpu,
+                                          .gpu_degradation = d_gpu});
+    }
 
     if (cpu.job) {
       cpu.frac -= dt / (t_cpu_solo * (1.0 + d_cpu) * cpu_stretch);
@@ -230,13 +235,14 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
       gpu.frac -= dt / (t_gpu_solo * (1.0 + d_gpu));
     }
     now += dt;
+    if (now >= limit) return now;
 
     if (cpu.job && cpu.frac <= kDoneEps) {
-      out.finish_time[*cpu.job] = now;
+      if (out != nullptr) out->finish_time[*cpu.job] = now;
       start_on(sim::DeviceKind::kCpu);
     }
     if (gpu.job && gpu.frac <= kDoneEps) {
-      out.finish_time[*gpu.job] = now;
+      if (out != nullptr) out->finish_time[*gpu.job] = now;
       start_on(sim::DeviceKind::kGpu);
     }
   }
@@ -256,22 +262,19 @@ Evaluation MakespanEvaluator::evaluate(const Schedule& schedule) const {
     levels = resolve_levels(cpu_job, gpu_job, levels);
     const sim::FreqLevel lvl =
         s.device == sim::DeviceKind::kCpu ? levels.cpu : levels.gpu;
-    const Seconds t = m.standalone_time(ctx_.job_name(s.job), s.device, lvl);
-    out.timeline.push_back(EvalSegment{.start = now,
-                                       .end = now + t,
-                                       .cpu_job = cpu_job,
-                                       .gpu_job = gpu_job,
-                                       .levels = levels});
+    const Seconds t = view_.standalone_time(s.job, s.device, lvl);
+    if (out != nullptr) {
+      out->timeline.push_back(EvalSegment{.start = now,
+                                          .end = now + t,
+                                          .cpu_job = cpu_job,
+                                          .gpu_job = gpu_job,
+                                          .levels = levels});
+    }
     now += t;
-    out.finish_time[s.job] = now;
+    if (out != nullptr) out->finish_time[s.job] = now;
+    if (now >= limit) return now;
   }
-
-  out.makespan = now;
-  return out;
-}
-
-Seconds MakespanEvaluator::makespan(const Schedule& schedule) const {
-  return evaluate(schedule).makespan;
+  return now;
 }
 
 }  // namespace corun::sched

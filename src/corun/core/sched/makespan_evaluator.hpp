@@ -9,13 +9,15 @@
 // operating points.
 //
 // This evaluator is what makes post refinement cheap: trying a swap costs a
-// replay (O(n) predictor queries), not a simulation.
+// replay (O(n) queries through the plan's job handles, no allocation), not
+// a simulation.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "corun/core/model/corun_predictor.hpp"
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/core/sched/schedule.hpp"
 #include "corun/core/sched/scheduler.hpp"
 
@@ -38,9 +40,16 @@ struct Evaluation {
   std::vector<EvalSegment> timeline;
 };
 
+/// Replays schedules through a PlanView's job handles, reusing its scratch
+/// storage: one evaluator serves one thread.
 class MakespanEvaluator {
  public:
+  /// Resolves the context's batch into a view of its own.
   explicit MakespanEvaluator(const SchedulerContext& ctx);
+  /// Queries through a plan's view, sharing its per-plan memos.
+  explicit MakespanEvaluator(const PlanView& view);
+  MakespanEvaluator(const MakespanEvaluator&) = delete;
+  MakespanEvaluator& operator=(const MakespanEvaluator&) = delete;
 
   /// Predicts the full execution of `schedule` (which must validate against
   /// the context's batch). Supports per-device sequences, the solo tail and
@@ -49,17 +58,30 @@ class MakespanEvaluator {
   /// simulator, not from here).
   [[nodiscard]] Evaluation evaluate(const Schedule& schedule) const;
 
-  /// Convenience: evaluate and return only the makespan.
+  /// The makespan evaluate() predicts, without recording the timeline.
   [[nodiscard]] Seconds makespan(const Schedule& schedule) const;
 
+  /// makespan(), stopped once the predicted clock reaches `limit`: below
+  /// `limit` the answer is the makespan, otherwise some value >= limit.
+  /// The clock only rises, so a caller that accepts only makespans
+  /// strictly below its incumbent passes the incumbent and loses nothing.
+  [[nodiscard]] Seconds makespan(const Schedule& schedule, Seconds limit) const;
+
  private:
+  /// The replay behind all three entry points; records finish times and
+  /// the timeline into `out` when it is non-null.
+  Seconds replay(const Schedule& schedule, Seconds limit,
+                 Evaluation* out) const;
+
   /// Steps the pair's levels down (mirroring the governor's policy order)
   /// until the predicted power fits the cap.
   [[nodiscard]] model::FreqPair enforce_cap(
       std::optional<std::size_t> cpu_job, std::optional<std::size_t> gpu_job,
       model::FreqPair levels) const;
 
-  const SchedulerContext& ctx_;
+  std::optional<PlanView> own_view_;
+  const PlanView& view_;
+  mutable std::vector<int> seen_;  ///< Schedule::validate's scratch
 };
 
 }  // namespace corun::sched

@@ -30,12 +30,21 @@ class CachingScheduler : public Scheduler {
     // ("random", the one seed-sensitive baseline, is never wrapped), so the
     // seed is pinned to 0 in the signature: dynamic re-plans derive a fresh
     // seed per event, and keying on it would split identical sub-problems
-    // into distinct cache lines.
-    const PlanSignature sig = builder_ ? builder_->build(ctx, registry_id_, 0)
-                                       : make_signature(ctx, registry_id_, 0);
+    // into distinct cache lines. The signature, the lookup and the store
+    // each get a nested span, so the cache's own cost splits from the
+    // inner planner's.
+    const PlanSignature sig = [&] {
+      CORUN_TRACE_SPAN("sched", "plan_cache.signature");
+      return builder_ ? builder_->build(ctx, registry_id_, 0)
+                      : make_signature(ctx, registry_id_, 0);
+    }();
     const std::vector<std::string> batch_names = ctx.job_names();
-    if (auto hit = cache_->lookup(sig, batch_names)) return std::move(*hit);
+    {
+      CORUN_TRACE_SPAN("sched", "plan_cache.lookup");
+      if (auto hit = cache_->lookup(sig, batch_names)) return std::move(*hit);
+    }
     Schedule planned = inner_->plan(ctx);
+    CORUN_TRACE_SPAN("sched", "plan_cache.store");
     cache_->store(sig, planned, batch_names);
     return planned;
   }

@@ -16,10 +16,15 @@ Refiner::Refiner(RefinerOptions options) : options_(options) {
 }
 
 Schedule Refiner::refine(const SchedulerContext& ctx, Schedule schedule) const {
+  const PlanView view(ctx);
+  return refine(view, std::move(schedule));
+}
+
+Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
   CORUN_TRACE_SPAN("sched", "hcs.refine");
   CORUN_CHECK_MSG(!schedule.shared_queue && !schedule.cpu_batch_launch,
                   "refinement expects a two-sequence schedule");
-  const MakespanEvaluator evaluator(ctx);
+  const MakespanEvaluator evaluator(view);
   stats_ = RefinerStats{};
   Seconds best = evaluator.makespan(schedule);
   stats_.initial_makespan = best;
@@ -28,7 +33,7 @@ Schedule Refiner::refine(const SchedulerContext& ctx, Schedule schedule) const {
   for (auto* seq : {&schedule.cpu, &schedule.gpu}) {
     for (std::size_t i = 0; i + 1 < seq->size(); ++i) {
       std::swap((*seq)[i], (*seq)[i + 1]);
-      const Seconds makespan = evaluator.makespan(schedule);
+      const Seconds makespan = evaluator.makespan(schedule, best);
       if (makespan < best) {
         best = makespan;
         ++stats_.adjacent_improvements;
@@ -49,7 +54,7 @@ Schedule Refiner::refine(const SchedulerContext& ctx, Schedule schedule) const {
         rng.uniform_int(0, static_cast<std::int64_t>(seq->size()) - 1));
     if (i == j) continue;
     std::swap((*seq)[i], (*seq)[j]);
-    const Seconds makespan = evaluator.makespan(schedule);
+    const Seconds makespan = evaluator.makespan(schedule, best);
     if (makespan < best) {
       best = makespan;
       ++stats_.random_improvements;
@@ -61,9 +66,8 @@ Schedule Refiner::refine(const SchedulerContext& ctx, Schedule schedule) const {
   // Pass 3: random cross-device swaps. The moved jobs get their best
   // cap-feasible solo level on the destination device (the evaluator's cap
   // enforcement will still adjust per pairing).
-  const model::CoRunPredictor& m = ctx.model();
   auto level_on = [&](std::size_t job, sim::DeviceKind device) {
-    return m.best_solo_level(ctx.job_name(job), device, ctx.cap);
+    return view.best_solo_level(job, device);
   };
   for (int s = 0; s < options_.cross_swap_samples; ++s) {
     if (schedule.cpu.empty() || schedule.gpu.empty()) break;
@@ -78,7 +82,7 @@ Schedule Refiner::refine(const SchedulerContext& ctx, Schedule schedule) const {
     const ScheduledJob old_gpu = schedule.gpu[j];
     schedule.cpu[i] = {old_gpu.job, *cpu_level};
     schedule.gpu[j] = {old_cpu.job, *gpu_level};
-    const Seconds makespan = evaluator.makespan(schedule);
+    const Seconds makespan = evaluator.makespan(schedule, best);
     if (makespan < best) {
       best = makespan;
       ++stats_.cross_improvements;
@@ -102,9 +106,14 @@ HcsPlusScheduler::HcsPlusScheduler(RefinerOptions options)
     : options_(options) {}
 
 Schedule HcsPlusScheduler::plan(const SchedulerContext& ctx) {
+  const PlanView view(ctx);
+  return plan(view);
+}
+
+Schedule HcsPlusScheduler::plan(const PlanView& view) {
   HcsScheduler hcs;
   const Refiner refiner(options_);
-  return refiner.refine(ctx, hcs.plan(ctx));
+  return refiner.refine(view, hcs.plan_traced(view, nullptr));
 }
 
 }  // namespace corun::sched

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "corun/core/sched/makespan_evaluator.hpp"
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/core/sched/schedule.hpp"
 #include "corun/core/sched/scheduler.hpp"
 
@@ -37,6 +38,9 @@ class Refiner {
   /// Refines `schedule` in place semantics-free (returns the improved copy).
   [[nodiscard]] Schedule refine(const SchedulerContext& ctx,
                                 Schedule schedule) const;
+  /// refine() through a plan's view. Each trial evaluation stops at the
+  /// incumbent makespan: only strict improvements are kept.
+  [[nodiscard]] Schedule refine(const PlanView& view, Schedule schedule) const;
 
   /// Stats of the most recent refine() call.
   [[nodiscard]] const RefinerStats& last_stats() const noexcept {
@@ -53,6 +57,8 @@ class HcsPlusScheduler : public Scheduler {
  public:
   explicit HcsPlusScheduler(RefinerOptions options = {});
   [[nodiscard]] Schedule plan(const SchedulerContext& ctx) override;
+  /// HCS and the refiner, both through `view`.
+  [[nodiscard]] Schedule plan(const PlanView& view);
   [[nodiscard]] std::string name() const override { return "HCS+"; }
 
  private:

@@ -11,6 +11,11 @@
 namespace corun::sched {
 
 void Schedule::validate(std::size_t batch_size) const {
+  std::vector<int> seen;
+  validate(batch_size, seen);
+}
+
+void Schedule::validate(std::size_t batch_size, std::vector<int>& seen) const {
   if (shared_queue) {
     CORUN_CHECK_MSG(cpu.empty() && gpu.empty(),
                     "shared-queue schedule must not also use per-device lists");
@@ -18,7 +23,7 @@ void Schedule::validate(std::size_t batch_size) const {
     CORUN_CHECK_MSG(shared.empty(),
                     "per-device schedule must not carry a shared queue");
   }
-  std::vector<int> seen(batch_size, 0);
+  seen.assign(batch_size, 0);
   auto mark = [&](std::size_t job) {
     CORUN_CHECK_MSG(job < batch_size, "schedule references job out of range");
     ++seen[job];

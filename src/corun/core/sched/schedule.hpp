@@ -60,6 +60,9 @@ struct Schedule {
   /// Throws ContractViolation unless every batch index in [0, batch_size)
   /// appears exactly once across the three lists.
   void validate(std::size_t batch_size) const;
+  /// validate() counting in the caller's `seen`, so a caller that checks
+  /// many schedules allocates once.
+  void validate(std::size_t batch_size, std::vector<int>& seen) const;
 
   /// Human-readable one-line-per-device rendering for logs and examples.
   [[nodiscard]] std::string to_string(

@@ -687,18 +687,19 @@ void Engine::replay_horizon(const std::optional<Seconds>& end,
       options_.policy != GovernorPolicy::kNone && options_.power_cap;
 
   // Where the window must stop. A control-free window runs to the run's
-  // end. Otherwise sample points are left to the event path (those ticks
-  // record a reading), so the window stops short of them. A capped window
-  // runs through governor cadence points and stops only where the governor
-  // moves a level; an uncapped one (whose cadence steps the thermal clamp
-  // may undo) and a kAnalytic one (whose bulk advance rounds once per
-  // window) stop short of cadence points too.
+  // end. Otherwise sample points that record a reading are left to the
+  // event path, so the window stops short of them; with sampling off a
+  // sample point only re-arms its cadence, which the window replays. A
+  // capped window runs through governor cadence points and stops only
+  // where the governor moves a level; an uncapped one (whose cadence steps
+  // the thermal clamp may undo) and a kAnalytic one (whose bulk advance
+  // rounds once per window) stop short of cadence points too.
   const ReplayKind kind = control_free() ? ReplayKind::kControlFree
                           : capped       ? ReplayKind::kCapped
                                          : ReplayKind::kUncapped;
   Seconds stop = end ? *end : std::numeric_limits<double>::infinity();
   if (kind != ReplayKind::kControlFree) {
-    stop = std::min(stop, next_sample_);
+    if (options_.record_samples) stop = std::min(stop, next_sample_);
     if (kind == ReplayKind::kUncapped || analytic) {
       stop = std::min(stop, next_governor_);
     }
@@ -817,6 +818,10 @@ void Engine::replay_window(std::size_t budget, Seconds stop,
     }
     if constexpr (kKind != ReplayKind::kControlFree) {
       if (thermal_) thermal_advance_tick(cache_.thermal_b);
+      // sample_point with sampling off, at the oracle's place in the tick.
+      if (!options_.record_samples && now + 1e-12 >= next_sample_) {
+        next_sample_ = now + options_.sample_interval;
+      }
     }
     sums.elapsed += dt;
     sums.energy += joules;

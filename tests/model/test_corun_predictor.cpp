@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "corun/common/task_pool.hpp"
 #include "corun/common/trace/trace.hpp"
 #include "corun/core/model/degradation_space.hpp"
+#include "corun/core/sched/plan_view.hpp"
 #include "corun/profile/profiler.hpp"
 #include "corun/workload/batch.hpp"
 #include "corun/workload/rodinia.hpp"
@@ -298,6 +303,213 @@ TEST_F(CoRunPredictorTest, AnalyticTablesAreByteIdenticalToLegacy) {
                                               cpu_job, partner, cap),
                     legacy.best_level_against(gpu_job, sim::DeviceKind::kGpu,
                                               cpu_job, partner, cap));
+        }
+      }
+    }
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_cell(const PairPrediction& a, const PairPrediction& b) {
+  EXPECT_TRUE(same_bits(a.cpu_degradation, b.cpu_degradation));
+  EXPECT_TRUE(same_bits(a.gpu_degradation, b.gpu_degradation));
+  EXPECT_TRUE(same_bits(a.cpu_solo_time, b.cpu_solo_time));
+  EXPECT_TRUE(same_bits(a.gpu_solo_time, b.gpu_solo_time));
+  EXPECT_TRUE(same_bits(a.cpu_time, b.cpu_time));
+  EXPECT_TRUE(same_bits(a.gpu_time, b.gpu_time));
+  EXPECT_TRUE(same_bits(a.power, b.power));
+}
+
+/// The row-keyed queries, and the per-plan view's handles and memoized
+/// searches over them, answer with the name-keyed queries' bits: every
+/// job, device and ladder level, every cell, caps from 10 to 20 W (and
+/// none), weight ratios in all 49 buckets and past both ends of the clamp,
+/// tables on and off. Each side is a fresh copy-view, so no answer comes
+/// from the other's memo.
+TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
+  workload::Batch batch;
+  for (const char* name : {"streamcluster", "dwt2d", "leukocyte"}) {
+    batch.add(workload::rodinia_by_name(name).value(), 42);
+  }
+  const std::vector<std::optional<Watts>> caps = {std::nullopt, 10.0, 12.5,
+                                                  15.0, 17.5, 20.0};
+  // (gpu weight / cpu weight, its bucket): two ratios inside every bucket,
+  // then two clamped ones.
+  std::vector<std::pair<double, int>> ratios;
+  for (int b = -24; b <= 24; ++b) {
+    for (const double off : {-0.3, 0.3}) {
+      ratios.emplace_back(std::exp2((b + off) / 4.0), b);
+    }
+  }
+  ratios.emplace_back(std::exp2(-9.0), -24);
+  ratios.emplace_back(std::exp2(9.0), 24);
+  for (const auto& [ratio, bucket] : ratios) {
+    ASSERT_EQ(CoRunPredictor::weight_bucket(1.0, ratio), bucket) << ratio;
+  }
+  // The bucket is the rounded, clamped quarter-octave log of the ratio,
+  // right up to each boundary between buckets: ratios within a few ulps
+  // and within 1e-9 of every boundary, at unit and non-unit CPU weights.
+  for (int k = 0; k < CoRunPredictor::kWeightBuckets - 1; ++k) {
+    const double bound = std::exp2((k - 23.5) / 4.0);
+    std::vector<double> near = {bound, bound * (1.0 + 1e-9),
+                                bound * (1.0 - 1e-9), bound * (1.0 + 2e-9),
+                                bound * (1.0 - 2e-9)};
+    double up = bound;
+    double down = bound;
+    for (int ulp = 0; ulp < 4; ++ulp) {
+      up = std::nextafter(up, 1e9);
+      down = std::nextafter(down, 0.0);
+      near.push_back(up);
+      near.push_back(down);
+    }
+    for (const double ratio : near) {
+      for (const double cpu_weight : {1.0, 0.37, 5.0}) {
+        const double gpu_weight = ratio * cpu_weight;
+        const double log_ratio =
+            std::clamp(std::log2(gpu_weight / cpu_weight), -6.0, 6.0);
+        EXPECT_EQ(CoRunPredictor::weight_bucket(cpu_weight, gpu_weight),
+                  static_cast<int>(std::lround(log_ratio * 4.0)))
+            << "boundary " << k << ", ratio " << ratio;
+      }
+    }
+  }
+  const sim::DeviceKind devices[] = {sim::DeviceKind::kCpu,
+                                     sim::DeviceKind::kGpu};
+
+  for (const bool tables : {true, false}) {
+    SCOPED_TRACE(tables ? "tables on" : "tables off");
+    const PredictorOptions options{.analytic_tables = tables};
+    const CoRunPredictor rows(*predictor_, options);
+    const CoRunPredictor names(*predictor_, options);
+    const std::size_t n = batch.size();
+    auto name = [&](std::size_t i) -> const std::string& {
+      return batch.job(i).instance_name;
+    };
+
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const sim::DeviceKind d : devices) {
+        const JobRow r = rows.row(name(i), d);
+        ASSERT_TRUE(r.profiled());
+        EXPECT_EQ(r.entries != nullptr, tables);
+        for (sim::FreqLevel l = 0; l <= config_->ladder(d).max_level(); ++l) {
+          EXPECT_TRUE(same_bits(rows.standalone_time(r, l),
+                                names.standalone_time(name(i), d, l)));
+          EXPECT_TRUE(same_bits(rows.standalone_bw(r, l),
+                                names.standalone_bw(name(i), d, l)));
+          EXPECT_TRUE(same_bits(rows.standalone_power(r, l),
+                                names.standalone_power(name(i), d, l)));
+        }
+        for (const std::optional<Watts>& cap : caps) {
+          const auto best = rows.best_solo(r, cap);
+          ASSERT_EQ(best.has_value(),
+                    names.best_solo_level(name(i), d, cap).has_value());
+          if (best) {
+            EXPECT_EQ(best->first, *names.best_solo_level(name(i), d, cap));
+            EXPECT_TRUE(same_bits(best->second,
+                                  names.best_solo_time(name(i), d, cap)));
+          }
+        }
+      }
+    }
+
+    for (std::size_t c = 0; c < n; ++c) {
+      for (std::size_t g = 0; g < n; ++g) {
+        const JobRow cr = rows.row(name(c), sim::DeviceKind::kCpu);
+        const JobRow gr = rows.row(name(g), sim::DeviceKind::kGpu);
+        const CoRunPredictor::PairCells cells = rows.pair(cr, gr);
+        for (sim::FreqLevel fc = 0; fc <= config_->cpu_ladder.max_level();
+             ++fc) {
+          for (sim::FreqLevel fg = 0; fg <= config_->gpu_ladder.max_level();
+               ++fg) {
+            expect_same_cell(rows.predict(cr, fc, gr, fg),
+                             names.predict(name(c), fc, name(g), fg));
+            expect_same_cell(cells.at(fc, fg),
+                             names.predict(name(c), fc, name(g), fg));
+            EXPECT_TRUE(same_bits(rows.predict_power(cr, fc, gr, fg),
+                                  names.predict_power(name(c), fc, name(g),
+                                                      fg)));
+          }
+        }
+        for (const std::optional<Watts>& cap : caps) {
+          for (const auto& [ratio, bucket] : ratios) {
+            EXPECT_EQ(rows.best_pair_weighted(cells, cap, bucket),
+                      names.best_pair_weighted(name(c), name(g), cap, 1.0,
+                                               ratio))
+                << "bucket " << bucket;
+          }
+          EXPECT_EQ(rows.best_pair_min_degradation(cells, cap),
+                    names.best_pair_min_degradation(name(c), name(g), cap));
+          for (const bool floor : {false, true}) {
+            EXPECT_TRUE(same_bits(
+                rows.min_corun_time(cells, sim::DeviceKind::kCpu, cap, floor),
+                names.min_corun_time(name(c), sim::DeviceKind::kCpu, name(g),
+                                     cap, floor)));
+            EXPECT_TRUE(same_bits(
+                rows.min_corun_time(cells, sim::DeviceKind::kGpu, cap, floor),
+                names.min_corun_time(name(g), sim::DeviceKind::kGpu, name(c),
+                                     cap, floor)));
+          }
+          // 12 is off the GPU ladder: the CPU-side search clamps it.
+          for (const sim::FreqLevel partner : {0, 4, 9, 12}) {
+            EXPECT_EQ(rows.best_level_against(cells, sim::DeviceKind::kCpu,
+                                              partner, cap),
+                      names.best_level_against(name(c), sim::DeviceKind::kCpu,
+                                               name(g), partner, cap));
+            EXPECT_EQ(rows.best_level_against(cells, sim::DeviceKind::kGpu,
+                                              partner, cap),
+                      names.best_level_against(name(g), sim::DeviceKind::kGpu,
+                                               name(c), partner, cap));
+          }
+        }
+      }
+    }
+
+    // The per-plan view: handle values at the cap, and every memoized
+    // search asked twice (a fill, then a memo hit).
+    for (const std::optional<Watts>& cap : caps) {
+      sched::SchedulerContext ctx;
+      ctx.batch = &batch;
+      ctx.predictor = &rows;
+      ctx.cap = cap;
+      const sched::PlanView view(ctx);
+      ASSERT_EQ(view.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (const sim::DeviceKind d : devices) {
+          EXPECT_TRUE(same_bits(
+              view.t_max(i, d),
+              names.standalone_time(name(i), d,
+                                    config_->ladder(d).max_level())));
+          EXPECT_EQ(view.best_solo_level(i, d),
+                    names.best_solo_level(name(i), d, cap));
+          if (view.best_solo_level(i, d)) {
+            EXPECT_TRUE(same_bits(view.best_solo_time(i, d),
+                                  names.best_solo_time(name(i), d, cap)));
+          } else {
+            EXPECT_EQ(view.best_solo_time(i, d),
+                      std::numeric_limits<Seconds>::infinity());
+          }
+        }
+      }
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t c = 0; c < n; ++c) {
+          for (std::size_t g = 0; g < n; ++g) {
+            for (const auto& [ratio, bucket] : ratios) {
+              EXPECT_EQ(view.best_pair_weighted(c, g, 1.0, ratio),
+                        names.best_pair_weighted(name(c), name(g), cap, 1.0,
+                                                 ratio))
+                  << "bucket " << bucket << ", pass " << pass;
+            }
+            for (const sim::DeviceKind d : devices) {
+              for (const bool floor : {false, true}) {
+                EXPECT_TRUE(same_bits(
+                    view.min_corun_time(c, d, g, floor),
+                    names.min_corun_time(name(c), d, name(g), cap, floor)));
+              }
+            }
+          }
         }
       }
     }

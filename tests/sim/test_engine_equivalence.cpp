@@ -321,5 +321,58 @@ TEST(CappedWindowEquivalence, RunForEndingOnACadenceTick) {
   }
 }
 
+TEST(CappedWindowEquivalence, UnrecordedSamplePointsDoNotStopWindows) {
+  // With sampling off a sample point only re-arms its cadence, so capped
+  // and uncapped (thermal) windows replay through it instead of handing
+  // its tick to the per-tick path. Tick and event stay bit-identical, and
+  // a capped event run takes fewer per-tick steps than the same run
+  // recording samples. (The meter is noise-free here, so both runs see the
+  // same readings and the same trajectory; the sample stops are the only
+  // difference. An uncapped window stops at every governor cadence point,
+  // which every sample point here falls on, so it gains nothing. Horizons,
+  // the dynamics rebuilds, are the same in all: a sample stop never
+  // invalidates the cached dynamics.)
+  const std::optional<Watts> caps[] = {14.0, std::nullopt};
+  for (const std::optional<Watts> cap : caps) {
+    for (const GovernorPolicy policy : kPolicies) {
+      for (const bool thermal : {false, true}) {
+        if (!cap && !thermal) continue;  // control-free: always replayed
+        SCOPED_TRACE(testing::Message()
+                     << "cap " << cap.value_or(0.0) << ", policy "
+                     << policy_name(policy) << ", thermal " << thermal);
+        EngineOptions o = capped_options(cap.value_or(14.0), 0.0, policy);
+        o.power_cap = cap;
+        o.thermal = thermal;
+        o.record_samples = false;
+        const auto script = [](Engine& e) {
+          launch_pair(e);
+          (void)e.run_for(3.37);
+          e.run_until_idle();
+        };
+        std::uint64_t stepped = 0;
+        std::uint64_t horizons = 0;
+        expect_modes_identical(o, script, [&](const Engine& event) {
+          stepped = event.counters().ticks - event.counters().replayed_ticks;
+          horizons = event.counters().horizons;
+        });
+
+        o.record_samples = true;
+        o.mode = EngineMode::kEvent;
+        Engine sampled(ivy_bridge(), o);
+        sampled.set_ceilings(15, 9);
+        script(sampled);
+        const std::uint64_t sampled_stepped =
+            sampled.counters().ticks - sampled.counters().replayed_ticks;
+        if (cap) {
+          EXPECT_LT(stepped, sampled_stepped);
+        } else {
+          EXPECT_LE(stepped, sampled_stepped);
+        }
+        EXPECT_EQ(horizons, sampled.counters().horizons);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace corun::sim
