@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "corun/common/check.hpp"
 #include "corun/common/rng.hpp"
@@ -29,15 +30,45 @@ Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
   Seconds best = evaluator.makespan(schedule);
   stats_.initial_makespan = best;
 
+  // Every trial stops at the incumbent, since only a strict improvement is
+  // kept. And between two kept moves the schedule does not change, so a
+  // move names its trial schedule: one rejected since the last kept move
+  // would be rejected again, and is skipped instead of replayed (the
+  // random draws are taken all the same). Moves are keyed by the device's
+  // position pair for a swap, by the (CPU, GPU) position pair for a
+  // cross-device swap.
+  const std::size_t n_cpu = schedule.cpu.size();
+  const std::size_t n_gpu = schedule.gpu.size();
+  std::vector<char> rejected(n_cpu * n_cpu + n_gpu * n_gpu + n_cpu * n_gpu, 0);
+  auto swap_key = [&](const std::vector<ScheduledJob>* seq, std::size_t i,
+                      std::size_t j) {
+    if (i > j) std::swap(i, j);
+    return seq == &schedule.cpu ? i * n_cpu + j
+                                : n_cpu * n_cpu + i * n_gpu + j;
+  };
+  auto cross_key = [&](std::size_t i, std::size_t j) {
+    return n_cpu * n_cpu + n_gpu * n_gpu + i * n_gpu + j;
+  };
+  // Replays the trial `schedule` now holds; true when it is kept.
+  auto try_move = [&](std::size_t key, int& improvements) {
+    const Seconds makespan = evaluator.makespan(schedule, best);
+    if (makespan < best) {
+      best = makespan;
+      ++improvements;
+      std::fill(rejected.begin(), rejected.end(), 0);
+      return true;
+    }
+    rejected[key] = 1;
+    return false;
+  };
+
   // Pass 1: adjacent swaps along each device sequence.
   for (auto* seq : {&schedule.cpu, &schedule.gpu}) {
     for (std::size_t i = 0; i + 1 < seq->size(); ++i) {
+      const std::size_t key = swap_key(seq, i, i + 1);
+      if (rejected[key] != 0) continue;
       std::swap((*seq)[i], (*seq)[i + 1]);
-      const Seconds makespan = evaluator.makespan(schedule, best);
-      if (makespan < best) {
-        best = makespan;
-        ++stats_.adjacent_improvements;
-      } else {
+      if (!try_move(key, stats_.adjacent_improvements)) {
         std::swap((*seq)[i], (*seq)[i + 1]);
       }
     }
@@ -53,12 +84,10 @@ Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
     const auto j = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(seq->size()) - 1));
     if (i == j) continue;
+    const std::size_t key = swap_key(seq, i, j);
+    if (rejected[key] != 0) continue;
     std::swap((*seq)[i], (*seq)[j]);
-    const Seconds makespan = evaluator.makespan(schedule, best);
-    if (makespan < best) {
-      best = makespan;
-      ++stats_.random_improvements;
-    } else {
+    if (!try_move(key, stats_.random_improvements)) {
       std::swap((*seq)[i], (*seq)[j]);
     }
   }
@@ -78,15 +107,13 @@ Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
     const auto cpu_level = level_on(schedule.gpu[j].job, sim::DeviceKind::kCpu);
     const auto gpu_level = level_on(schedule.cpu[i].job, sim::DeviceKind::kGpu);
     if (!cpu_level || !gpu_level) continue;
+    const std::size_t key = cross_key(i, j);
+    if (rejected[key] != 0) continue;
     const ScheduledJob old_cpu = schedule.cpu[i];
     const ScheduledJob old_gpu = schedule.gpu[j];
     schedule.cpu[i] = {old_gpu.job, *cpu_level};
     schedule.gpu[j] = {old_cpu.job, *gpu_level};
-    const Seconds makespan = evaluator.makespan(schedule, best);
-    if (makespan < best) {
-      best = makespan;
-      ++stats_.cross_improvements;
-    } else {
+    if (!try_move(key, stats_.cross_improvements)) {
       schedule.cpu[i] = old_cpu;
       schedule.gpu[j] = old_gpu;
     }
