@@ -179,8 +179,7 @@ class CoRunPredictor {
   //
   // The name-keyed queries above are one-line wrappers over these, so each
   // query and search has one implementation. A planner resolves its jobs
-  // once (row) and then queries without hashing a name; only the
-  // name-keyed pair searches consult the memo maps below.
+  // once (row) and then queries without hashing a name.
 
   /// A (CPU job, GPU job) pair resolved for cell reads: its table block,
   /// or with the tables off the two names the on-demand path reads.

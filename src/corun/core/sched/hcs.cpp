@@ -35,9 +35,10 @@ HcsScheduler::HcsScheduler(HcsOptions options) : options_(options) {
 
 std::optional<model::FreqPair> HcsScheduler::choose_pair(
     const PlanView& view, std::size_t cpu_job, std::size_t gpu_job) const {
+  // Weights of 1: the pair minimizing the pair's completion bound.
   return options_.min_degradation_freq
              ? view.best_pair_min_degradation(cpu_job, gpu_job)
-             : view.best_pair_min_makespan(cpu_job, gpu_job);
+             : view.best_pair_weighted(cpu_job, gpu_job, 1.0, 1.0);
 }
 
 bool HcsScheduler::pair_beneficial(const SchedulerContext& ctx, std::size_t i,

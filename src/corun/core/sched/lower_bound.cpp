@@ -21,12 +21,6 @@ constexpr double kRoundingGuard = 1.0 - 1e-12;
 
 }  // namespace
 
-DeviceOccupancy device_occupancy(const SchedulerContext& ctx, std::size_t i,
-                                 sim::DeviceKind p, bool include_floor_pair) {
-  const PlanView view(ctx);
-  return device_occupancy(view, i, p, include_floor_pair);
-}
-
 DeviceOccupancy device_occupancy(const PlanView& view, std::size_t i,
                                  sim::DeviceKind p, bool include_floor_pair) {
   const std::size_t n = view.size();

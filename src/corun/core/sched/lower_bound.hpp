@@ -69,10 +69,6 @@ struct DeviceOccupancy {
 /// evaluator's last-resort operating point — which the search bound needs
 /// for admissibility; `compute_lower_bound` keeps the paper's strict
 /// cap-feasible set.
-[[nodiscard]] DeviceOccupancy device_occupancy(const SchedulerContext& ctx,
-                                               std::size_t i,
-                                               sim::DeviceKind p,
-                                               bool include_floor_pair);
 [[nodiscard]] DeviceOccupancy device_occupancy(const PlanView& view,
                                                std::size_t i,
                                                sim::DeviceKind p,

@@ -1,7 +1,6 @@
 #include "corun/core/sched/makespan_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 

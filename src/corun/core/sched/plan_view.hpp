@@ -107,11 +107,6 @@ class PlanView {
   [[nodiscard]] std::optional<model::FreqPair> best_pair_weighted(
       std::size_t cpu_job, std::size_t gpu_job, double cpu_weight,
       double gpu_weight) const;
-  /// Weights of 1: the pair minimizing the pair's completion bound.
-  [[nodiscard]] std::optional<model::FreqPair> best_pair_min_makespan(
-      std::size_t cpu_job, std::size_t gpu_job) const {
-    return best_pair_weighted(cpu_job, gpu_job, 1.0, 1.0);
-  }
   /// CoRunPredictor::best_pair_min_degradation at the context's cap.
   [[nodiscard]] std::optional<model::FreqPair> best_pair_min_degradation(
       std::size_t cpu_job, std::size_t gpu_job) const;

@@ -65,10 +65,10 @@ Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
   // Pass 1: adjacent swaps along each device sequence.
   for (auto* seq : {&schedule.cpu, &schedule.gpu}) {
     for (std::size_t i = 0; i + 1 < seq->size(); ++i) {
-      const std::size_t key = swap_key(seq, i, i + 1);
-      if (rejected[key] != 0) continue;
+      // Each adjacent pair comes up once here; its rejection counts for
+      // the random passes.
       std::swap((*seq)[i], (*seq)[i + 1]);
-      if (!try_move(key, stats_.adjacent_improvements)) {
+      if (!try_move(swap_key(seq, i, i + 1), stats_.adjacent_improvements)) {
         std::swap((*seq)[i], (*seq)[i + 1]);
       }
     }
@@ -95,17 +95,16 @@ Schedule Refiner::refine(const PlanView& view, Schedule schedule) const {
   // Pass 3: random cross-device swaps. The moved jobs get their best
   // cap-feasible solo level on the destination device (the evaluator's cap
   // enforcement will still adjust per pairing).
-  auto level_on = [&](std::size_t job, sim::DeviceKind device) {
-    return view.best_solo_level(job, device);
-  };
   for (int s = 0; s < options_.cross_swap_samples; ++s) {
     if (schedule.cpu.empty() || schedule.gpu.empty()) break;
     const auto i = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(schedule.cpu.size()) - 1));
     const auto j = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(schedule.gpu.size()) - 1));
-    const auto cpu_level = level_on(schedule.gpu[j].job, sim::DeviceKind::kCpu);
-    const auto gpu_level = level_on(schedule.cpu[i].job, sim::DeviceKind::kGpu);
+    const auto cpu_level =
+        view.best_solo_level(schedule.gpu[j].job, sim::DeviceKind::kCpu);
+    const auto gpu_level =
+        view.best_solo_level(schedule.cpu[i].job, sim::DeviceKind::kGpu);
     if (!cpu_level || !gpu_level) continue;
     const std::size_t key = cross_key(i, j);
     if (rejected[key] != 0) continue;
