@@ -24,6 +24,7 @@ int main() {
   sched::SchedulerContext ctx;
   ctx.batch = &batch;
   ctx.predictor = &predictor;
+  const sched::PlanView view(ctx);
   const sched::HcsScheduler hcs;
 
   Table table({"job", "min corun (CPU)", "min corun (GPU)",
@@ -45,7 +46,7 @@ int main() {
       }
       return best;
     };
-    const sched::Preference pref = hcs.categorize(ctx, i);
+    const sched::Preference pref = hcs.categorize(view, i);
     table.add_row({job, Table::num(min_corun(sim::DeviceKind::kCpu)),
                    Table::num(min_corun(sim::DeviceKind::kGpu)),
                    Table::num(predictor.standalone_time(job,

@@ -1,7 +1,6 @@
 #include "corun/core/model/corun_predictor.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -18,23 +17,6 @@ namespace {
 bool fits(Watts power, std::optional<Watts> cap) {
   return !cap || power <= *cap;
 }
-
-/// The weight ratios where weight_bucket's rounded quarter-octave log
-/// steps up one bucket: 2^((k - 23.5) / 4) for k in [0, 48). Built by
-/// repeated multiplication by 2^(1/4) from 2^-6 * 2^(1/8); each is within
-/// a few ulps of its exact value, far inside kBoundaryMargin.
-constexpr std::array<double, CoRunPredictor::kWeightBuckets - 1>
-make_bucket_bounds() {
-  std::array<double, CoRunPredictor::kWeightBuckets - 1> bounds{};
-  double b = 0x1p-6 * 0x1.172b83c7d517bp+0;
-  for (double& bound : bounds) {
-    bound = b;
-    b *= 0x1.306fe0a31b715p+0;
-  }
-  return bounds;
-}
-constexpr auto kBucketBounds = make_bucket_bounds();
-constexpr double kBoundaryMargin = 1e-9;
 
 /// One (job, device) row as ProfileDB::row returns it: (level, entry) by
 /// ascending level.
@@ -274,13 +256,11 @@ bool CoRunPredictor::in_table(const JobRow& row,
          level <= config_.ladder(row.device).max_level();
 }
 
-void CoRunPredictor::count_analytic_hit() const { count_analytic_hits(1); }
-
-void CoRunPredictor::count_analytic_hits(std::uint64_t hits) const {
+void CoRunPredictor::count_analytic_hit() const {
   // The tally only feeds the backend.analytic_hits trace counter; skip the
   // shared-cache-line increment entirely when tracing is off.
   if (trace::enabled()) {
-    analytic_hits_.fetch_add(hits, std::memory_order_relaxed);
+    analytic_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -361,11 +341,20 @@ PairPrediction CoRunPredictor::predict(const JobRow& cpu,
   if (options_.analytic_tables && cpu_level >= 0 &&
       cpu_level <= config_.cpu_ladder.max_level() && gpu_level >= 0 &&
       gpu_level <= config_.gpu_ladder.max_level()) {
-    const PairCells cells = pair(cpu, gpu);
+    return predict(pair(cpu, gpu), cpu_level, gpu_level);
+  }
+  return predict_legacy(*cpu.job, cpu_level, *gpu.job, gpu_level);
+}
+
+PairPrediction CoRunPredictor::predict(const PairCells& cells,
+                                       sim::FreqLevel cpu_level,
+                                       sim::FreqLevel gpu_level) const {
+  if (cells.table != nullptr && cpu_level >= 0 && cpu_level <= cells.cpu_max &&
+      gpu_level >= 0 && gpu_level <= cells.gpu_max) {
     count_analytic_hit();
     return cells.at(cpu_level, gpu_level);
   }
-  return predict_legacy(*cpu.job, cpu_level, *gpu.job, gpu_level);
+  return predict_legacy(*cells.cpu_job, cpu_level, *cells.gpu_job, gpu_level);
 }
 
 Watts CoRunPredictor::predict_power(const JobRow& cpu,
@@ -479,21 +468,8 @@ CoRunPredictor::SearchKey CoRunPredictor::SearchKey::of(
 
 int CoRunPredictor::weight_bucket(double cpu_weight, double gpu_weight) {
   CORUN_CHECK(cpu_weight > 0.0 && gpu_weight > 0.0);
-  const double ratio = gpu_weight / cpu_weight;
-  // A ratio clear of every bucket boundary by a relative kBoundaryMargin
-  // lies in the bucket the boundaries below it count: log2 errs by an ulp
-  // or so, far too little to carry the rounded log across a boundary from
-  // there. A ratio near a boundary (or NaN) takes the rounded log itself.
-  const std::size_t below = static_cast<std::size_t>(
-      std::lower_bound(kBucketBounds.begin(), kBucketBounds.end(), ratio) -
-      kBucketBounds.begin());
-  const bool clear =
-      (below == 0 ||
-       ratio > kBucketBounds[below - 1] * (1.0 + kBoundaryMargin)) &&
-      (below == kBucketBounds.size() ||
-       ratio < kBucketBounds[below] * (1.0 - kBoundaryMargin));
-  if (clear) return static_cast<int>(below) - kWeightBuckets / 2;
-  const double log_ratio = std::clamp(std::log2(ratio), -6.0, 6.0);
+  const double log_ratio =
+      std::clamp(std::log2(gpu_weight / cpu_weight), -6.0, 6.0);
   return static_cast<int>(std::lround(log_ratio * 4.0));
 }
 

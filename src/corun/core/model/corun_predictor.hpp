@@ -230,9 +230,6 @@ class CoRunPredictor {
                            sim::DeviceKind device) const;
   /// The pair's cells; both rows must be profiled (CPU and GPU rows).
   [[nodiscard]] PairCells pair(const JobRow& cpu, const JobRow& gpu) const;
-  /// Adds table reads a caller made itself — through JobRow::entries and
-  /// PairCells::at — to the backend.analytic_hits tally.
-  void count_analytic_hits(std::uint64_t hits) const;
 
   [[nodiscard]] Seconds standalone_time(const JobRow& row,
                                         sim::FreqLevel level) const;
@@ -243,6 +240,11 @@ class CoRunPredictor {
   [[nodiscard]] PairPrediction predict(const JobRow& cpu,
                                        sim::FreqLevel cpu_level,
                                        const JobRow& gpu,
+                                       sim::FreqLevel gpu_level) const;
+  /// predict() of a resolved pair: a caller that queries one pair many
+  /// times resolves it once.
+  [[nodiscard]] PairPrediction predict(const PairCells& cells,
+                                       sim::FreqLevel cpu_level,
                                        sim::FreqLevel gpu_level) const;
   [[nodiscard]] Watts predict_power(const JobRow& cpu, sim::FreqLevel cpu_level,
                                     const JobRow& gpu,

@@ -41,12 +41,6 @@ std::optional<model::FreqPair> HcsScheduler::choose_pair(
              : view.best_pair_weighted(cpu_job, gpu_job, 1.0, 1.0);
 }
 
-bool HcsScheduler::pair_beneficial(const SchedulerContext& ctx, std::size_t i,
-                                   std::size_t j) const {
-  const PlanView view(ctx);
-  return pair_beneficial(view, i, j);
-}
-
 bool HcsScheduler::pair_beneficial(const PlanView& view, std::size_t i,
                                    std::size_t j) const {
   // Sequential alternative: each job solo on its best cap-feasible device.
@@ -73,12 +67,6 @@ bool HcsScheduler::pair_beneficial(const PlanView& view, std::size_t i,
   return best_corun < sequential;
 }
 
-std::vector<bool> HcsScheduler::corun_partition(
-    const SchedulerContext& ctx) const {
-  const PlanView view(ctx);
-  return corun_partition(view);
-}
-
 std::vector<bool> HcsScheduler::corun_partition(const PlanView& view) const {
   const std::size_t n = view.size();
   std::vector<bool> in_corun(n, true);
@@ -94,12 +82,6 @@ std::vector<bool> HcsScheduler::corun_partition(const PlanView& view) const {
     in_corun[i] = any;
   }
   return in_corun;
-}
-
-Preference HcsScheduler::categorize(const SchedulerContext& ctx,
-                                    std::size_t job) const {
-  const PlanView view(ctx);
-  return categorize(view, job);
 }
 
 Preference HcsScheduler::categorize(const PlanView& view,

@@ -76,23 +76,17 @@ class HcsScheduler : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "HCS"; }
 
-  // --- exposed steps (unit-testable in isolation) ---
+  // --- exposed steps (unit-testable in isolation, through a plan's view) ---
 
   /// Step 1: true at index i iff job i belongs to S_co.
-  [[nodiscard]] std::vector<bool> corun_partition(
-      const SchedulerContext& ctx) const;
   [[nodiscard]] std::vector<bool> corun_partition(const PlanView& view) const;
 
   /// Step 2: preference class of one job.
-  [[nodiscard]] Preference categorize(const SchedulerContext& ctx,
-                                      std::size_t job) const;
   [[nodiscard]] Preference categorize(const PlanView& view,
                                       std::size_t job) const;
 
   /// Whether jobs i and j can profitably co-run in any placement at any
   /// cap-feasible frequency pair (the theorem test of step 1).
-  [[nodiscard]] bool pair_beneficial(const SchedulerContext& ctx,
-                                     std::size_t i, std::size_t j) const;
   [[nodiscard]] bool pair_beneficial(const PlanView& view, std::size_t i,
                                      std::size_t j) const;
 

@@ -84,11 +84,6 @@ LowerBoundResult compute_lower_bound(const SchedulerContext& ctx) {
   return out;
 }
 
-IncrementalBound::IncrementalBound(const SchedulerContext& ctx,
-                                   std::vector<Seconds> t_cpu,
-                                   std::vector<Seconds> t_gpu)
-    : IncrementalBound(PlanView(ctx), std::move(t_cpu), std::move(t_gpu)) {}
-
 IncrementalBound::IncrementalBound(const PlanView& view,
                                    std::vector<Seconds> t_cpu,
                                    std::vector<Seconds> t_gpu)

@@ -84,10 +84,7 @@ class IncrementalBound {
   /// (infinity when the device is cap-infeasible for the job), indexed by
   /// batch position. Construction is O(n^2 * levels^2) — the same order as
   /// compute_lower_bound — and happens once; queries never touch the
-  /// predictor again.
-  IncrementalBound(const SchedulerContext& ctx, std::vector<Seconds> t_cpu,
-                   std::vector<Seconds> t_gpu);
-  /// The same tables, the occupancies read through a plan's view.
+  /// predictor again; the occupancies are read through the plan's view.
   IncrementalBound(const PlanView& view, std::vector<Seconds> t_cpu,
                    std::vector<Seconds> t_gpu);
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "corun/common/trace/trace.hpp"
+
 namespace corun::sched {
 namespace {
 
@@ -27,11 +29,8 @@ std::optional<model::FreqPair> decode(std::uint16_t code) {
 }  // namespace
 
 PlanView::PlanView(const SchedulerContext& ctx)
-    : ctx_(&ctx),
-      model_(&ctx.model()),
-      max_level_{model_->machine().cpu_ladder.max_level(),
-                 model_->machine().gpu_ladder.max_level()},
-      idle_power_(model_->db().idle_power()) {
+    : ctx_(&ctx), model_(&ctx.model()) {
+  CORUN_TRACE_SPAN("sched", "plan_view.build");
   const sim::MachineConfig& mc = model_->machine();
   CORUN_CHECK(mc.cpu_ladder.max_level() < 0xFF &&
               mc.gpu_ladder.max_level() <= 0xFF);
@@ -53,30 +52,15 @@ PlanView::PlanView(const SchedulerContext& ctx)
   }
 }
 
-PlanView::~PlanView() {
-  if (table_hits_ != 0) model_->count_analytic_hits(table_hits_);
-}
-
-model::PairPrediction PlanView::predict(std::size_t cpu_job,
-                                        sim::FreqLevel cpu_level,
-                                        std::size_t gpu_job,
-                                        sim::FreqLevel gpu_level) const {
-  const model::JobRow& cpu = handle(cpu_job).row[0];
-  const model::JobRow& gpu = handle(gpu_job).row[1];
-  // Both table rows exist only with the tables on and both jobs profiled.
-  if (cpu.entries == nullptr || gpu.entries == nullptr || cpu_level < 0 ||
-      cpu_level > max_level_[0] || gpu_level < 0 ||
-      gpu_level > max_level_[1]) {
-    return model_->predict(cpu, cpu_level, gpu, gpu_level);
-  }
+const model::CoRunPredictor::PairCells& PlanView::pair(
+    std::size_t cpu_job, std::size_t gpu_job) const {
   const std::size_t n = size();
-  if (blocks_.empty()) blocks_.assign(n * n, nullptr);
-  const model::PairPrediction*& block = blocks_[cpu_job * n + gpu_job];
-  if (block == nullptr) block = model_->pair(cpu, gpu).table;
-  ++table_hits_;
-  return block[static_cast<std::size_t>(cpu_level) *
-                   static_cast<std::size_t>(max_level_[1] + 1) +
-               static_cast<std::size_t>(gpu_level)];
+  if (pairs_.empty()) pairs_.resize(n * n);
+  model::CoRunPredictor::PairCells& cells = pairs_[cpu_job * n + gpu_job];
+  if (cells.self == nullptr) {
+    cells = model_->pair(handle(cpu_job).row[0], handle(gpu_job).row[1]);
+  }
+  return cells;
 }
 
 std::optional<model::FreqPair> PlanView::best_pair_weighted(

@@ -27,7 +27,6 @@
 #include "corun/common/check.hpp"
 #include "corun/core/model/corun_predictor.hpp"
 #include "corun/core/sched/scheduler.hpp"
-#include "corun/profile/profile_db.hpp"
 
 namespace corun::sched {
 
@@ -36,8 +35,6 @@ class PlanView {
   explicit PlanView(const SchedulerContext& ctx);
   PlanView(const PlanView&) = delete;
   PlanView& operator=(const PlanView&) = delete;
-  /// Reports the table reads the view made itself to the predictor.
-  ~PlanView();
 
   [[nodiscard]] const SchedulerContext& ctx() const noexcept { return *ctx_; }
   [[nodiscard]] const model::CoRunPredictor& model() const noexcept {
@@ -61,45 +58,28 @@ class PlanView {
     return profiled(job, device).best_time[slot(device)];
   }
 
-  // Point queries. With the tables on, an on-ladder level reads the
-  // handle's table row (or the pair's block) directly; everything else
-  // takes the predictor's row-keyed query, which answers the same bits.
+  // Point queries: the predictor's row-keyed queries on the jobs' handles.
   [[nodiscard]] Seconds standalone_time(std::size_t job,
                                         sim::DeviceKind device,
                                         sim::FreqLevel level) const {
-    const model::JobRow& row = handle(job).row[slot(device)];
-    if (const profile::ProfileEntry* e = entry(row, level)) {
-      ++table_hits_;
-      return e->time;
-    }
-    return model_->standalone_time(row, level);
+    return model_->standalone_time(handle(job).row[slot(device)], level);
   }
   [[nodiscard]] Watts standalone_power(std::size_t job, sim::DeviceKind device,
                                        sim::FreqLevel level) const {
-    const model::JobRow& row = handle(job).row[slot(device)];
-    if (const profile::ProfileEntry* e = entry(row, level)) {
-      ++table_hits_;
-      return e->avg_power;
-    }
-    return model_->standalone_power(row, level);
+    return model_->standalone_power(handle(job).row[slot(device)], level);
   }
   [[nodiscard]] model::PairPrediction predict(std::size_t cpu_job,
                                               sim::FreqLevel cpu_level,
                                               std::size_t gpu_job,
-                                              sim::FreqLevel gpu_level) const;
+                                              sim::FreqLevel gpu_level) const {
+    return model_->predict(pair(cpu_job, gpu_job), cpu_level, gpu_level);
+  }
   [[nodiscard]] Watts predict_power(std::size_t cpu_job,
                                     sim::FreqLevel cpu_level,
                                     std::size_t gpu_job,
                                     sim::FreqLevel gpu_level) const {
-    const model::JobRow& cpu = handle(cpu_job).row[0];
-    const model::JobRow& gpu = handle(gpu_job).row[1];
-    const profile::ProfileEntry* ce = entry(cpu, cpu_level);
-    const profile::ProfileEntry* ge = entry(gpu, gpu_level);
-    if (ce != nullptr && ge != nullptr) {
-      ++table_hits_;
-      return ce->avg_power + ge->avg_power - idle_power_;
-    }
-    return model_->predict_power(cpu, cpu_level, gpu, gpu_level);
+    return model_->predict_power(handle(cpu_job).row[0], cpu_level,
+                                 handle(gpu_job).row[1], gpu_level);
   }
 
   /// CoRunPredictor::best_pair_weighted at the context's cap, memoized per
@@ -140,30 +120,16 @@ class PlanView {
                     "no profiles for " + *h.row[slot(device)].job);
     return h;
   }
-  [[nodiscard]] model::CoRunPredictor::PairCells pair(
-      std::size_t cpu_job, std::size_t gpu_job) const {
-    return model_->pair(handle(cpu_job).row[0], handle(gpu_job).row[1]);
-  }
-  /// The row's table entry at `level`; nullptr when the tables are off or
-  /// the level is off the ladder.
-  [[nodiscard]] const profile::ProfileEntry* entry(const model::JobRow& row,
-                                                   sim::FreqLevel level) const {
-    if (row.entries == nullptr || level < 0 ||
-        level > max_level_[slot(row.device)]) {
-      return nullptr;
-    }
-    return &row.entries[level];
-  }
+  /// The pair's cells, resolved on the pair's first query in the plan.
+  [[nodiscard]] const model::CoRunPredictor::PairCells& pair(
+      std::size_t cpu_job, std::size_t gpu_job) const;
 
   const SchedulerContext* ctx_;
   const model::CoRunPredictor* model_;
-  sim::FreqLevel max_level_[2];  ///< ladder tops, [CPU, GPU]
-  Watts idle_power_;
   std::vector<Handle> jobs_;
-  /// Pair blocks by (CPU job, GPU job), nullptr until first read; sized on
-  /// first use (tables on only).
-  mutable std::vector<const model::PairPrediction*> blocks_;
-  mutable std::uint64_t table_hits_ = 0;
+  /// Resolved pairs by (CPU job, GPU job), `self` null until resolved;
+  /// sized on first use.
+  mutable std::vector<model::CoRunPredictor::PairCells> pairs_;
   /// Encoded best_pair_weighted answers, kUnfilled until searched; sized
   /// on first use.
   mutable std::vector<std::uint16_t> pair_memo_;

@@ -349,33 +349,6 @@ TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
   for (const auto& [ratio, bucket] : ratios) {
     ASSERT_EQ(CoRunPredictor::weight_bucket(1.0, ratio), bucket) << ratio;
   }
-  // The bucket is the rounded, clamped quarter-octave log of the ratio,
-  // right up to each boundary between buckets: ratios within a few ulps
-  // and within 1e-9 of every boundary, at unit and non-unit CPU weights.
-  for (int k = 0; k < CoRunPredictor::kWeightBuckets - 1; ++k) {
-    const double bound = std::exp2((k - 23.5) / 4.0);
-    std::vector<double> near = {bound, bound * (1.0 + 1e-9),
-                                bound * (1.0 - 1e-9), bound * (1.0 + 2e-9),
-                                bound * (1.0 - 2e-9)};
-    double up = bound;
-    double down = bound;
-    for (int ulp = 0; ulp < 4; ++ulp) {
-      up = std::nextafter(up, 1e9);
-      down = std::nextafter(down, 0.0);
-      near.push_back(up);
-      near.push_back(down);
-    }
-    for (const double ratio : near) {
-      for (const double cpu_weight : {1.0, 0.37, 5.0}) {
-        const double gpu_weight = ratio * cpu_weight;
-        const double log_ratio =
-            std::clamp(std::log2(gpu_weight / cpu_weight), -6.0, 6.0);
-        EXPECT_EQ(CoRunPredictor::weight_bucket(cpu_weight, gpu_weight),
-                  static_cast<int>(std::lround(log_ratio * 4.0)))
-            << "boundary " << k << ", ratio " << ratio;
-      }
-    }
-  }
   const sim::DeviceKind devices[] = {sim::DeviceKind::kCpu,
                                      sim::DeviceKind::kGpu};
 
@@ -467,8 +440,8 @@ TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
       }
     }
 
-    // The per-plan view: handle values at the cap, and every memoized
-    // search asked twice (a fill, then a memo hit).
+    // The per-plan view: handle values at the cap, its point queries, and
+    // every memoized search asked twice (a fill, then a memo hit).
     for (const std::optional<Watts>& cap : caps) {
       sched::SchedulerContext ctx;
       ctx.batch = &batch;
@@ -490,6 +463,28 @@ TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
           } else {
             EXPECT_EQ(view.best_solo_time(i, d),
                       std::numeric_limits<Seconds>::infinity());
+          }
+          for (sim::FreqLevel l = 0; l <= config_->ladder(d).max_level();
+               ++l) {
+            EXPECT_TRUE(same_bits(view.standalone_time(i, d, l),
+                                  names.standalone_time(name(i), d, l)));
+            EXPECT_TRUE(same_bits(view.standalone_power(i, d, l),
+                                  names.standalone_power(name(i), d, l)));
+          }
+        }
+      }
+      for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t g = 0; g < n; ++g) {
+          for (sim::FreqLevel fc = 0; fc <= config_->cpu_ladder.max_level();
+               ++fc) {
+            for (sim::FreqLevel fg = 0; fg <= config_->gpu_ladder.max_level();
+                 ++fg) {
+              expect_same_cell(view.predict(c, fc, g, fg),
+                               names.predict(name(c), fc, name(g), fg));
+              EXPECT_TRUE(same_bits(
+                  view.predict_power(c, fc, g, fg),
+                  names.predict_power(name(c), fc, name(g), fg)));
+            }
           }
         }
       }

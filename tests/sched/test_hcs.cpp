@@ -23,15 +23,16 @@ TEST(Hcs, PlanCoversAllJobsExactlyOnce) {
 TEST(Hcs, CategorizationMatchesTableOne) {
   const auto& f = eight_program_fixture();
   const auto ctx = f.context(std::nullopt);
+  const PlanView view(ctx);
   HcsScheduler hcs;
   // Batch order matches rodinia_suite(): streamcluster, cfd, dwt2d,
   // hotspot, srad, lud, leukocyte, heartwall.
-  EXPECT_EQ(hcs.categorize(ctx, 0), Preference::kGpu);   // streamcluster
-  EXPECT_EQ(hcs.categorize(ctx, 1), Preference::kGpu);   // cfd
-  EXPECT_EQ(hcs.categorize(ctx, 2), Preference::kCpu);   // dwt2d
-  EXPECT_EQ(hcs.categorize(ctx, 3), Preference::kGpu);   // hotspot
-  EXPECT_EQ(hcs.categorize(ctx, 5), Preference::kNone);  // lud
-  EXPECT_EQ(hcs.categorize(ctx, 6), Preference::kGpu);   // leukocyte
+  EXPECT_EQ(hcs.categorize(view, 0), Preference::kGpu);   // streamcluster
+  EXPECT_EQ(hcs.categorize(view, 1), Preference::kGpu);   // cfd
+  EXPECT_EQ(hcs.categorize(view, 2), Preference::kCpu);   // dwt2d
+  EXPECT_EQ(hcs.categorize(view, 3), Preference::kGpu);   // hotspot
+  EXPECT_EQ(hcs.categorize(view, 5), Preference::kNone);  // lud
+  EXPECT_EQ(hcs.categorize(view, 6), Preference::kGpu);   // leukocyte
 }
 
 TEST(Hcs, DwtGoesToCpuWhenCoScheduled) {
@@ -87,7 +88,7 @@ TEST(Hcs, PartitionIdentifiesCoRunFriendlyJobs) {
   const auto& f = eight_program_fixture();
   const auto ctx = f.context(15.0);
   HcsScheduler hcs;
-  const std::vector<bool> in_corun = hcs.corun_partition(ctx);
+  const std::vector<bool> in_corun = hcs.corun_partition(PlanView(ctx));
   ASSERT_EQ(in_corun.size(), 8u);
   // With this suite's moderate degradations most jobs benefit from co-runs.
   int count = 0;
@@ -101,7 +102,7 @@ TEST(Hcs, PairBeneficialForComputeBoundPair) {
   const auto& f = eight_program_fixture();
   const auto ctx = f.context(std::nullopt);
   HcsScheduler hcs;
-  EXPECT_TRUE(hcs.pair_beneficial(ctx, 6, 5));  // leukocyte vs lud
+  EXPECT_TRUE(hcs.pair_beneficial(PlanView(ctx), 6, 5));  // leukocyte vs lud
 }
 
 TEST(Hcs, AblationDisablingPartitionForcesAllCoRun) {
@@ -123,15 +124,16 @@ TEST(Hcs, DegradationFrequencyCriterionAblation) {
 TEST(Hcs, WiderPreferenceThresholdMovesLudToNonPreferred) {
   const auto& f = eight_program_fixture();
   const auto ctx = f.context(std::nullopt);
+  const PlanView view(ctx);
   // With a huge threshold, nothing is "preferred".
   HcsScheduler loose(HcsOptions{.preference_threshold = 10.0});
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(loose.categorize(ctx, i), Preference::kNone);
+    EXPECT_EQ(loose.categorize(view, i), Preference::kNone);
   }
   // With a zero threshold, every job has a preference.
   HcsScheduler strict(HcsOptions{.preference_threshold = 0.0});
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NE(strict.categorize(ctx, i), Preference::kNone);
+    EXPECT_NE(strict.categorize(view, i), Preference::kNone);
   }
 }
 
@@ -184,8 +186,9 @@ TEST(Hcs, TraceExplainsEveryPlacement) {
     EXPECT_GE(d.degradation_sum, 0.0);
   }
   // Trace classes match the public categorize() results.
+  const PlanView view(ctx);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(trace.preference[i], hcs.categorize(ctx, i)) << i;
+    EXPECT_EQ(trace.preference[i], hcs.categorize(view, i)) << i;
   }
   // Rendering mentions every job and the partition headers.
   const std::string text = trace.to_string(ctx.job_names());

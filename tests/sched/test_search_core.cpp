@@ -144,7 +144,8 @@ TEST(SearchCore, CursorPushPopRestoresBitExactly) {
   const auto ctx = f.context(15.0);
   std::vector<Seconds> t_cpu, t_gpu;
   solo_times(ctx, t_cpu, t_gpu);
-  const IncrementalBound model(ctx, t_cpu, t_gpu);
+  const PlanView view(ctx);
+  const IncrementalBound model(view, t_cpu, t_gpu);
   const std::size_t n = model.size();
 
   Rng rng(2026);
@@ -197,7 +198,8 @@ TEST(SearchCore, BoundIsAdmissibleAtEveryLeafPrefix) {
     const model::CoRunPredictor& m = ctx.model();
     std::vector<Seconds> t_cpu, t_gpu;
     solo_times(ctx, t_cpu, t_gpu);
-    const IncrementalBound model(ctx, t_cpu, t_gpu);
+    const PlanView view(ctx);
+    const IncrementalBound model(view, t_cpu, t_gpu);
     const std::size_t n = model.size();
 
     for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
