@@ -70,10 +70,9 @@ int main() {
     const sched::LowerBoundResult lb = sched::compute_lower_bound(ctx);
     table.add_row({"(lower bound)", Table::num(lb.t_low_tight), "-"});
     std::printf("%s\n", table.render().c_str());
-    std::printf("BnB search: %zu nodes, %zu pruned, %zu leaves%s\n\n",
+    std::printf("BnB search: %zu nodes, %zu pruned, %zu leaves\n\n",
                 bnb.nodes_visited(), bnb.nodes_pruned(),
-                bnb.leaves_evaluated(),
-                bnb.exhausted_budget() ? " (budget exhausted)" : "");
+                bnb.leaves_evaluated());
   }
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "corun/common/csv.hpp"
 #include "corun/common/task_pool.hpp"
 
 namespace corun::bench {
@@ -43,8 +44,13 @@ bool quick_mode() {
 
 std::size_t init_jobs() {
   if (const char* env = std::getenv("CORUN_JOBS")) {
-    const long jobs = std::strtol(env, nullptr, 10);
-    common::set_default_jobs(jobs > 0 ? static_cast<std::size_t>(jobs) : 0);
+    const auto jobs = parse_number<std::size_t>(env);
+    if (!jobs) {
+      std::fprintf(stderr, "error: CORUN_JOBS: %s\n",
+                   jobs.error().message.c_str());
+      std::exit(2);
+    }
+    common::set_default_jobs(jobs.value());
   }
   return common::default_jobs();
 }

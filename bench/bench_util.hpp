@@ -31,7 +31,8 @@ bool quick_mode();
 
 /// Applies the CORUN_JOBS environment variable (unset or 0 = one worker per
 /// hardware thread) to the library task pool and returns the resolved
-/// worker count. Called by banner(), so every harness honours it.
+/// worker count; a value that is not an unsigned integer (parse_number)
+/// exits with status 2. Called by banner(), so every harness honours it.
 std::size_t init_jobs();
 
 /// Formats "12.3%".

@@ -1,18 +1,28 @@
 // Minimal command-line flag parsing for the tools/ binaries.
 //
 // Supports `--name value`, `--name=value`, boolean `--name`, and positional
-// arguments; unknown flags are an error so typos fail loudly.
+// arguments; unknown flags are an error so typos fail loudly, and so is a
+// numeric flag whose value does not read whole as a number.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "corun/common/expected.hpp"
 
 namespace corun {
+
+/// Thrown by Flags::get_double/get_int when a flag's value is not a number
+/// (see parse_number); what() names the flag. The tools catch it around
+/// main and report a usage error.
+class FlagError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Flags {
  public:
@@ -25,6 +35,8 @@ class Flags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// The flag's value read whole as a number, or `fallback` when the flag
+  /// is absent. Throws FlagError when the value is not a number.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,

@@ -17,8 +17,11 @@ namespace corun::fleet {
 
 namespace {
 
-constexpr const char* kCsvHeader[] = {"time", "kind", "machine",
-                                      "cap",  "jobs", "seed"};
+constexpr std::string_view kCsvColumns[] = {"time", "kind", "machine",
+                                            "cap",  "jobs", "seed"};
+constexpr std::string_view kSpecKeys[] = {
+    "dropouts", "caps",    "waves",    "horizon",
+    "wave_jobs", "cap_low", "cap_high", "seed"};
 
 /// Fleet power equality across backends holds to ~1e-9 per machine; the
 /// comparison slack absorbs the summed drift so a violation count can never
@@ -60,8 +63,9 @@ Expected<bool> FleetPlan::validate() const {
     const FleetEvent& e = events[i];
     const std::string where = "fleet event " + std::to_string(i) + " (" +
                               fleet_event_kind_name(e.kind) + ")";
-    if (e.time < 0.0) {
-      return fail(where + ": negative time", ErrorCategory::kInvalidArgument);
+    if (!(e.time >= 0.0)) {
+      return fail(where + ": time must be >= 0",
+                  ErrorCategory::kInvalidArgument);
     }
     if (e.time < prev) {
       return fail(where + ": stream is not time-sorted (call sort())",
@@ -76,7 +80,7 @@ Expected<bool> FleetPlan::validate() const {
         }
         break;
       case FleetEventKind::kGlobalCap:
-        if (e.cap && *e.cap <= 0.0) {
+        if (e.cap && !(*e.cap > 0.0)) {
           return fail(where + ": non-positive cap",
                       ErrorCategory::kInvalidArgument);
         }
@@ -94,8 +98,7 @@ Expected<bool> FleetPlan::validate() const {
 
 void fleet_plan_to_csv(const FleetPlan& plan, std::ostream& out) {
   CsvWriter writer(out);
-  writer.write_row(std::vector<std::string>(std::begin(kCsvHeader),
-                                            std::end(kCsvHeader)));
+  writer.write_row(kCsvColumns);
   for (const FleetEvent& e : plan.events) {
     writer.write_row({csv_double(e.time), fleet_event_kind_name(e.kind),
                       std::to_string(e.machine),
@@ -105,42 +108,22 @@ void fleet_plan_to_csv(const FleetPlan& plan, std::ostream& out) {
 }
 
 Expected<FleetPlan> fleet_plan_from_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "fleet plan CSV");
   if (!rows.has_value()) return rows.error();
   FleetPlan plan;
-  bool header = true;
-  for (const auto& row : rows.value()) {
-    if (header) {
-      header = false;
-      if (row.empty() || row[0] != "time") {
-        return fail("fleet plan CSV must start with: time,kind,...",
-                    ErrorCategory::kParse);
-      }
-      continue;
-    }
-    if (row.size() != 6) {
-      return fail("fleet plan CSV row arity != 6", ErrorCategory::kParse);
-    }
+  for (Record& row : std::move(rows).value()) {
     FleetEvent e;
-    const auto kind = parse_fleet_event_kind(row[1]);
+    const auto kind = parse_fleet_event_kind(row["kind"]);
     if (!kind.has_value()) return kind.error();
     e.kind = kind.value();
-    try {
-      // "-" in any optional column keeps the field's default, so
-      // hand-authored plans only fill the columns their kind uses.
-      e.time = std::stod(row[0]);
-      if (row[2] != "-") e.machine = static_cast<int>(std::stol(row[2]));
-      if (row[3] != "-") e.cap = std::stod(row[3]);
-      if (row[4] != "-") {
-        e.jobs = static_cast<std::size_t>(std::stoull(row[4]));
-      }
-      if (row[5] != "-") {
-        e.seed = static_cast<std::uint64_t>(std::stoull(row[5]));
-      }
-    } catch (const std::exception& ex) {
-      return fail(std::string("fleet plan CSV parse error: ") + ex.what(),
-                  ErrorCategory::kParse);
-    }
+    // "-" in any optional column keeps the field's default, so
+    // hand-authored plans only fill the columns their kind uses.
+    row.read("time", e.time);
+    row.read_or_keep("machine", e.machine);
+    if (row["cap"] != "-") row.read("cap", e.cap.emplace());
+    row.read_or_keep("jobs", e.jobs);
+    row.read_or_keep("seed", e.seed);
+    if (row.error()) return *row.error();
     plan.events.push_back(std::move(e));
   }
   const auto valid = plan.validate();
@@ -150,11 +133,9 @@ Expected<FleetPlan> fleet_plan_from_csv(const std::string& text) {
 
 Expected<FleetPlan> generate_fleet_plan_from_spec(const std::string& spec,
                                                   std::size_t machines) {
-  constexpr std::string_view kPrefix = "random:";
-  if (spec.rfind(kPrefix, 0) != 0) {
-    return fail("fleet event spec must start with 'random:'",
-                ErrorCategory::kInvalidArgument);
-  }
+  auto parsed = read_spec(spec, "random:", kSpecKeys, "fleet event spec");
+  if (!parsed.has_value()) return parsed.error();
+  Record items = std::move(parsed).value();
   int dropouts = 1;
   int caps = 1;
   int waves = 1;
@@ -163,52 +144,20 @@ Expected<FleetPlan> generate_fleet_plan_from_spec(const std::string& spec,
   Watts cap_low = 10.0;  // per machine; multiplied by the fleet size
   Watts cap_high = 14.0;
   std::uint64_t seed = 42;
-
-  std::stringstream ss(spec.substr(kPrefix.size()));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const auto eq = item.find('=');
-    if (eq == std::string::npos) {
-      return fail("fleet event spec item '" + item + "' is not key=value",
-                  ErrorCategory::kParse);
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "dropouts") {
-        dropouts = std::stoi(value);
-      } else if (key == "caps") {
-        caps = std::stoi(value);
-      } else if (key == "waves") {
-        waves = std::stoi(value);
-      } else if (key == "horizon") {
-        horizon = std::stod(value);
-      } else if (key == "wave_jobs") {
-        wave_jobs = static_cast<std::size_t>(std::stoull(value));
-      } else if (key == "cap_low") {
-        cap_low = std::stod(value);
-      } else if (key == "cap_high") {
-        cap_high = std::stod(value);
-      } else if (key == "seed") {
-        seed = static_cast<std::uint64_t>(std::stoull(value));
-      } else {
-        return fail("unknown fleet event spec key '" + key + "'",
-                    ErrorCategory::kInvalidArgument);
-      }
-    } catch (const std::exception& ex) {
-      return fail("fleet event spec value for '" + key +
-                      "' failed to parse: " + ex.what(),
-                  ErrorCategory::kParse);
-    }
-  }
-  if (dropouts < 0 || caps < 0 || waves < 0) {
-    return fail("fleet event spec counts must be non-negative",
-                ErrorCategory::kInvalidArgument);
-  }
-  if (cap_low <= 0.0 || cap_high < cap_low) {
-    return fail("fleet event spec needs 0 < cap_low <= cap_high",
-                ErrorCategory::kInvalidArgument);
+  items.read_or_keep("dropouts", dropouts);
+  items.read_or_keep("caps", caps);
+  items.read_or_keep("waves", waves);
+  items.read_or_keep("horizon", horizon);
+  items.read_or_keep("wave_jobs", wave_jobs);
+  items.read_or_keep("cap_low", cap_low);
+  items.read_or_keep("cap_high", cap_high);
+  items.read_or_keep("seed", seed);
+  if (items.error()) return *items.error();
+  const auto ranges = sim::check_generator_ranges({dropouts, caps, waves},
+                                                  horizon, cap_low, cap_high);
+  if (!ranges.has_value()) {
+    return fail("fleet event spec: " + ranges.error().message,
+                ErrorCategory::kParse);
   }
 
   // Each kind draws from its own forked stream (the fault-injector
@@ -543,8 +492,6 @@ Expected<FleetReport> Fleet::execute(
     out.finished_jobs += mo.report.report.jobs.size();
     out.lost_jobs += mo.report.cancelled.size();
     out.replans += mo.report.replans;
-    out.plan_cache_hits += mo.report.plan_cache_hits;
-    out.plan_cache_misses += mo.report.plan_cache_misses;
     out.machines.push_back(std::move(mo));
   }
 

@@ -101,9 +101,9 @@ struct FleetPlan {
   /// Stable-sorts events by time (equal times keep insertion order).
   void sort();
 
-  /// Error when an event is malformed (negative time, non-positive cap,
-  /// wave without jobs, dropout machine index < -1) or the stream is not
-  /// time-sorted; true otherwise.
+  /// Error when an event is malformed (a time not >= 0, a cap not > 0 —
+  /// NaN fails both — a wave without jobs, a dropout machine index < -1)
+  /// or the stream is not time-sorted; true otherwise.
   [[nodiscard]] Expected<bool> validate() const;
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
@@ -122,8 +122,10 @@ void fleet_plan_to_csv(const FleetPlan& plan, std::ostream& out);
 /// `machines` scales the drawn global caps: cap events draw uniformly in
 /// [cap_low, cap_high] watts *per machine* and multiply by the fleet size,
 /// so one spec works at 64 and at 1024 machines. Unknown keys are an
-/// error; omitted keys keep defaults. Text not starting with "random:" is
-/// rejected (the tool treats it as a CSV path instead).
+/// error; omitted keys keep defaults; values are read whole (see
+/// parse_number) and must pass sim::check_generator_ranges. Text not
+/// starting with "random:" is rejected (the tool treats it as a CSV path
+/// instead).
 [[nodiscard]] Expected<FleetPlan> generate_fleet_plan_from_spec(
     const std::string& spec, std::size_t machines);
 
@@ -211,10 +213,11 @@ struct FleetReport {
   std::size_t steady_over_cap = 0;  ///< excluding post-event transients
   Watts worst_overshoot = 0.0;
 
-  /// Aggregated planner activity across the fleet.
+  /// Aggregated planner activity across the fleet. Plan-cache activity is
+  /// not summed here: the machines share one cache and run concurrently,
+  /// so per-machine deltas of its counters overlap; read the cache's own
+  /// stats() instead.
   std::size_t replans = 0;
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
 
   /// Deterministic human-readable digest printed at limited precision, so
   /// the event and analytic backends (equal to ~1e-9) render identically —

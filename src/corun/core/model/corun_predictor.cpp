@@ -315,15 +315,6 @@ Seconds CoRunPredictor::standalone_time(const JobRow& row,
   return entry_at(*row.job, row.device, level).time;
 }
 
-GBps CoRunPredictor::standalone_bw(const JobRow& row,
-                                   sim::FreqLevel level) const {
-  if (in_table(row, level)) {
-    count_analytic_hit();
-    return row.entries[level].avg_bw;
-  }
-  return entry_at(*row.job, row.device, level).avg_bw;
-}
-
 Watts CoRunPredictor::standalone_power(const JobRow& row,
                                        sim::FreqLevel level) const {
   if (in_table(row, level)) {
@@ -376,12 +367,6 @@ Seconds CoRunPredictor::standalone_time(const std::string& job,
   return standalone_time(row(job, device), level);
 }
 
-GBps CoRunPredictor::standalone_bw(const std::string& job,
-                                   sim::DeviceKind device,
-                                   sim::FreqLevel level) const {
-  return standalone_bw(row(job, device), level);
-}
-
 Watts CoRunPredictor::standalone_power(const std::string& job,
                                        sim::DeviceKind device,
                                        sim::FreqLevel level) const {
@@ -402,22 +387,6 @@ Watts CoRunPredictor::predict_power(const std::string& cpu_job,
                                     sim::FreqLevel gpu_level) const {
   return predict_power(row(cpu_job, sim::DeviceKind::kCpu), cpu_level,
                        row(gpu_job, sim::DeviceKind::kGpu), gpu_level);
-}
-
-bool CoRunPredictor::corun_feasible(const std::string& cpu_job,
-                                    sim::FreqLevel cpu_level,
-                                    const std::string& gpu_job,
-                                    sim::FreqLevel gpu_level,
-                                    std::optional<Watts> cap) const {
-  if (!cap) return true;
-  return fits(predict_power(cpu_job, cpu_level, gpu_job, gpu_level), cap);
-}
-
-bool CoRunPredictor::solo_feasible(const std::string& job,
-                                   sim::DeviceKind device, sim::FreqLevel level,
-                                   std::optional<Watts> cap) const {
-  if (!cap) return true;
-  return fits(standalone_power(job, device, level), cap);
 }
 
 std::optional<std::pair<sim::FreqLevel, Seconds>> CoRunPredictor::best_solo(
@@ -535,31 +504,6 @@ std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
   return best;
 }
 
-std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
-    const PairCells& cells, sim::DeviceKind device,
-    sim::FreqLevel partner_level, std::optional<Watts> cap) const {
-  const bool on_cpu = device == sim::DeviceKind::kCpu;
-  PairCells scan = cells;
-  // An off-ladder partner level has no table cell; the on-demand path
-  // clamps it.
-  const sim::FreqLevel partner_max = on_cpu ? scan.gpu_max : scan.cpu_max;
-  if (partner_level < 0 || partner_level > partner_max) scan.table = nullptr;
-  if (scan.table != nullptr) count_analytic_hit();
-  std::optional<sim::FreqLevel> best;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (sim::FreqLevel l = 0; l <= config_.ladder(device).max_level(); ++l) {
-    const PairPrediction p =
-        on_cpu ? scan.at(l, partner_level) : scan.at(partner_level, l);
-    if (!fits(p.power, cap)) continue;
-    const double t = on_cpu ? p.cpu_time : p.gpu_time;
-    if (t < best_time) {
-      best_time = t;
-      best = l;
-    }
-  }
-  return best;
-}
-
 Seconds CoRunPredictor::min_corun_time(const PairCells& cells,
                                        sim::DeviceKind device,
                                        std::optional<Watts> cap,
@@ -633,15 +577,6 @@ std::optional<FreqPair> CoRunPredictor::best_pair_min_degradation(
     const std::string& cpu_job, const std::string& gpu_job,
     std::optional<Watts> cap) const {
   return best_pair_min_degradation(pair_cells(cpu_job, gpu_job), cap);
-}
-
-std::optional<sim::FreqLevel> CoRunPredictor::best_level_against(
-    const std::string& job, sim::DeviceKind device, const std::string& partner,
-    sim::FreqLevel partner_level, std::optional<Watts> cap) const {
-  const bool on_cpu = device == sim::DeviceKind::kCpu;
-  return best_level_against(
-      on_cpu ? pair_cells(job, partner) : pair_cells(partner, job), device,
-      partner_level, cap);
 }
 
 }  // namespace corun::model

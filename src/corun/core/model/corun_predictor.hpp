@@ -95,9 +95,6 @@ class CoRunPredictor {
   [[nodiscard]] Seconds standalone_time(const std::string& job,
                                         sim::DeviceKind device,
                                         sim::FreqLevel level) const;
-  [[nodiscard]] GBps standalone_bw(const std::string& job,
-                                   sim::DeviceKind device,
-                                   sim::FreqLevel level) const;
   [[nodiscard]] Watts standalone_power(const std::string& job,
                                        sim::DeviceKind device,
                                        sim::FreqLevel level) const;
@@ -113,15 +110,6 @@ class CoRunPredictor {
                                     sim::FreqLevel gpu_level) const;
 
   // --- power-cap feasibility ---
-  [[nodiscard]] bool corun_feasible(const std::string& cpu_job,
-                                    sim::FreqLevel cpu_level,
-                                    const std::string& gpu_job,
-                                    sim::FreqLevel gpu_level,
-                                    std::optional<Watts> cap) const;
-  [[nodiscard]] bool solo_feasible(const std::string& job,
-                                   sim::DeviceKind device, sim::FreqLevel level,
-                                   std::optional<Watts> cap) const;
-
   /// Fastest cap-feasible standalone operating point; nullopt if even the
   /// lowest level breaks the cap.
   [[nodiscard]] std::optional<sim::FreqLevel> best_solo_level(
@@ -165,14 +153,6 @@ class CoRunPredictor {
   /// literal criterion of Sec. IV-A.2 step 3 (ablation comparator).
   [[nodiscard]] std::optional<FreqPair> best_pair_min_degradation(
       const std::string& cpu_job, const std::string& gpu_job,
-      std::optional<Watts> cap) const;
-
-  /// Best cap-feasible level for a job joining `device` while the partner is
-  /// pinned at `partner_level` on the other device; minimizes the joining
-  /// job's predicted co-run time.
-  [[nodiscard]] std::optional<sim::FreqLevel> best_level_against(
-      const std::string& job, sim::DeviceKind device,
-      const std::string& partner, sim::FreqLevel partner_level,
       std::optional<Watts> cap) const;
 
   // --- row-keyed queries ---
@@ -233,8 +213,6 @@ class CoRunPredictor {
 
   [[nodiscard]] Seconds standalone_time(const JobRow& row,
                                         sim::FreqLevel level) const;
-  [[nodiscard]] GBps standalone_bw(const JobRow& row,
-                                   sim::FreqLevel level) const;
   [[nodiscard]] Watts standalone_power(const JobRow& row,
                                        sim::FreqLevel level) const;
   [[nodiscard]] PairPrediction predict(const JobRow& cpu,
@@ -274,9 +252,6 @@ class CoRunPredictor {
                                        bool include_floor_pair) const;
   [[nodiscard]] std::optional<FreqPair> best_pair_min_degradation(
       const PairCells& cells, std::optional<Watts> cap) const;
-  [[nodiscard]] std::optional<sim::FreqLevel> best_level_against(
-      const PairCells& cells, sim::DeviceKind device,
-      sim::FreqLevel partner_level, std::optional<Watts> cap) const;
 
   [[nodiscard]] const profile::ProfileDB& db() const noexcept { return db_; }
   [[nodiscard]] const StagedInterpolator& interpolator() const noexcept {

@@ -13,6 +13,13 @@
 
 namespace corun::model {
 
+namespace {
+
+constexpr std::string_view kCsvColumns[] = {"cpu_bw", "gpu_bw", "cpu_deg",
+                                            "gpu_deg"};
+
+}  // namespace
+
 bool DegradationGrid::valid() const noexcept {
   if (cpu_axis.empty() || gpu_axis.empty()) return false;
   if (cpu_deg.size() != cpu_axis.size() || gpu_deg.size() != cpu_axis.size()) {
@@ -48,7 +55,7 @@ double DegradationGrid::max_gpu_degradation() const {
 void DegradationGrid::write_csv(std::ostream& out) const {
   CORUN_CHECK(valid());
   CsvWriter writer(out);
-  writer.write_row({"cpu_bw", "gpu_bw", "cpu_deg", "gpu_deg"});
+  writer.write_row(kCsvColumns);
   for (std::size_t i = 0; i < cpu_axis.size(); ++i) {
     for (std::size_t j = 0; j < gpu_axis.size(); ++j) {
       writer.write_row({csv_double(cpu_axis[i]), csv_double(gpu_axis[j]),
@@ -58,23 +65,17 @@ void DegradationGrid::write_csv(std::ostream& out) const {
 }
 
 Expected<DegradationGrid> DegradationGrid::read_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "grid CSV");
   if (!rows.has_value()) return rows.error();
   DegradationGrid grid;
-  bool header = true;
   std::vector<std::tuple<double, double, double, double>> cells;
-  for (const auto& row : rows.value()) {
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (row.size() != 4) return fail("grid CSV row arity != 4", ErrorCategory::kParse);
-    try {
-      cells.emplace_back(std::stod(row[0]), std::stod(row[1]),
-                         std::stod(row[2]), std::stod(row[3]));
-    } catch (const std::exception& ex) {
-      return fail(std::string("grid CSV parse error: ") + ex.what(), ErrorCategory::kParse);
-    }
+  for (Record& row : std::move(rows).value()) {
+    auto& [cb, gb, cd, gd] = cells.emplace_back();
+    row.read("cpu_bw", cb);
+    row.read("gpu_bw", gb);
+    row.read("cpu_deg", cd);
+    row.read("gpu_deg", gd);
+    if (row.error()) return *row.error();
   }
   if (cells.empty()) return fail("grid CSV has no cells", ErrorCategory::kParse);
   for (const auto& [cb, gb, cd, gd] : cells) {

@@ -124,10 +124,12 @@ struct DynamicReport {
   Seconds sampling_overhead = 0.0;      ///< simulated seconds of rung-3 runs
   PlannerRung last_rung = PlannerRung::kConfigured;
 
-  /// Plan-cache activity attributable to this run (deltas over the shared
-  /// cache's counters; all zero when no cache was configured). Reported
-  /// separately from summary() so cached and uncached runs stay
-  /// byte-identical on stdout.
+  /// Plan-cache activity during this run: deltas of the cache's counters
+  /// taken around it (all zero when no cache was configured). Exact only
+  /// while no other run uses the cache; runs sharing it concurrently, such
+  /// as a fleet's machines, count each other's lookups. Reported separately
+  /// from summary() so cached and uncached runs stay byte-identical on
+  /// stdout.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
 

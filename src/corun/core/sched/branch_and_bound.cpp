@@ -43,15 +43,11 @@ bool same_profile(const profile::ProfileDB& db, const std::string& a,
 
 }  // namespace
 
-BranchAndBoundScheduler::BranchAndBoundScheduler(BranchAndBoundOptions options)
-    : options_(options) {}
-
 Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   CORUN_TRACE_SPAN("sched", "bnb.plan");
   const std::size_t n = ctx.jobs().size();
-  CORUN_CHECK_MSG(n <= options_.max_jobs,
-                  "branch-and-bound limited to " +
-                      std::to_string(options_.max_jobs) + " jobs");
+  CORUN_CHECK_MSG(n <= kMaxJobs, "branch-and-bound limited to " +
+                                     std::to_string(kMaxJobs) + " jobs");
   const model::CoRunPredictor& m = ctx.model();
   // Every query below — the HCS+ seed, the bound tables, each leaf and the
   // final polish — goes through this one view of the batch.
@@ -94,8 +90,7 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   }
   std::vector<std::size_t> cpu_in_run(n, 0);  // run members on the CPU
 
-  // Incumbent: the HCS+ seed, returned unless some leaf is strictly better
-  // (or the budget runs out first).
+  // Incumbent: the HCS+ seed, returned unless some leaf is strictly better.
   Schedule best_schedule = HcsPlusScheduler().plan(view);
   Seconds best = evaluator.makespan(best_schedule);
   // One leaf schedule, refilled in place at every leaf.
@@ -107,22 +102,17 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   dominance_prunes_ = 0;
   leaves_ = 0;
   incumbent_updates_ = 0;
-  budget_exhausted_ = false;
   IncrementalBound::Cursor cur = bound_model.cursor();
 
   // Depth-first search in canonical order: the node at depth d decides job
-  // d, GPU child first. Returns false once the node budget is spent.
-  auto visit = [&](auto&& self) -> bool {
-    if (nodes_ >= options_.node_budget) {
-      budget_exhausted_ = true;
-      return false;
-    }
+  // d, GPU child first.
+  auto visit = [&](auto&& self) -> void {
     ++nodes_;
     // Strict test: the bound is admissible, so a pruned node holds only
     // leaves strictly worse than the incumbent; an equal leaf is never cut.
     if (cur.bound() > best) {
       ++bound_prunes_;
-      return true;
+      return;
     }
     const std::size_t job = cur.depth();
     if (job == n) {
@@ -144,7 +134,7 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
         best_schedule = leaf;
         ++incumbent_updates_;
       }
-      return true;
+      return;
     }
     if (t_gpu[job] < 1e18) {
       // Equivalence dominance: with an earlier member k of this job's run
@@ -156,20 +146,17 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
         ++dominance_prunes_;
       } else {
         cur.push(job, sim::DeviceKind::kGpu);
-        const bool more = self(self);
+        self(self);
         cur.pop();
-        if (!more) return false;
       }
     }
     if (t_cpu[job] < 1e18) {
       cur.push(job, sim::DeviceKind::kCpu);
       ++cpu_in_run[run_id[job]];
-      const bool more = self(self);
+      self(self);
       --cpu_in_run[run_id[job]];
       cur.pop();
-      if (!more) return false;
     }
-    return true;
   };
   visit(visit);
 
@@ -180,7 +167,6 @@ Schedule BranchAndBoundScheduler::plan(const SchedulerContext& ctx) {
   CORUN_TRACE_COUNTER("bnb.dominance_prunes", dominance_prunes_);
   CORUN_TRACE_COUNTER("bnb.leaves", leaves_);
   CORUN_TRACE_COUNTER("bnb.incumbent_updates", incumbent_updates_);
-  if (budget_exhausted_) CORUN_TRACE_COUNTER("bnb.budget_exhausted", 1);
 
   // Polish the winning placement's per-device order.
   Schedule refined = Refiner().refine(view, best_schedule);

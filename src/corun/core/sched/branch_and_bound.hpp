@@ -13,9 +13,7 @@
 // leaf is strictly better; then it returns the first minimum-makespan leaf
 // in canonical order. Finally the Sec. IV-A.3 refiner polishes per-device
 // order, and its result is taken only if strictly better. The search is
-// serial, so the plan, the statistics and — when the node budget binds —
-// which prefix of the canonical order was searched are the same at any
-// --jobs count.
+// serial, so the plan and the statistics are the same at any --jobs count.
 //
 // Two rules cut the tree without changing that answer:
 //
@@ -28,9 +26,9 @@
 //     a twin of a placement that comes earlier in canonical order with a
 //     bit-identical makespan — that GPU child is skipped.
 //
-// Anytime behaviour: the search is seeded with the HCS+ schedule as the
-// incumbent and respects a node budget, so it degrades gracefully into
-// "HCS+ or better" on large batches.
+// The search is seeded with the HCS+ schedule as the incumbent and refuses
+// batches of more than kMaxJobs jobs, whose full tree of 2^(kMaxJobs+1)-1
+// nodes bounds its work.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +37,10 @@
 
 namespace corun::sched {
 
-struct BranchAndBoundOptions {
-  std::size_t max_jobs = 12;        ///< hard safety limit
-  std::size_t node_budget = 200000; ///< nodes entered before settling
-};
-
 class BranchAndBoundScheduler : public Scheduler {
  public:
-  explicit BranchAndBoundScheduler(BranchAndBoundOptions options = {});
+  /// The largest batch plan() accepts; a larger one violates its contract.
+  static constexpr std::size_t kMaxJobs = 12;
 
   [[nodiscard]] Schedule plan(const SchedulerContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "BnB"; }
@@ -71,24 +65,14 @@ class BranchAndBoundScheduler : public Scheduler {
   [[nodiscard]] std::size_t incumbent_updates() const noexcept {
     return incumbent_updates_;
   }
-  /// True when the last plan() stopped on its node budget. The truncated
-  /// search still returns a valid "HCS+ or better" schedule: the best leaf
-  /// among the first node_budget nodes of the canonical order, so the
-  /// result is deterministic either way. The default budget exceeds the
-  /// 2^(max_jobs+1)-1 node full tree, so it never binds at default options.
-  [[nodiscard]] bool exhausted_budget() const noexcept {
-    return budget_exhausted_;
-  }
 
  private:
-  BranchAndBoundOptions options_;
   std::size_t nodes_ = 0;
   std::size_t pruned_ = 0;
   std::size_t bound_prunes_ = 0;
   std::size_t dominance_prunes_ = 0;
   std::size_t leaves_ = 0;
   std::size_t incumbent_updates_ = 0;
-  bool budget_exhausted_ = false;
 };
 
 }  // namespace corun::sched

@@ -32,18 +32,13 @@ Expected<std::shared_ptr<PlanCache>> PlanCache::from_spec(
   PlanCacheConfig config;
   if (spec == "mem") return std::make_shared<PlanCache>(config);
   if (spec.rfind("mem:", 0) == 0) {
-    const std::string cap_text = spec.substr(4);
-    try {
-      std::size_t consumed = 0;
-      const long long capacity = std::stoll(cap_text, &consumed);
-      if (consumed != cap_text.size() || capacity <= 0) {
-        throw std::invalid_argument("capacity");
-      }
-      config.capacity = static_cast<std::size_t>(capacity);
-    } catch (const std::exception&) {
+    const auto capacity =
+        parse_number<std::size_t>(std::string_view(spec).substr(4));
+    if (!capacity.has_value() || capacity.value() == 0) {
       return fail("plan cache: bad capacity in '" + spec + "'",
                   ErrorCategory::kParse);
     }
+    config.capacity = capacity.value();
     return std::make_shared<PlanCache>(config);
   }
   if (spec.rfind("dir:", 0) == 0 && spec.size() > 4) {
@@ -173,8 +168,7 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
     return std::nullopt;
   }
   const auto& r = rows.value();
-  if (r[0].size() != 2 || r[0][0] != "sig" || r[1].empty() ||
-      r[1][0] != "flags") {
+  if (r[0].size() != 2 || r[0][0] != "sig" || r[1][0] != "flags") {
     io_failures_.fetch_add(1, kRelaxed);
     return std::nullopt;
   }
@@ -185,10 +179,7 @@ std::optional<PlanCache::Entry> PlanCache::load_from_disk(
   entry.canonical = r[0][1];
   std::ostringstream schedule;
   CsvWriter writer(schedule);
-  for (std::size_t i = 1; i < r.size(); ++i) {
-    if (r[i].empty()) continue;
-    writer.write_row(r[i]);
-  }
+  for (std::size_t i = 1; i < r.size(); ++i) writer.write_row(r[i]);
   entry.schedule_csv = schedule.str();
   return entry;
 }

@@ -137,9 +137,11 @@ Expected<Schedule> schedule_from_csv(const std::string& text,
   Schedule schedule;
   bool flags_seen = false;
   for (const auto& row : rows.value()) {
-    if (row.empty()) continue;
     if (row[0] == "flags") {
       if (row.size() != 4) return fail("schedule CSV: flags row arity != 4", ErrorCategory::kParse);
+      for (std::size_t i = 1; i < 4; ++i) {
+        if (row[i] != "0" && row[i] != "1") return fail("schedule CSV: flag '" + row[i] + "' is not 0|1", ErrorCategory::kParse);
+      }
       schedule.cpu_batch_launch = row[1] == "1";
       schedule.shared_queue = row[2] == "1";
       schedule.model_dvfs = row[3] == "1";
@@ -150,23 +152,22 @@ Expected<Schedule> schedule_from_csv(const std::string& text,
     if (row.size() != 6) return fail("schedule CSV: entry row arity != 6", ErrorCategory::kParse);
     const std::ptrdiff_t job = job_index(row[3]);
     if (job < 0) return fail("schedule CSV: unknown job '" + row[3] + "'", ErrorCategory::kNotFound);
-    int level = 0;
-    try {
-      level = std::stoi(row[4]);
-    } catch (const std::exception&) {
-      return fail("schedule CSV: bad level '" + row[4] + "'", ErrorCategory::kParse);
-    }
+    const auto level = parse_number<sim::FreqLevel>(row[4]);
+    if (!level.has_value()) return fail("schedule CSV: level " + level.error().message, ErrorCategory::kParse);
     const std::size_t j = static_cast<std::size_t>(job);
     if (row[1] == "cpu") {
-      schedule.cpu.push_back({j, level});
+      schedule.cpu.push_back({j, level.value()});
     } else if (row[1] == "gpu") {
-      schedule.gpu.push_back({j, level});
+      schedule.gpu.push_back({j, level.value()});
     } else if (row[1] == "shared") {
-      schedule.shared.push_back({j, level});
+      schedule.shared.push_back({j, level.value()});
     } else if (row[1] == "solo") {
+      if (row[5] != "CPU" && row[5] != "GPU") {
+        return fail("schedule CSV: solo device '" + row[5] + "' is not CPU|GPU", ErrorCategory::kParse);
+      }
       const sim::DeviceKind device =
           row[5] == "CPU" ? sim::DeviceKind::kCpu : sim::DeviceKind::kGpu;
-      schedule.solo.push_back({j, device, level});
+      schedule.solo.push_back({j, device, level.value()});
     } else {
       return fail("schedule CSV: unknown section '" + row[1] + "'", ErrorCategory::kParse);
     }

@@ -3,7 +3,6 @@
 #include <errno.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -14,29 +13,16 @@ namespace corun::serve {
 
 namespace {
 
-/// Strict non-negative integer parse (the repo's garbage-parses-as-0 flag
-/// idiom is deliberately *not* used on the wire: a malformed frame must be
-/// answered `error`, not silently reinterpreted).
-Expected<std::uint64_t> parse_u64(const std::string& text) {
-  if (text.empty()) return fail("empty integer field", ErrorCategory::kParse);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return fail("bad integer '" + text + "'", ErrorCategory::kParse);
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
+constexpr std::string_view kTraceColumns[] = {"seq",    "cap",  "scheduler",
+                                              "policy", "seed", "jobs"};
 
 Expected<std::optional<Watts>> parse_cap(const std::string& text) {
   if (text.empty()) return std::optional<Watts>{};
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    return fail("bad cap '" + text + "'", ErrorCategory::kParse);
+  const auto cap = parse_number<Watts>(text);
+  if (!cap.has_value()) {
+    return fail("cap: " + cap.error().message, ErrorCategory::kParse);
   }
-  return std::optional<Watts>{v};
+  return std::optional<Watts>{cap.value()};
 }
 
 std::string join_jobs(const std::vector<std::string>& jobs) {
@@ -70,8 +56,10 @@ Expected<PlanRequest> request_from_row(const std::vector<std::string>& row,
     return fail("request row has too few fields", ErrorCategory::kParse);
   }
   PlanRequest request;
-  auto seq = parse_u64(row[first_field]);
-  if (!seq.has_value()) return seq.error();
+  const auto seq = parse_number<std::uint64_t>(row[first_field]);
+  if (!seq.has_value()) {
+    return fail("seq: " + seq.error().message, ErrorCategory::kParse);
+  }
   request.seq = seq.value();
   auto cap = parse_cap(row[first_field + 1]);
   if (!cap.has_value()) return cap.error();
@@ -81,8 +69,10 @@ Expected<PlanRequest> request_from_row(const std::vector<std::string>& row,
   if (request.scheduler.empty()) {
     return fail("request has empty scheduler", ErrorCategory::kParse);
   }
-  auto seed = parse_u64(row[first_field + 4]);
-  if (!seed.has_value()) return seed.error();
+  const auto seed = parse_number<std::uint64_t>(row[first_field + 4]);
+  if (!seed.has_value()) {
+    return fail("seed: " + seed.error().message, ErrorCategory::kParse);
+  }
   request.seed = seed.value();
   return request;
 }
@@ -168,8 +158,11 @@ Expected<PlanResponse> response_from_payload(const std::string& payload) {
     return fail("unknown response status '" + status + "'",
                 ErrorCategory::kParse);
   }
-  auto seq = parse_u64(line.substr(c1 + 1, c2 - c1 - 1));
-  if (!seq.has_value()) return seq.error();
+  const auto seq = parse_number<std::uint64_t>(
+      std::string_view(line).substr(c1 + 1, c2 - c1 - 1));
+  if (!seq.has_value()) {
+    return fail("seq: " + seq.error().message, ErrorCategory::kParse);
+  }
   response.seq = seq.value();
   response.message = line.substr(c2 + 1);
   return response;
@@ -248,7 +241,7 @@ Expected<std::optional<std::string>> read_frame(int fd) {
 void request_trace_to_csv(const std::vector<PlanRequest>& requests,
                           std::ostream& out) {
   CsvWriter writer(out);
-  writer.write_row({"seq", "cap", "scheduler", "policy", "seed", "jobs"});
+  writer.write_row(kTraceColumns);
   for (const PlanRequest& request : requests) {
     writer.write_row(
         {std::to_string(request.seq),
@@ -260,30 +253,17 @@ void request_trace_to_csv(const std::vector<PlanRequest>& requests,
 
 Expected<std::vector<PlanRequest>> request_trace_from_csv(
     const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kTraceColumns, "request trace");
   if (!rows.has_value()) return rows.error();
-  const auto& r = rows.value();
-  if (r.empty() || r[0] != std::vector<std::string>{"seq", "cap", "scheduler",
-                                                    "policy", "seed", "jobs"}) {
-    return fail("request trace: missing or wrong header row",
-                ErrorCategory::kParse);
-  }
   std::vector<PlanRequest> requests;
-  for (std::size_t i = 1; i < r.size(); ++i) {
-    if (r[i].empty()) continue;
-    if (r[i].size() != 6) {
-      return fail("request trace row " + std::to_string(i) +
-                      ": expected 6 fields",
-                  ErrorCategory::kParse);
-    }
-    auto parsed = request_from_row(r[i], 0);
+  for (const Record& row : std::move(rows).value()) {
+    auto parsed = request_from_row(row.fields(), 0);
     if (!parsed.has_value()) {
-      return fail("request trace row " + std::to_string(i) + ": " +
-                      parsed.error().message,
+      return fail(row.where() + ": " + parsed.error().message,
                   ErrorCategory::kParse);
     }
     PlanRequest request = std::move(parsed).value();
-    request.jobs = split_jobs(r[i][5]);
+    request.jobs = split_jobs(row["jobs"]);
     requests.push_back(std::move(request));
   }
   return requests;

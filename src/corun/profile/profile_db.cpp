@@ -11,6 +11,10 @@
 namespace corun::profile {
 namespace {
 
+constexpr std::string_view kCsvColumns[] = {
+    "job",         "device",      "level",   "time_s",
+    "avg_bw_gbps", "avg_power_w", "energy_j"};
+
 std::tuple<std::string, int, int> make_key(const std::string& job,
                                            sim::DeviceKind device,
                                            sim::FreqLevel level) {
@@ -129,8 +133,7 @@ void ProfileDB::scale_job(const std::string& job, double factor) {
 
 void ProfileDB::write_csv(std::ostream& out) const {
   CsvWriter writer(out);
-  writer.write_row({"job", "device", "level", "time_s", "avg_bw_gbps",
-                    "avg_power_w", "energy_j"});
+  writer.write_row(kCsvColumns);
   writer.write_row({"__idle__", "-", "0", "0", "0", csv_double(idle_power_),
                     "0"});
   for (const auto& [key, e] : entries_) {
@@ -143,34 +146,34 @@ void ProfileDB::write_csv(std::ostream& out) const {
 }
 
 Expected<ProfileDB> ProfileDB::read_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "profile CSV");
   if (!rows.has_value()) return rows.error();
   ProfileDB db;
-  bool header_seen = false;
-  for (const auto& row : rows.value()) {
-    if (!header_seen) {
-      header_seen = true;
-      if (row.empty() || row[0] != "job") {
-        return fail("profile CSV missing header", ErrorCategory::kParse);
-      }
+  for (Record& row : std::move(rows).value()) {
+    if (row["job"] == "__idle__") {
+      row.read("avg_power_w", db.idle_power_);
+      if (row.error()) return *row.error();
       continue;
     }
-    if (row.size() != 7) return fail("profile CSV row arity != 7", ErrorCategory::kParse);
-    try {
-      if (row[0] == "__idle__") {
-        db.set_idle_power(std::stod(row[5]));
-        continue;
-      }
-      const sim::DeviceKind device =
-          row[1] == "cpu" ? sim::DeviceKind::kCpu : sim::DeviceKind::kGpu;
-      ProfileEntry e{.time = std::stod(row[3]),
-                     .avg_bw = std::stod(row[4]),
-                     .avg_power = std::stod(row[5]),
-                     .energy = std::stod(row[6])};
-      db.insert(row[0], device, std::stoi(row[2]), e);
-    } catch (const std::exception& ex) {
-      return fail(std::string("profile CSV parse error: ") + ex.what(), ErrorCategory::kParse);
+    sim::DeviceKind device = sim::DeviceKind::kCpu;
+    if (row["device"] == "gpu") {
+      device = sim::DeviceKind::kGpu;
+    } else if (row["device"] != "cpu") {
+      row.fail_field("device", "'" + row["device"] + "' is not cpu|gpu");
     }
+    sim::FreqLevel level = 0;
+    ProfileEntry e;
+    row.read("level", level);
+    row.read("time_s", e.time);
+    row.read("avg_bw_gbps", e.avg_bw);
+    row.read("avg_power_w", e.avg_power);
+    row.read("energy_j", e.energy);
+    // insert()'s contract, checked here so a bad row is a parse error.
+    if (row["job"].empty()) row.fail_field("job", "empty");
+    if (level < 0) row.fail_field("level", "negative");
+    if (e.time <= 0.0) row.fail_field("time_s", "not > 0");
+    if (row.error()) return *row.error();
+    db.insert(row["job"], device, level, e);
   }
   return db;
 }

@@ -10,7 +10,7 @@ namespace corun::sim {
 
 namespace {
 
-constexpr const char* kCsvHeader[] = {
+constexpr std::string_view kCsvColumns[] = {
     "job",    "device",          "launch_time",     "phase_idx", "dur_ref",
     "compute_frac", "mem_bw", "llc_footprint_mb", "llc_sensitivity"};
 
@@ -20,8 +20,8 @@ Expected<std::vector<RecordedLaunch>> DemandTrace::launches() const {
   std::vector<RecordedLaunch> out;
   std::vector<Phase> phases;
   LlcBehavior llc;
-  const auto flush = [&](std::size_t upto) -> Expected<bool> {
-    if (phases.empty()) return true;
+  const auto flush = [&](std::size_t upto) {
+    if (phases.empty()) return;
     const DemandTraceRow& first = rows[upto - phases.size()];
     RecordedLaunch launch;
     launch.name = first.job;
@@ -30,13 +30,11 @@ Expected<std::vector<RecordedLaunch>> DemandTrace::launches() const {
     launch.profile = DeviceProfile(phases, llc);
     out.push_back(std::move(launch));
     phases.clear();
-    return true;
   };
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const DemandTraceRow& r = rows[i];
     if (r.phase_idx == 0) {
-      const auto flushed = flush(i);
-      if (!flushed.has_value()) return flushed.error();
+      flush(i);
     } else if (phases.empty() || r.phase_idx != phases.size() ||
                rows[i - 1].job != r.job || rows[i - 1].device != r.device) {
       return fail("demand trace row " + std::to_string(i) +
@@ -47,15 +45,13 @@ Expected<std::vector<RecordedLaunch>> DemandTrace::launches() const {
     phases.push_back(r.phase);
     llc = r.llc;
   }
-  const auto flushed = flush(rows.size());
-  if (!flushed.has_value()) return flushed.error();
+  flush(rows.size());
   return out;
 }
 
 void demand_trace_to_csv(const DemandTrace& trace, std::ostream& out) {
   CsvWriter writer(out);
-  writer.write_row(std::vector<std::string>(std::begin(kCsvHeader),
-                                            std::end(kCsvHeader)));
+  writer.write_row(kCsvColumns);
   for (const DemandTraceRow& r : trace.rows) {
     writer.write_row({r.job, r.device == DeviceKind::kCpu ? "cpu" : "gpu",
                       csv_double(r.launch_time), std::to_string(r.phase_idx),
@@ -67,44 +63,25 @@ void demand_trace_to_csv(const DemandTrace& trace, std::ostream& out) {
 }
 
 Expected<DemandTrace> demand_trace_from_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "demand trace CSV");
   if (!rows.has_value()) return rows.error();
   DemandTrace trace;
-  bool header = true;
-  for (const auto& row : rows.value()) {
-    if (header) {
-      header = false;
-      if (row.empty() || row[0] != "job") {
-        return fail("demand trace CSV must start with: job,device,...",
-                    ErrorCategory::kParse);
-      }
-      continue;
-    }
-    if (row.size() != 9) {
-      return fail("demand trace CSV row arity != 9", ErrorCategory::kParse);
-    }
+  for (Record& row : std::move(rows).value()) {
     DemandTraceRow r;
-    r.job = row[0];
-    if (row[1] == "cpu") {
-      r.device = DeviceKind::kCpu;
-    } else if (row[1] == "gpu") {
+    r.job = row["job"];
+    if (row["device"] == "gpu") {
       r.device = DeviceKind::kGpu;
-    } else {
-      return fail("demand trace device '" + row[1] + "' (expected cpu|gpu)",
-                  ErrorCategory::kParse);
+    } else if (row["device"] != "cpu") {
+      row.fail_field("device", "'" + row["device"] + "' is not cpu|gpu");
     }
-    try {
-      r.launch_time = std::stod(row[2]);
-      r.phase_idx = static_cast<std::size_t>(std::stoull(row[3]));
-      r.phase.dur_ref = std::stod(row[4]);
-      r.phase.compute_frac = std::stod(row[5]);
-      r.phase.mem_bw = std::stod(row[6]);
-      r.llc.footprint_mb = std::stod(row[7]);
-      r.llc.sensitivity = std::stod(row[8]);
-    } catch (const std::exception& ex) {
-      return fail(std::string("demand trace CSV parse error: ") + ex.what(),
-                  ErrorCategory::kParse);
-    }
+    row.read("launch_time", r.launch_time);
+    row.read("phase_idx", r.phase_idx);
+    row.read("dur_ref", r.phase.dur_ref);
+    row.read("compute_frac", r.phase.compute_frac);
+    row.read("mem_bw", r.phase.mem_bw);
+    row.read("llc_footprint_mb", r.llc.footprint_mb);
+    row.read("llc_sensitivity", r.llc.sensitivity);
+    if (row.error()) return *row.error();
     trace.rows.push_back(std::move(r));
   }
   // Validate the grouping once at parse time so ReplayMachine can trust it.

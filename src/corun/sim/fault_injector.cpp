@@ -1,6 +1,7 @@
 #include "corun/sim/fault_injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -13,9 +14,13 @@ namespace corun::sim {
 
 namespace {
 
-constexpr const char* kCsvHeader[] = {"time",   "kind", "program",
-                                      "input_scale", "seed", "target",
-                                      "cap",    "factor", "duration"};
+constexpr std::string_view kCsvColumns[] = {
+    "time", "kind",   "program", "input_scale", "seed",
+    "target", "cap", "factor",  "duration"};
+
+constexpr std::string_view kSpecKeys[] = {
+    "arrivals", "cancels", "caps",    "noise",    "dropouts",
+    "horizon",  "seed",    "cap-low", "cap-high", "programs"};
 
 }  // namespace
 
@@ -54,8 +59,9 @@ Expected<bool> FaultPlan::validate() const {
     const FaultEvent& e = events[i];
     const std::string where = "event " + std::to_string(i) + " (" +
                               fault_kind_name(e.kind) + ")";
-    if (e.time < 0.0) {
-      return fail(where + ": negative time", ErrorCategory::kInvalidArgument);
+    if (!(e.time >= 0.0)) {
+      return fail(where + ": time must be >= 0",
+                  ErrorCategory::kInvalidArgument);
     }
     if (e.time < prev) {
       return fail(where + ": stream is not time-sorted (call sort())",
@@ -68,25 +74,25 @@ Expected<bool> FaultPlan::validate() const {
           return fail(where + ": arrival without a program",
                       ErrorCategory::kInvalidArgument);
         }
-        if (e.input_scale <= 0.0) {
+        if (!(e.input_scale > 0.0)) {
           return fail(where + ": non-positive input scale",
                       ErrorCategory::kInvalidArgument);
         }
         break;
       case FaultKind::kCapSet:
-        if (e.cap && *e.cap <= 0.0) {
+        if (e.cap && !(*e.cap > 0.0)) {
           return fail(where + ": non-positive cap",
                       ErrorCategory::kInvalidArgument);
         }
         break;
       case FaultKind::kProfileNoise:
-        if (e.factor <= 0.0) {
+        if (!(e.factor > 0.0)) {
           return fail(where + ": non-positive noise factor",
                       ErrorCategory::kInvalidArgument);
         }
         break;
       case FaultKind::kMeterDropout:
-        if (e.duration <= 0.0) {
+        if (!(e.duration > 0.0)) {
           return fail(where + ": non-positive dropout duration",
                       ErrorCategory::kInvalidArgument);
         }
@@ -100,8 +106,7 @@ Expected<bool> FaultPlan::validate() const {
 
 void fault_plan_to_csv(const FaultPlan& plan, std::ostream& out) {
   CsvWriter writer(out);
-  writer.write_row(std::vector<std::string>(std::begin(kCsvHeader),
-                                            std::end(kCsvHeader)));
+  writer.write_row(kCsvColumns);
   for (const FaultEvent& e : plan.events) {
     writer.write_row(
         {csv_double(e.time), fault_kind_name(e.kind),
@@ -113,48 +118,45 @@ void fault_plan_to_csv(const FaultPlan& plan, std::ostream& out) {
 }
 
 Expected<FaultPlan> fault_plan_from_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "fault plan CSV");
   if (!rows.has_value()) return rows.error();
   FaultPlan plan;
-  bool header = true;
-  for (const auto& row : rows.value()) {
-    if (header) {
-      header = false;
-      if (row.empty() || row[0] != "time") {
-        return fail("fault plan CSV must start with: time,kind,...",
-                    ErrorCategory::kParse);
-      }
-      continue;
-    }
-    if (row.size() != 9) {
-      return fail("fault plan CSV row arity != 9", ErrorCategory::kParse);
-    }
+  for (Record& row : std::move(rows).value()) {
     FaultEvent e;
-    const auto kind = parse_fault_kind(row[1]);
+    const auto kind = parse_fault_kind(row["kind"]);
     if (!kind.has_value()) return kind.error();
     e.kind = kind.value();
-    try {
-      // "-" in any optional column keeps the field's default, so
-      // hand-authored plans only need to fill the columns their kind uses.
-      e.time = std::stod(row[0]);
-      if (row[2] != "-") e.program = row[2];
-      if (row[3] != "-") e.input_scale = std::stod(row[3]);
-      if (row[4] != "-") {
-        e.seed = static_cast<std::uint64_t>(std::stoull(row[4]));
-      }
-      if (row[5] != "-") e.target = static_cast<int>(std::stol(row[5]));
-      if (row[6] != "-") e.cap = std::stod(row[6]);
-      if (row[7] != "-") e.factor = std::stod(row[7]);
-      if (row[8] != "-") e.duration = std::stod(row[8]);
-    } catch (const std::exception& ex) {
-      return fail(std::string("fault plan CSV parse error: ") + ex.what(),
-                  ErrorCategory::kParse);
-    }
+    // "-" in any optional column keeps the field's default, so
+    // hand-authored plans only need to fill the columns their kind uses.
+    row.read("time", e.time);
+    if (row["program"] != "-") e.program = row["program"];
+    row.read_or_keep("input_scale", e.input_scale);
+    row.read_or_keep("seed", e.seed);
+    row.read_or_keep("target", e.target);
+    if (row["cap"] != "-") row.read("cap", e.cap.emplace());
+    row.read_or_keep("factor", e.factor);
+    row.read_or_keep("duration", e.duration);
+    if (row.error()) return *row.error();
     plan.events.push_back(std::move(e));
   }
   const auto valid = plan.validate();
   if (!valid.has_value()) return valid.error();
   return plan;
+}
+
+Expected<bool> check_generator_ranges(std::initializer_list<int> counts,
+                                      Seconds horizon, Watts cap_low,
+                                      Watts cap_high) {
+  if (std::any_of(counts.begin(), counts.end(), [](int n) { return n < 0; })) {
+    return fail("event counts must be >= 0", ErrorCategory::kParse);
+  }
+  if (!(std::isfinite(horizon) && horizon > 0.0)) {
+    return fail("the horizon must be finite and > 0", ErrorCategory::kParse);
+  }
+  if (!(cap_low > 0.0 && cap_low <= cap_high)) {
+    return fail("the caps need 0 < low <= high", ErrorCategory::kParse);
+  }
+  return true;
 }
 
 FaultInjector::FaultInjector(FaultInjectorOptions options, std::uint64_t seed)
@@ -237,66 +239,41 @@ FaultPlan FaultInjector::generate() const {
 }
 
 Expected<FaultPlan> generate_fault_plan_from_spec(const std::string& spec) {
-  constexpr std::string_view kPrefix = "random:";
-  if (spec.rfind(kPrefix, 0) != 0) {
-    return fail("fault spec must start with 'random:'",
-                ErrorCategory::kInvalidArgument);
-  }
+  auto parsed = read_spec(spec, "random:", kSpecKeys, "fault spec");
+  if (!parsed.has_value()) return parsed.error();
+  Record items = std::move(parsed).value();
   FaultInjectorOptions options;
   std::uint64_t seed = 42;
-
-  std::stringstream ss(spec.substr(kPrefix.size()));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      return fail("fault spec entry '" + item + "' is not key=value",
-                  ErrorCategory::kParse);
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "arrivals") {
-        options.arrivals = std::stoi(value);
-      } else if (key == "cancels") {
-        options.cancellations = std::stoi(value);
-      } else if (key == "caps") {
-        options.cap_changes = std::stoi(value);
-      } else if (key == "noise") {
-        options.noise_events = std::stoi(value);
-      } else if (key == "dropouts") {
-        options.dropouts = std::stoi(value);
-      } else if (key == "horizon") {
-        options.horizon = std::stod(value);
-      } else if (key == "seed") {
-        seed = static_cast<std::uint64_t>(std::stoull(value));
-      } else if (key == "cap-low") {
-        options.cap_low = std::stod(value);
-      } else if (key == "cap-high") {
-        options.cap_high = std::stod(value);
-      } else if (key == "programs") {
-        // '+'-separated so the whole spec stays one comma-separated flag.
-        options.programs.clear();
-        std::stringstream ps(value);
-        std::string program;
-        while (std::getline(ps, program, '+')) {
-          if (!program.empty()) options.programs.push_back(program);
-        }
-      } else {
-        return fail("unknown fault spec key '" + key + "'",
-                    ErrorCategory::kInvalidArgument);
-      }
-    } catch (const std::exception& ex) {
-      return fail("fault spec value for '" + key + "': " + ex.what(),
-                  ErrorCategory::kParse);
+  items.read_or_keep("arrivals", options.arrivals);
+  items.read_or_keep("cancels", options.cancellations);
+  items.read_or_keep("caps", options.cap_changes);
+  items.read_or_keep("noise", options.noise_events);
+  items.read_or_keep("dropouts", options.dropouts);
+  items.read_or_keep("horizon", options.horizon);
+  items.read_or_keep("seed", seed);
+  items.read_or_keep("cap-low", options.cap_low);
+  items.read_or_keep("cap-high", options.cap_high);
+  if (items.error()) return *items.error();
+  if (items["programs"] != "-") {
+    // '+'-separated so the whole spec stays one comma-separated flag.
+    options.programs.clear();
+    std::stringstream ps(items["programs"]);
+    std::string program;
+    while (std::getline(ps, program, '+')) {
+      if (!program.empty()) options.programs.push_back(program);
     }
   }
-  if (options.horizon <= 0.0) {
-    return fail("fault spec horizon must be positive",
-                ErrorCategory::kInvalidArgument);
+  const auto ranges = check_generator_ranges(
+      {options.arrivals, options.cancellations, options.cap_changes,
+       options.noise_events, options.dropouts},
+      options.horizon, options.cap_low, options.cap_high);
+  if (!ranges.has_value()) {
+    return fail("fault spec: " + ranges.error().message, ErrorCategory::kParse);
   }
-  return FaultInjector(std::move(options), seed).generate();
+  FaultPlan plan = FaultInjector(std::move(options), seed).generate();
+  const auto valid = plan.validate();
+  if (!valid.has_value()) return valid.error();
+  return plan;
 }
 
 }  // namespace corun::sim

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -73,9 +74,10 @@ struct FaultPlan {
   /// Stable-sorts events by time (equal times keep insertion order).
   void sort();
 
-  /// Error when an event is malformed (negative time, arrival without a
-  /// program, non-positive cap/factor, negative dropout duration) or the
-  /// stream is not time-sorted; true otherwise.
+  /// Error when an event is malformed (a time not >= 0, an arrival without
+  /// a program, an input scale, cap, factor or dropout duration not > 0;
+  /// NaN fails every test) or the stream is not time-sorted; true
+  /// otherwise.
   [[nodiscard]] Expected<bool> validate() const;
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
@@ -132,11 +134,21 @@ class FaultInjector {
 
 /// Parses the `--events` flag's generator spec form:
 ///   random:arrivals=2,cancels=1,caps=1,noise=1,dropouts=1,
-///          horizon=120,seed=7[,programs=srad+lud]
+///          horizon=120,seed=7[,cap-low=12,cap-high=35][,programs=srad+lud]
 /// Unknown keys are an error; omitted keys keep FaultInjectorOptions
-/// defaults. Returns the generated plan. Text not starting with "random:"
-/// is rejected (the tools treat it as a CSV path instead).
+/// defaults; values are read whole (see parse_number) and must pass
+/// check_generator_ranges. Returns the generated plan, or FaultPlan::
+/// validate's error (an empty `programs=` pool draws arrivals without a
+/// program). Text not starting with "random:" is rejected (the tools treat
+/// it as a CSV path instead).
 [[nodiscard]] Expected<FaultPlan> generate_fault_plan_from_spec(
     const std::string& spec);
+
+/// The range check both `random:` event generators (this one and the
+/// fleet's) run on a spec before any draw: every event count >= 0, a
+/// finite horizon > 0, and caps with 0 < low <= high. kParse.
+[[nodiscard]] Expected<bool> check_generator_ranges(
+    std::initializer_list<int> counts, Seconds horizon, Watts cap_low,
+    Watts cap_high);
 
 }  // namespace corun::sim

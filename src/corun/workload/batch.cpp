@@ -75,25 +75,28 @@ Batch make_batch_n(std::size_t n, std::uint64_t seed) {
   return batch;
 }
 
+namespace {
+
+constexpr std::string_view kCsvColumns[] = {"instance", "program",
+                                            "input_scale", "seed"};
+
+}  // namespace
+
 Expected<Batch> batch_from_csv(const std::string& text) {
-  const auto rows = parse_csv(text);
+  auto rows = read_csv_table(text, kCsvColumns, "batch CSV");
   if (!rows.has_value()) return rows.error();
   Batch batch;
-  bool header = true;
-  for (const auto& row : rows.value()) {
-    if (header) {
-      header = false;
-      if (row.size() < 4 || row[0] != "instance") {
-        return fail("batch CSV must start with: instance,program,input_scale,seed", ErrorCategory::kParse);
-      }
-      continue;
-    }
-    if (row.size() != 4) return fail("batch CSV row arity != 4", ErrorCategory::kParse);
-    const std::string& instance = row[0];
-    const std::string& program = row[1];
+  for (Record& row : std::move(rows).value()) {
+    const std::string& program = row["program"];
     KernelDescriptor desc;
-    if (program.rfind("micro:", 0) == 0) {
-      const auto micro = micro_kernel(std::stod(program.substr(6)));
+    if (program.starts_with("micro:")) {
+      const auto target =
+          parse_number<double>(std::string_view(program).substr(6));
+      if (!target.has_value()) {
+        row.fail_field("program", "micro target " + target.error().message);
+        return *row.error();
+      }
+      const auto micro = micro_kernel(target.value());
       if (!micro.has_value()) return micro.error();
       desc = micro.value();
     } else {
@@ -103,15 +106,12 @@ Expected<Batch> batch_from_csv(const std::string& text) {
       }
       desc = *found;
     }
-    try {
-      desc.input_scale = std::stod(row[2]);
-      batch.add(desc, static_cast<std::uint64_t>(std::stoull(row[3])),
-                instance);
-    } catch (const ContractViolation&) {
-      throw;  // duplicate instance etc.: a usage error worth surfacing
-    } catch (const std::exception& ex) {
-      return fail(std::string("batch CSV parse error: ") + ex.what(), ErrorCategory::kParse);
-    }
+    std::uint64_t seed = 0;
+    row.read("input_scale", desc.input_scale);
+    row.read("seed", seed);
+    if (row.error()) return *row.error();
+    // A duplicate instance name violates add()'s contract.
+    batch.add(desc, seed, row["instance"]);
   }
   if (batch.empty()) return fail("batch CSV describes no jobs", ErrorCategory::kParse);
   return batch;
@@ -119,7 +119,7 @@ Expected<Batch> batch_from_csv(const std::string& text) {
 
 void batch_to_csv(const Batch& batch, std::ostream& out) {
   CsvWriter writer(out);
-  writer.write_row({"instance", "program", "input_scale", "seed"});
+  writer.write_row(kCsvColumns);
   for (const BatchJob& job : batch.jobs()) {
     writer.write_row({job.instance_name, job.descriptor.name,
                       std::to_string(job.descriptor.input_scale),

@@ -63,9 +63,38 @@ TEST(Flags, DefaultsWhenAbsent) {
 }
 
 TEST(Flags, IntParsing) {
-  const auto f = parse({"--seed", "123"}, {"seed"});
+  const auto f = parse({"--seed", "123", "--offset=-3"}, {"seed", "offset"});
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f.value().get_int("seed", 0), 123);
+  EXPECT_EQ(f.value().get_int("offset", 0), -3);
+}
+
+TEST(Flags, MalformedNumbersThrowAFlagErrorNamingTheFlag) {
+  const auto expect_flag_error = [](const char* flag, const char* value,
+                                    bool integer) {
+    const auto f = parse({flag, value}, {"cap", "machines"});
+    ASSERT_TRUE(f.has_value());
+    const std::string name = std::string(flag).substr(2);
+    try {
+      if (integer) {
+        (void)f.value().get_int(name, 0);
+      } else {
+        (void)f.value().get_double(name, 0.0);
+      }
+      ADD_FAILURE() << flag << " " << value << " was read as a number";
+    } catch (const FlagError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_flag_error("--cap", "abc", false);
+  expect_flag_error("--machines", "1e9", true);
+  for (const char* value : {"", "nan", "inf", "15W", " 15", "0x10"}) {
+    expect_flag_error("--cap", value, false);
+  }
+  for (const char* value : {"", "12.5", "3x", "99999999999999999999"}) {
+    expect_flag_error("--machines", value, true);
+  }
 }
 
 TEST(Flags, ProgramNameRecorded) {

@@ -3,6 +3,7 @@
 // contracts (thread count, plan-cache state) at fleet scale.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 
@@ -91,6 +92,26 @@ TEST(FleetPlan, ValidateRejectsMalformedStreams) {
   EXPECT_FALSE(plan.validate().has_value()) << "unsorted stream";
   plan.sort();
   EXPECT_TRUE(plan.validate().has_value());
+
+  // NaN fails the range tests too.
+  plan.events = {{std::nan(""), FleetEventKind::kDropout, -1, {}, 0, 1}};
+  EXPECT_FALSE(plan.validate().has_value()) << "NaN time";
+  plan.events = {{5.0, FleetEventKind::kGlobalCap, -1, std::nan(""), 0, 0}};
+  EXPECT_FALSE(plan.validate().has_value()) << "NaN cap";
+
+  const std::string header = "time,kind,machine,cap,jobs,seed\n";
+  ASSERT_TRUE(fleet_plan_from_csv(header + "5,wave,-,-,2,7\n").has_value());
+  for (const char* row : {
+           "nan,wave,-,-,2,7",
+           "5x,wave,-,-,2,7",
+           "5,cap,-,640W,-,-",
+           "5,wave,-,-,-2,7",   // unsigned job count
+           "5,dropout,1.5,-,-,-",
+       }) {
+    const auto parsed = fleet_plan_from_csv(header + row + "\n");
+    ASSERT_FALSE(parsed.has_value()) << row;
+    EXPECT_EQ(parsed.error().category, ErrorCategory::kParse) << row;
+  }
 }
 
 TEST(FleetPlan, SpecGeneratorIsDeterministicAndScalesCaps) {
@@ -116,9 +137,20 @@ TEST(FleetPlan, SpecGeneratorIsDeterministicAndScalesCaps) {
     EXPECT_NEAR(*big_ev.cap, *small_ev.cap * 1024.0 / 64.0, 1e-6)
         << "cap draws are per machine, scaled by the fleet size";
   }
-  EXPECT_FALSE(
-      generate_fleet_plan_from_spec("random:warp=9", 64).has_value());
-  EXPECT_FALSE(generate_fleet_plan_from_spec("dropouts=1", 64).has_value());
+  for (const char* bad : {
+           "random:warp=9",
+           "dropouts=1",
+           "random:waves=1,horizon=nan,seed=3",
+           "random:waves=1,horizon=0",
+           "random:dropouts=-1",
+           "random:caps=1,cap_low=14,cap_high=10",
+           "random:caps=1,cap_low=0",
+           "random:wave_jobs=4x",
+       }) {
+    const auto rejected = generate_fleet_plan_from_spec(bad, 64);
+    ASSERT_FALSE(rejected.has_value()) << bad;
+    EXPECT_EQ(rejected.error().category, ErrorCategory::kParse) << bad;
+  }
 }
 
 TEST(Fleet, RejectsUnfundableBudgetsAndUnknownStrategies) {
@@ -200,8 +232,8 @@ TEST(Fleet, SixtyFourMachinesByteIdenticalCacheOnVsOff) {
               cached.value().machines[m].report.report.makespan)
         << "machine " << m;
   }
-  EXPECT_GT(cached.value().plan_cache_hits + cached.value().plan_cache_misses,
-            0u)
+  const sched::PlanCacheStats stats = o.plan_cache->stats();
+  EXPECT_GT(stats.hits + stats.misses, 0u)
       << "the shared cache must actually be consulted";
 }
 

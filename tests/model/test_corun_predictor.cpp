@@ -107,8 +107,9 @@ TEST_F(CoRunPredictorTest, CapLowersBestSoloLevel) {
       predictor_->best_solo_level("leukocyte", sim::DeviceKind::kCpu, 15.0);
   ASSERT_TRUE(capped.has_value());
   EXPECT_LT(*capped, 15);
-  EXPECT_TRUE(predictor_->solo_feasible("leukocyte", sim::DeviceKind::kCpu,
-                                        *capped, 15.0));
+  EXPECT_LE(predictor_->standalone_power("leukocyte", sim::DeviceKind::kCpu,
+                                         *capped),
+            15.0);
 }
 
 TEST_F(CoRunPredictorTest, ImpossibleCapYieldsNull) {
@@ -121,8 +122,9 @@ TEST_F(CoRunPredictorTest, BestPairRespectsCap) {
   const auto pair =
       predictor_->best_pair_min_makespan("dwt2d", "streamcluster", 16.0);
   ASSERT_TRUE(pair.has_value());
-  EXPECT_TRUE(predictor_->corun_feasible("dwt2d", pair->cpu, "streamcluster",
-                                         pair->gpu, 16.0));
+  EXPECT_LE(predictor_->predict_power("dwt2d", pair->cpu, "streamcluster",
+                                      pair->gpu),
+            16.0);
   // Without a cap the best pair is at least as good as running both maxed.
   const auto uncapped = predictor_->best_pair_min_makespan(
       "dwt2d", "streamcluster", std::nullopt);
@@ -164,14 +166,6 @@ TEST_F(CoRunPredictorTest, MinDegradationCriterionFindsLowInterference) {
             pa.cpu_degradation + pa.gpu_degradation + 0.01);
 }
 
-TEST_F(CoRunPredictorTest, BestLevelAgainstPinnedPartner) {
-  const auto level = predictor_->best_level_against(
-      "dwt2d", sim::DeviceKind::kCpu, "streamcluster", 9, 16.0);
-  ASSERT_TRUE(level.has_value());
-  EXPECT_TRUE(
-      predictor_->corun_feasible("dwt2d", *level, "streamcluster", 9, 16.0));
-}
-
 // Fig. 8's model: co-run package power is the two standalone powers at the
 // same levels minus the one idle-package term both of them include.
 TEST_F(CoRunPredictorTest, PowerPredictionIsStandaloneSumMinusIdle) {
@@ -189,17 +183,25 @@ TEST_F(CoRunPredictorTest, LowerFrequencyPairsDrawLess) {
 }
 
 TEST_F(CoRunPredictorTest, FeasibilityAgainstCap) {
+  // A cap admits an operating point exactly when its predicted power is at
+  // most the cap: a watt under the max levels' power rules them out, a watt
+  // over it admits every point, as no cap does.
   const Watts corun = predictor_->predict_power("dwt2d", 15, "streamcluster", 9);
-  EXPECT_FALSE(predictor_->corun_feasible("dwt2d", 15, "streamcluster", 9,
-                                          corun - 1.0));
-  EXPECT_TRUE(predictor_->corun_feasible("dwt2d", 15, "streamcluster", 9,
-                                         corun + 1.0));
+  EXPECT_NE(predictor_->best_pair_min_makespan("dwt2d", "streamcluster",
+                                               corun - 1.0),
+            (FreqPair{15, 9}));
+  EXPECT_EQ(predictor_->best_pair_min_makespan("dwt2d", "streamcluster",
+                                               corun + 1.0),
+            predictor_->best_pair_min_makespan("dwt2d", "streamcluster",
+                                               std::nullopt));
   const Watts solo =
       predictor_->standalone_power("dwt2d", sim::DeviceKind::kCpu, 15);
-  EXPECT_FALSE(predictor_->solo_feasible("dwt2d", sim::DeviceKind::kCpu, 15,
-                                         solo - 1.0));
-  EXPECT_TRUE(predictor_->solo_feasible("dwt2d", sim::DeviceKind::kCpu, 15,
-                                        solo + 1.0));
+  EXPECT_NE(predictor_->best_solo_level("dwt2d", sim::DeviceKind::kCpu,
+                                        solo - 1.0),
+            15);
+  EXPECT_EQ(predictor_->best_solo_level("dwt2d", sim::DeviceKind::kCpu,
+                                        solo + 1.0),
+            15);
 }
 
 TEST_F(CoRunPredictorTest, RequiresIdlePower) {
@@ -229,8 +231,6 @@ TEST_F(CoRunPredictorTest, AnalyticTablesAreByteIdenticalToLegacy) {
         EXPECT_EQ(tables.standalone_time(job, d, l),
                   legacy.standalone_time(job, d, l))
             << job << " level " << l;
-        EXPECT_EQ(tables.standalone_bw(job, d, l),
-                  legacy.standalone_bw(job, d, l));
         EXPECT_EQ(tables.standalone_power(job, d, l),
                   legacy.standalone_power(job, d, l));
       }
@@ -292,17 +292,6 @@ TEST_F(CoRunPredictorTest, AnalyticTablesAreByteIdenticalToLegacy) {
             EXPECT_EQ(tables.min_corun_time(cpu_job, d, gpu_job, cap, floor),
                       legacy.min_corun_time(cpu_job, d, gpu_job, cap, floor));
           }
-        }
-        // 12 is off the GPU ladder: the CPU-side search clamps it.
-        for (const sim::FreqLevel partner : {0, 4, 9, 12}) {
-          EXPECT_EQ(tables.best_level_against(cpu_job, sim::DeviceKind::kCpu,
-                                              gpu_job, partner, cap),
-                    legacy.best_level_against(cpu_job, sim::DeviceKind::kCpu,
-                                              gpu_job, partner, cap));
-          EXPECT_EQ(tables.best_level_against(gpu_job, sim::DeviceKind::kGpu,
-                                              cpu_job, partner, cap),
-                    legacy.best_level_against(gpu_job, sim::DeviceKind::kGpu,
-                                              cpu_job, partner, cap));
         }
       }
     }
@@ -370,8 +359,6 @@ TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
         for (sim::FreqLevel l = 0; l <= config_->ladder(d).max_level(); ++l) {
           EXPECT_TRUE(same_bits(rows.standalone_time(r, l),
                                 names.standalone_time(name(i), d, l)));
-          EXPECT_TRUE(same_bits(rows.standalone_bw(r, l),
-                                names.standalone_bw(name(i), d, l)));
           EXPECT_TRUE(same_bits(rows.standalone_power(r, l),
                                 names.standalone_power(name(i), d, l)));
         }
@@ -424,17 +411,6 @@ TEST_F(CoRunPredictorTest, RowKeyedQueriesMatchNameKeyed) {
                 rows.min_corun_time(cells, sim::DeviceKind::kGpu, cap, floor),
                 names.min_corun_time(name(g), sim::DeviceKind::kGpu, name(c),
                                      cap, floor)));
-          }
-          // 12 is off the GPU ladder: the CPU-side search clamps it.
-          for (const sim::FreqLevel partner : {0, 4, 9, 12}) {
-            EXPECT_EQ(rows.best_level_against(cells, sim::DeviceKind::kCpu,
-                                              partner, cap),
-                      names.best_level_against(name(c), sim::DeviceKind::kCpu,
-                                               name(g), partner, cap));
-            EXPECT_EQ(rows.best_level_against(cells, sim::DeviceKind::kGpu,
-                                              partner, cap),
-                      names.best_level_against(name(g), sim::DeviceKind::kGpu,
-                                               name(c), partner, cap));
           }
         }
       }

@@ -122,6 +122,19 @@ TEST(DegradationGrid, CsvRoundTripIsExact) {
 TEST(DegradationGrid, MalformedCsvRejected) {
   EXPECT_FALSE(DegradationGrid::read_csv("cpu_bw,gpu_bw,cpu_deg\n").has_value());
   EXPECT_FALSE(DegradationGrid::read_csv("").has_value());
+  ASSERT_TRUE(DegradationGrid::read_csv("cpu_bw,gpu_bw,cpu_deg,gpu_deg\n"
+                                        "0,0,0.5,0.25\n")
+                  .has_value());
+  for (const char* text : {
+           "cpu_bw,gpu_bw,cpu_deg,gpu_deg\n0,0,nan,0.25\n",
+           "cpu_bw,gpu_bw,cpu_deg,gpu_deg\n0,0,0.5,inf\n",
+           "cpu_bw,gpu_bw,cpu_deg,gpu_deg\n0,0x,0.5,0.25\n",
+           "0,0,0.5,0.25\n1,0,0.5,0.25\n",  // no header row
+       }) {
+    const auto grid = DegradationGrid::read_csv(text);
+    ASSERT_FALSE(grid.has_value()) << text;
+    EXPECT_EQ(grid.error().category, ErrorCategory::kParse) << text;
+  }
 }
 
 TEST(DegradationGrid, ValidityChecks) {

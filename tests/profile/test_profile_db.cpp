@@ -119,6 +119,24 @@ TEST(ProfileDB, CsvRoundTrip) {
 TEST(ProfileDB, MalformedCsvRejected) {
   EXPECT_FALSE(ProfileDB::read_csv("not,a,profile\n1,2,3\n").has_value());
   EXPECT_FALSE(ProfileDB::read_csv("job,device,level\nx,cpu,0\n").has_value());
+  const std::string header =
+      "job,device,level,time_s,avg_bw_gbps,avg_power_w,energy_j\n";
+  ASSERT_TRUE(ProfileDB::read_csv(header + "x,gpu,3,1.5,2,10,15\n").has_value());
+  for (const char* row : {
+           "x,npu,3,1.5,2,10,15",    // not cpu|gpu
+           "x,cpu,3x,1.5,2,10,15",
+           "x,cpu,3,nan,2,10,15",
+           "x,cpu,3,1.5,inf,10,15",
+           "x,cpu,3,1.5,2,10,15J",
+           "x,cpu,-1,1.5,2,10,15",   // insert()'s contract, as an error
+           "x,cpu,3,0,2,10,15",
+           ",cpu,3,1.5,2,10,15",
+           "__idle__,-,0,0,0,nan,0",
+       }) {
+    const auto db = ProfileDB::read_csv(header + row + "\n");
+    ASSERT_FALSE(db.has_value()) << row;
+    EXPECT_EQ(db.error().category, ErrorCategory::kParse) << row;
+  }
 }
 
 TEST(ProfileDB, InvalidInsertRejected) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "../support/fixtures.hpp"
-#include "corun/common/task_pool.hpp"
 #include "corun/core/sched/exhaustive.hpp"
 #include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
@@ -30,7 +29,6 @@ TEST(BranchAndBound, MatchesExhaustivePlacementOptimumOnFourJobs) {
   // orders with fixed ceilings. They must land within a whisker.
   EXPECT_NEAR(bnb_makespan, exhaustive_makespan,
               exhaustive_makespan * 0.05);
-  EXPECT_FALSE(bnb.exhausted_budget());
 }
 
 TEST(BranchAndBound, NeverWorseThanItsHcsPlusSeed) {
@@ -58,36 +56,10 @@ TEST(BranchAndBound, PruningActuallyPrunes) {
 }
 
 TEST(BranchAndBound, RespectsJobLimit) {
-  const auto& f = eight_program_fixture();
-  const auto ctx = f.context(15.0);
-  BranchAndBoundScheduler tiny(BranchAndBoundOptions{.max_jobs = 4});
-  EXPECT_THROW((void)tiny.plan(ctx), corun::ContractViolation);
-}
-
-TEST(BranchAndBound, BudgetExhaustionFallsBackGracefully) {
-  const auto& f = eight_program_fixture();
-  const auto ctx = f.context(15.0);
-  BranchAndBoundScheduler starved(
-      BranchAndBoundOptions{.node_budget = 1});
-  const Schedule s = starved.plan(ctx);
-  EXPECT_TRUE(starved.exhausted_budget());
-  EXPECT_NO_THROW(s.validate(8));  // still returns the valid incumbent
-
-  // A truncated search covers a fixed prefix of the canonical order, so
-  // its plan and node count do not depend on the worker count either.
-  std::vector<std::string> plans;
-  std::vector<std::size_t> nodes;
-  for (const std::size_t jobs : {1, 4}) {
-    common::set_default_jobs(jobs);
-    BranchAndBoundScheduler truncated(
-        BranchAndBoundOptions{.node_budget = 40});
-    plans.push_back(truncated.plan(ctx).to_string(ctx.job_names()));
-    nodes.push_back(truncated.nodes_visited());
-    EXPECT_TRUE(truncated.exhausted_budget());
-  }
-  common::set_default_jobs(0);
-  EXPECT_EQ(plans[0], plans[1]);
-  EXPECT_EQ(nodes[0], nodes[1]);
+  static_assert(BranchAndBoundScheduler::kMaxJobs == 12);
+  const auto f = corun::testing::make_fixture(workload::make_batch_n(13, 42));
+  BranchAndBoundScheduler bnb;
+  EXPECT_THROW((void)bnb.plan(f->context(15.0)), corun::ContractViolation);
 }
 
 TEST(BranchAndBound, AnalyticEvalOptOutIsByteIdentical) {

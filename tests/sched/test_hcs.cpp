@@ -59,14 +59,14 @@ TEST(Hcs, ChosenLevelsRespectCapForScheduledPairs) {
   const Schedule s = hcs.plan(ctx);
   // Every scheduled co-run job's own level must at least be solo-feasible.
   for (const ScheduledJob& j : s.cpu) {
-    EXPECT_TRUE(f.predictor->solo_feasible(ctx.job_name(j.job),
-                                           sim::DeviceKind::kCpu, j.level,
-                                           15.0));
+    EXPECT_LE(f.predictor->standalone_power(ctx.job_name(j.job),
+                                            sim::DeviceKind::kCpu, j.level),
+              15.0);
   }
   for (const ScheduledJob& j : s.gpu) {
-    EXPECT_TRUE(f.predictor->solo_feasible(ctx.job_name(j.job),
-                                           sim::DeviceKind::kGpu, j.level,
-                                           15.0));
+    EXPECT_LE(f.predictor->standalone_power(ctx.job_name(j.job),
+                                            sim::DeviceKind::kGpu, j.level),
+              15.0);
   }
 }
 

@@ -44,8 +44,8 @@ TEST(BestPairWeighted, WeightedChoiceStillFeasible) {
     const auto pair =
         f.predictor->best_pair_weighted("srad", "cfd", 15.0, w, 1.0 / w);
     ASSERT_TRUE(pair.has_value());
-    EXPECT_TRUE(f.predictor->corun_feasible("srad", pair->cpu, "cfd",
-                                            pair->gpu, 15.0));
+    EXPECT_LE(f.predictor->predict_power("srad", pair->cpu, "cfd", pair->gpu),
+              15.0);
   }
 }
 

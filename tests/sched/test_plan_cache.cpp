@@ -237,6 +237,12 @@ TEST(PlanCache, FromSpecParsesEveryForm) {
   EXPECT_FALSE(PlanCache::from_spec("mem:0").has_value());
   EXPECT_FALSE(PlanCache::from_spec("mem:x").has_value());
   EXPECT_FALSE(PlanCache::from_spec("mem:3:4").has_value());
+  for (const char* spec : {"mem:+3", "mem:-1", "mem: 3", "mem:3.0",
+                           "mem:99999999999999999999"}) {
+    const auto cache = PlanCache::from_spec(spec);
+    ASSERT_FALSE(cache.has_value()) << spec;
+    EXPECT_EQ(cache.error().category, ErrorCategory::kParse) << spec;
+  }
   EXPECT_FALSE(PlanCache::from_spec("dir:").has_value());
 }
 

@@ -103,6 +103,16 @@ TEST(ScheduleCsv, MalformedInputsRejected) {
                                  "entry,gpu,0,b,3,-\n",
                                  names)
                    .has_value());
+  for (const char* text : {
+           "flags,0,0,0\nentry,cpu,0,a,5x,-\nentry,gpu,0,b,3,-\n",
+           "flags,0,0,0\nentry,cpu,0,a,5,-\nentry,solo,0,b,3,XPU\n",
+           "flags,0,0,0\nentry,cpu,0,a,5,-\nentry,solo,0,b,3,gpu\n",
+           "flags,2,0,0\nentry,cpu,0,a,5,-\nentry,gpu,0,b,3,-\n",
+       }) {
+    const auto parsed = schedule_from_csv(text, names);
+    ASSERT_FALSE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed.error().category, ErrorCategory::kParse) << text;
+  }
 }
 
 TEST(ScheduleCsv, SerializationValidatesFirst) {

@@ -68,9 +68,23 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreRejectedNotGuessed) {
            "plan,1,15,,gpu,42",         // empty scheduler
            "plan,1,15,bnb,gpu,seed",    // bad seed
            "plan,1,15,bnb,gpu,42,,sc",  // empty job name
+           "plan,1,nan,bnb,gpu,42",     // non-finite cap
+           "plan,1,inf,bnb,gpu,42",
+           "plan,1, 15,bnb,gpu,42",
+           "plan,1,15x,bnb,gpu,42",
+           "plan,18446744073709551616,15,bnb,gpu,42",  // past 2^64 - 1
+           "plan,+1,15,bnb,gpu,42",
+           "plan,1,15,bnb,gpu,-42",
        }) {
-    EXPECT_FALSE(request_from_payload(bad).has_value()) << bad;
+    const auto request = request_from_payload(bad);
+    ASSERT_FALSE(request.has_value()) << bad;
+    EXPECT_EQ(request.error().category, ErrorCategory::kParse) << bad;
   }
+  const auto max_seq = request_from_payload(
+      "plan,18446744073709551615,,bnb,gpu,18446744073709551615");
+  ASSERT_TRUE(max_seq.has_value());
+  EXPECT_EQ(max_seq.value().seq, UINT64_MAX);
+  EXPECT_FALSE(response_from_payload("ok,99999999999999999999,\n").has_value());
 }
 
 TEST(ServeProtocol, ResponsePayloadRoundTripsBodyVerbatim) {
@@ -142,6 +156,12 @@ TEST(ServeProtocol, RequestTraceCsvRoundTripsIncludingSeventeenG) {
   EXPECT_TRUE(parsed.value()[1].jobs.empty());
 
   EXPECT_FALSE(request_trace_from_csv("not,a,header\n1,2,3").has_value());
+  for (const char* row : {"0,nan,bnb,gpu,42,", "0,15,bnb,gpu,42", "x,15,bnb,gpu,42,"}) {
+    const auto trace = request_trace_from_csv(
+        std::string("seq,cap,scheduler,policy,seed,jobs\n") + row + "\n");
+    ASSERT_FALSE(trace.has_value()) << row;
+    EXPECT_EQ(trace.error().category, ErrorCategory::kParse) << row;
+  }
 }
 
 TEST(SignatureBuilder, ByteIdenticalToMakeSignature) {

@@ -240,6 +240,22 @@ TEST(DemandTrace, RejectsNonContiguousPhases) {
       "llc_footprint_mb,llc_sensitivity\n"
       "a,cpu,0,1,1.0,0.5,2.0,0,0\n";
   EXPECT_FALSE(demand_trace_from_csv(bad).has_value());
+  const std::string header =
+      "job,device,launch_time,phase_idx,dur_ref,compute_frac,mem_bw,"
+      "llc_footprint_mb,llc_sensitivity\n";
+  ASSERT_TRUE(
+      demand_trace_from_csv(header + "a,cpu,0,0,1.0,0.5,2.0,0,0\n").has_value());
+  for (const char* row : {
+           "a,npu,0,0,1.0,0.5,2.0,0,0",
+           "a,cpu,nan,0,1.0,0.5,2.0,0,0",
+           "a,cpu,0,-1,1.0,0.5,2.0,0,0",  // unsigned phase index
+           "a,cpu,0,0,1.0s,0.5,2.0,0,0",
+           "a,cpu,0,0,1.0,0.5,inf,0,0",
+       }) {
+    const auto trace = demand_trace_from_csv(header + row + "\n");
+    ASSERT_FALSE(trace.has_value()) << row;
+    EXPECT_EQ(trace.error().category, ErrorCategory::kParse) << row;
+  }
 }
 
 TEST(DemandTrace, ReplayRunsOutOfLaunches) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 namespace corun::sim {
@@ -44,6 +45,40 @@ TEST(FaultPlan, ValidateRejectsBrokenEvents) {
   plan.events.back() = event_at(9.0, FaultKind::kMeterDropout);
   plan.events.back().duration = 0.0;
   EXPECT_FALSE(plan.validate().has_value());  // zero-length dropout
+
+  // NaN fails every range test.
+  plan.events.back() = event_at(std::nan(""), FaultKind::kCancel);
+  EXPECT_FALSE(plan.validate().has_value());
+  plan.events.back() = event_at(9.0, FaultKind::kArrival);
+  plan.events.back().program = "lud";
+  plan.events.back().input_scale = std::nan("");
+  EXPECT_FALSE(plan.validate().has_value());
+  plan.events.back() = event_at(9.0, FaultKind::kCapSet);
+  plan.events.back().cap = std::nan("");
+  EXPECT_FALSE(plan.validate().has_value());
+}
+
+TEST(FaultPlan, CsvRejectsMalformedCells) {
+  const std::string header =
+      "time,kind,program,input_scale,seed,target,cap,factor,duration\n";
+  EXPECT_TRUE(fault_plan_from_csv(header + "5,cap,-,-,-,-,12,-,-\n")
+                  .has_value());
+  for (const char* row : {
+           "nan,cap,-,-,-,-,12,-,-",          // time nan
+           "5x,cap,-,-,-,-,12,-,-",           // trailing text
+           "5,cap,-,-,-,-,12abc,-,-",
+           "5,cap,-,-,-,-,inf,-,-",           // cap inf
+           "1,arrival,lud,nan,7,-,-,-,-",     // input scale nan
+           "1,arrival,lud,1,-7,-,-,-,-",      // signed seed
+           "1,cancel,-,-,-,2.5,-,-,-",        // fractional target
+           "5,cap,-,-,-,-,12,-",              // arity
+       }) {
+    const auto plan = fault_plan_from_csv(header + row + "\n");
+    ASSERT_FALSE(plan.has_value()) << row;
+    EXPECT_EQ(plan.error().category, ErrorCategory::kParse) << row;
+  }
+  EXPECT_FALSE(fault_plan_from_csv("").has_value()) << "no header";
+  EXPECT_FALSE(fault_plan_from_csv("time,kind\n").has_value());
 }
 
 TEST(FaultPlan, CsvRoundTripIsExact) {
@@ -149,13 +184,26 @@ TEST(FaultSpec, ParsesCountsAndSeed) {
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
-  EXPECT_FALSE(generate_fault_plan_from_spec("arrivals=3").has_value());
-  EXPECT_FALSE(generate_fault_plan_from_spec("random:arrivals").has_value());
-  EXPECT_FALSE(generate_fault_plan_from_spec("random:bogus=1").has_value());
+  for (const char* spec : {
+           "arrivals=3",
+           "random:arrivals",
+           "random:bogus=1",
+           "random:horizon=-5",
+           "random:arrivals=many",
+           "random:arrivals=1,horizon=nan,seed=3",
+           "random:caps=1,cap-low=20,cap-high=10,seed=3",  // low > high
+           "random:arrivals=1x",
+           "random:arrivals=-1",
+           "random:seed=-3",
+           "random:horizon=inf",
+       }) {
+    const auto plan = generate_fault_plan_from_spec(spec);
+    ASSERT_FALSE(plan.has_value()) << spec;
+    EXPECT_EQ(plan.error().category, ErrorCategory::kParse) << spec;
+  }
+  // An empty program pool reads fine but draws arrivals without a program.
   EXPECT_FALSE(
-      generate_fault_plan_from_spec("random:horizon=-5").has_value());
-  EXPECT_FALSE(
-      generate_fault_plan_from_spec("random:arrivals=many").has_value());
+      generate_fault_plan_from_spec("random:arrivals=1,programs=").has_value());
 }
 
 }  // namespace

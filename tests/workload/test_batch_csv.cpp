@@ -53,6 +53,23 @@ TEST(BatchCsv, RejectsMalformedInputs) {
                    .has_value());  // micro target out of range
   EXPECT_FALSE(batch_from_csv("instance,program,input_scale,seed\n")
                    .has_value());  // empty batch
+  for (const char* row : {
+           "a,micro:abc,1.0,1",
+           "a,micro:5x,1.0,1",
+           "a,lud,nan,1",
+           "a,lud,1.0x,1",
+           "a,lud,1.0,-1",       // unsigned seed
+           "a,lud,1.0,1.5",
+       }) {
+    const auto batch =
+        batch_from_csv(std::string("instance,program,input_scale,seed\n") +
+                       row + "\n");
+    ASSERT_FALSE(batch.has_value()) << row;
+    EXPECT_EQ(batch.error().category, ErrorCategory::kParse) << row;
+  }
+  EXPECT_FALSE(batch_from_csv("instance,program,input_scale,seed,extra\n"
+                              "a,lud,1.0,1,x\n")
+                   .has_value());  // header other than the writer's
 }
 
 TEST(BatchCsv, RoundTrip) {

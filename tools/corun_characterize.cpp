@@ -19,7 +19,7 @@ const char kUsage[] =
     "[--trace trace.json]";
 }
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags =
       Flags::parse(argc, argv, {"out", "axis-points", "max-bw", "seed", "jobs",
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", f.get("out", "").c_str());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

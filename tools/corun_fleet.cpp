@@ -32,7 +32,7 @@ const char kUsage[] =
     "CORUN_FLEET_STRATEGY sets the default --strategy.";
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv,
@@ -157,4 +157,6 @@ int main(int argc, char** argv) {
   tools::report_plan_cache(opts.plan_cache.get());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "corun/common/csv.hpp"
 #include "corun/common/flags.hpp"
 #include "corun/profile/online_profiler.hpp"
 #include "corun/profile/profiler.hpp"
@@ -20,19 +21,27 @@ const char kUsage[] =
     "[--jobs N] [--backend tick|event|analytic|replay:PATH] "
     "[--thermal on|off] [--trace trace.json]";
 
-std::vector<corun::sim::FreqLevel> parse_levels(const std::string& csv) {
+/// Reads a --cpu-levels/--gpu-levels list such as "0,8"; an item that is
+/// not an integer throws FlagError, like a malformed numeric flag.
+std::vector<corun::sim::FreqLevel> parse_levels(const corun::Flags& f,
+                                                const std::string& name) {
   std::vector<corun::sim::FreqLevel> levels;
-  std::stringstream ss(csv);
+  std::stringstream ss(f.get(name, ""));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) levels.push_back(std::stoi(item));
+    if (item.empty()) continue;
+    const auto level = corun::parse_number<corun::sim::FreqLevel>(item);
+    if (!level) {
+      throw corun::FlagError("--" + name + ": " + level.error().message);
+    }
+    levels.push_back(level.value());
   }
   return levels;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv,
@@ -75,8 +84,8 @@ int main(int argc, char** argv) {
     options.seed = seed;
     options.backend = backend.value();
     options.sample_seconds = f.get_double("sample-seconds", 3.0);
-    if (f.has("cpu-levels")) options.cpu_levels = parse_levels(f.get("cpu-levels", ""));
-    if (f.has("gpu-levels")) options.gpu_levels = parse_levels(f.get("gpu-levels", ""));
+    if (f.has("cpu-levels")) options.cpu_levels = parse_levels(f, "cpu-levels");
+    if (f.has("gpu-levels")) options.gpu_levels = parse_levels(f, "gpu-levels");
     const profile::OnlineProfiler profiler(config, options);
     db = profiler.profile_batch(batch.value());
     std::printf("online profiling: %zu entries, sampling cost %.1f simulated "
@@ -86,8 +95,8 @@ int main(int argc, char** argv) {
     profile::ProfilerOptions options;
     options.seed = seed;
     options.backend = backend.value();
-    if (f.has("cpu-levels")) options.cpu_levels = parse_levels(f.get("cpu-levels", ""));
-    if (f.has("gpu-levels")) options.gpu_levels = parse_levels(f.get("gpu-levels", ""));
+    if (f.has("cpu-levels")) options.cpu_levels = parse_levels(f, "cpu-levels");
+    if (f.has("gpu-levels")) options.gpu_levels = parse_levels(f, "gpu-levels");
     const profile::Profiler profiler(config, options);
     db = profiler.profile_batch(batch.value());
     std::printf("offline profiling: %zu entries\n", db.size());
@@ -102,4 +111,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", f.get("out", "").c_str());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

@@ -104,7 +104,7 @@ std::optional<std::vector<corun::serve::PlanResponse>> replay_once(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv, {"requests", "socket", "window", "output", "repeat"}, {});
@@ -180,4 +180,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(busy),
                static_cast<unsigned long long>(errors));
   return (busy + errors) > 0 ? 3 : 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

@@ -165,7 +165,7 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(argc, argv,
                                   {"batch", "profiles", "grid", "cap",
@@ -313,4 +313,6 @@ int main(int argc, char** argv) {
   tools::report_plan_cache(plan_cache.value().get());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

@@ -28,7 +28,7 @@ const char kUsage[] =
     "[--plan-cache off|mem|mem:N|dir:PATH]";
 }
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv, {"batch", "profiles", "grid", "cap", "scheduler", "policy",
@@ -134,4 +134,6 @@ int main(int argc, char** argv) {
   tools::report_plan_cache(plan_cache.value().get());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }

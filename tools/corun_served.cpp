@@ -174,7 +174,7 @@ int listen_unix(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace corun;
   const auto flags = Flags::parse(
       argc, argv,
@@ -274,4 +274,6 @@ int main(int argc, char** argv) {
   tools::report_plan_cache(plan_cache.value().get());
   if (!tools::finish_trace(trace_path)) return 1;
   return 0;
+} catch (const corun::FlagError& e) {
+  return corun::tools::usage_error(e.what(), kUsage);
 }
