@@ -1,7 +1,5 @@
 #include "corun/common/flags.hpp"
 
-#include "corun/common/csv.hpp"
-
 namespace corun {
 
 Expected<Flags> Flags::parse(int argc, const char* const* argv,
@@ -49,29 +47,6 @@ std::string Flags::get(const std::string& name,
                        const std::string& fallback) const {
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
-}
-
-namespace {
-
-template <typename T>
-T get_number(const std::map<std::string, std::string>& values,
-             const std::string& name, T fallback) {
-  const auto it = values.find(name);
-  if (it == values.end()) return fallback;
-  const Expected<T> value = parse_number<T>(it->second);
-  if (!value) throw FlagError("--" + name + ": " + value.error().message);
-  return value.value();
-}
-
-}  // namespace
-
-double Flags::get_double(const std::string& name, double fallback) const {
-  return get_number(values_, name, fallback);
-}
-
-std::int64_t Flags::get_int(const std::string& name,
-                            std::int64_t fallback) const {
-  return get_number(values_, name, fallback);
 }
 
 }  // namespace corun

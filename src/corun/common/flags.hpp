@@ -12,13 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "corun/common/csv.hpp"
 #include "corun/common/expected.hpp"
 
 namespace corun {
 
-/// Thrown by Flags::get_double/get_int when a flag's value is not a number
-/// (see parse_number); what() names the flag. The tools catch it around
-/// main and report a usage error.
+/// Thrown when a flag's value is malformed or out of range (see
+/// Flags::number); what() names the flag. The tools catch it around their
+/// body and report a usage error.
 class FlagError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -35,12 +36,24 @@ class Flags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
-  /// The flag's value read whole as a number, or `fallback` when the flag
-  /// is absent. Throws FlagError when the value is not a number.
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
+  /// The flag's value read whole as a T by parse_number (so an unsigned T,
+  /// a count or a seed, takes no sign), or `fallback` when the flag is
+  /// absent. Throws FlagError naming the flag when the value is not a T.
+  template <typename T>
+  [[nodiscard]] T number(const std::string& name, T fallback) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    const Expected<T> value = parse_number<T>(it->second);
+    if (!value) throw FlagError("--" + name + ": " + value.error().message);
+    return value.value();
+  }
+  /// number() for a flag whose value must be > 0.
+  template <typename T>
+  [[nodiscard]] T positive(const std::string& name, T fallback) const {
+    const T value = number(name, fallback);
+    if (!(value > T{0})) throw FlagError("--" + name + " must be > 0");
+    return value;
+  }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }

@@ -1,13 +1,13 @@
-// PlanService: the one-shot planning core shared by corun-schedule and the
-// serving daemon.
+// PlanService: the one-shot planning path of corun-schedule, corun-run's
+// static mode and the serving daemon.
 //
 // The service owns nothing heavy — it references the artifacts a daemon
 // loads once at startup (batch, predictor) and shares the plan cache. Per
 // request it constructs the requested registry scheduler (memoized through
 // the shared PlanCache when one is attached), plans, evaluates the
 // predicted makespan and the lower bound, and renders the canonical report
-// text. `render_plan_report` is the single source of that rendering, so a
-// daemon response is byte-identical to a `corun-schedule` run over the
+// text. Every caller goes through plan() and prints `PlanResult::text`, so
+// a daemon response is byte-identical to a `corun-schedule` run over the
 // same artifacts by construction, not by convention.
 //
 // Thread safety: `plan()` is const and safe to call concurrently — the
@@ -58,9 +58,17 @@ class PlanService {
               std::shared_ptr<sched::PlanCache> cache);
 
   /// Plans one request. Fails (kNotFound / kInvalidArgument) on an unknown
-  /// scheduler, an unknown policy, or a job name outside the loaded batch;
-  /// those become `error` responses, never a crash.
+  /// scheduler, an unknown policy or a job name outside the loaded batch,
+  /// and on a request the planners cannot plan: a cap below a job's floor
+  /// power, a job without profile rows. Each failure becomes an `error`
+  /// response in the daemon and one `error:` line in the tools, never a
+  /// crash.
   [[nodiscard]] Expected<PlanResult> plan(const PlanRequest& request) const;
+
+  /// The HCS decision trace of the request's batch, cap and policy,
+  /// whatever its scheduler: a separate HcsScheduler::plan_traced run, so a
+  /// plan cache never hides it. Fails as plan() does.
+  [[nodiscard]] Expected<std::string> explain(const PlanRequest& request) const;
 
   [[nodiscard]] const workload::Batch& batch() const noexcept {
     return *batch_;
@@ -75,6 +83,11 @@ class PlanService {
   std::shared_ptr<sched::PlanCache> cache_;
   std::shared_ptr<const sched::SignatureBuilder> signature_builder_;
   std::map<std::string, std::size_t> name_to_index_;  ///< batch instances
+
+  /// The request's planning context. A job subset is copied into
+  /// `sub_batch`, which the context then points to.
+  [[nodiscard]] Expected<sched::SchedulerContext> context(
+      const PlanRequest& request, workload::Batch& sub_batch) const;
 };
 
 }  // namespace corun::serve

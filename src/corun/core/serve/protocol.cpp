@@ -16,11 +16,15 @@ namespace {
 constexpr std::string_view kTraceColumns[] = {"seq",    "cap",  "scheduler",
                                               "policy", "seed", "jobs"};
 
+/// A cap is "" (uncapped) or a number > 0 W, as the tools' --cap.
 Expected<std::optional<Watts>> parse_cap(const std::string& text) {
   if (text.empty()) return std::optional<Watts>{};
   const auto cap = parse_number<Watts>(text);
   if (!cap.has_value()) {
     return fail("cap: " + cap.error().message, ErrorCategory::kParse);
+  }
+  if (!(cap.value() > 0.0)) {
+    return fail("cap: " + text + " W is not > 0", ErrorCategory::kParse);
   }
   return std::optional<Watts>{cap.value()};
 }

@@ -13,7 +13,7 @@
 //
 // where `seq` is the client-chosen sequence id (replies are emitted in
 // ascending seq order per chunk — the deterministic response-assembly
-// stage), `cap` is the power cap rendered %.17g ("" = uncapped),
+// stage), `cap` is the power cap rendered %.17g, > 0 ("" = uncapped),
 // `scheduler` a registry name, `policy` gpu|cpu, `seed` the scheduler
 // seed, and the optional job tail selects a subset of the daemon's batch
 // by instance name ("" tail = the full batch).

@@ -1,7 +1,6 @@
 #include "corun/core/serve/server.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "corun/common/check.hpp"
 #include "corun/common/task_pool.hpp"
@@ -64,19 +63,13 @@ std::vector<PlanResponse> ServeSession::serve_chunk(
                                   .count();
           if (age > deadline) return make_busy(seq, "deadline exceeded");
         }
-        try {
-          auto result = service_->plan(timed.request);
-          if (!result.has_value()) {
-            return make_response(seq, ResponseStatus::kError,
-                                 result.error().message);
-          }
-          return make_response(seq, ResponseStatus::kOk, "",
-                               std::move(result).value().text);
-        } catch (const std::exception& e) {
-          // A planner contract violation on one request must degrade to an
-          // error response, never take the daemon down.
-          return make_response(seq, ResponseStatus::kError, e.what());
+        auto result = service_->plan(timed.request);
+        if (!result.has_value()) {
+          return make_response(seq, ResponseStatus::kError,
+                               result.error().message);
         }
+        return make_response(seq, ResponseStatus::kOk, "",
+                             std::move(result).value().text);
       });
   for (PlanResponse& response : planned) {
     responses.push_back(std::move(response));

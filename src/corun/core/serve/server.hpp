@@ -14,8 +14,8 @@
 //      the check runs right before planning starts, on the worker;
 //   3. plans the remainder concurrently on the shared TaskPool (so
 //      `--jobs` governs serving parallelism exactly as it governs every
-//      other sweep), turning per-request failures into `error` responses
-//      rather than daemon deaths;
+//      other sweep); a request PlanService::plan fails, a planner's
+//      contract violation included, is answered `error`;
 //   4. emits every response of the chunk in ascending sequence-id order —
 //      the deterministic response-assembly stage. Planned bodies are
 //      byte-identical regardless of chunk composition, arrival

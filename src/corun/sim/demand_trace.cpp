@@ -81,6 +81,18 @@ Expected<DemandTrace> demand_trace_from_csv(const std::string& text) {
     row.read("mem_bw", r.phase.mem_bw);
     row.read("llc_footprint_mb", r.llc.footprint_mb);
     row.read("llc_sensitivity", r.llc.sensitivity);
+    // DeviceProfile's ranges, so a trace that loads always replays.
+    if (!(r.phase.dur_ref > 0.0)) row.fail_field("dur_ref", "must be > 0");
+    if (!(r.phase.compute_frac >= 0.0 && r.phase.compute_frac <= 1.0)) {
+      row.fail_field("compute_frac", "must be in [0, 1]");
+    }
+    if (r.phase.mem_bw < 0.0) row.fail_field("mem_bw", "must be >= 0");
+    if (r.llc.footprint_mb < 0.0) {
+      row.fail_field("llc_footprint_mb", "must be >= 0");
+    }
+    if (r.llc.sensitivity < 0.0) {
+      row.fail_field("llc_sensitivity", "must be >= 0");
+    }
     if (row.error()) return *row.error();
     trace.rows.push_back(std::move(r));
   }

@@ -15,6 +15,13 @@ const char* policy_name(GovernorPolicy p) noexcept {
   return "?";
 }
 
+Expected<GovernorPolicy> parse_policy(const std::string& text) {
+  if (text == "gpu") return GovernorPolicy::kGpuBiased;
+  if (text == "cpu") return GovernorPolicy::kCpuBiased;
+  return fail("unknown policy '" + text + "' (gpu|cpu)",
+              ErrorCategory::kInvalidArgument);
+}
+
 PowerGovernor::PowerGovernor(GovernorPolicy policy, std::optional<Watts> cap)
     : policy_(policy), cap_(cap.value_or(0.0)) {
   if (cap) CORUN_CHECK_MSG(*cap > 0.0, "power cap must be positive");

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <optional>
+#include <string>
 
+#include "corun/common/expected.hpp"
 #include "corun/common/units.hpp"
 #include "corun/sim/frequency.hpp"
 
@@ -25,6 +27,10 @@ enum class GovernorPolicy {
 };
 
 [[nodiscard]] const char* policy_name(GovernorPolicy p) noexcept;
+
+/// Reads a planning policy as the tools and the wire name it: "gpu"
+/// (GPU-biased) or "cpu" (CPU-biased); anything else is an error.
+[[nodiscard]] Expected<GovernorPolicy> parse_policy(const std::string& text);
 
 /// Current and requested operating point of both domains.
 struct DvfsState {

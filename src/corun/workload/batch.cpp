@@ -1,6 +1,7 @@
 #include "corun/workload/batch.hpp"
 
 #include <ostream>
+#include <set>
 #include <utility>
 
 #include "corun/common/check.hpp"
@@ -86,6 +87,7 @@ Expected<Batch> batch_from_csv(const std::string& text) {
   auto rows = read_csv_table(text, kCsvColumns, "batch CSV");
   if (!rows.has_value()) return rows.error();
   Batch batch;
+  std::set<std::string> names;
   for (Record& row : std::move(rows).value()) {
     const std::string& program = row["program"];
     KernelDescriptor desc;
@@ -108,9 +110,15 @@ Expected<Batch> batch_from_csv(const std::string& text) {
     }
     std::uint64_t seed = 0;
     row.read("input_scale", desc.input_scale);
+    if (!(desc.input_scale > 0.0)) row.fail_field("input_scale", "must be > 0");
     row.read("seed", seed);
+    // add() names an instance without a tag after its program.
+    const std::string& name =
+        row["instance"].empty() ? desc.name : row["instance"];
+    if (!names.insert(name).second) {
+      row.fail_field("instance", "duplicate instance '" + name + "'");
+    }
     if (row.error()) return *row.error();
-    // A duplicate instance name violates add()'s contract.
     batch.add(desc, seed, row["instance"]);
   }
   if (batch.empty()) return fail("batch CSV describes no jobs", ErrorCategory::kParse);

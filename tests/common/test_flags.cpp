@@ -18,13 +18,13 @@ TEST(Flags, SpaceSeparatedValue) {
   const auto f = parse({"--cap", "15"}, {"cap"});
   ASSERT_TRUE(f.has_value());
   EXPECT_TRUE(f.value().has("cap"));
-  EXPECT_DOUBLE_EQ(f.value().get_double("cap", 0.0), 15.0);
+  EXPECT_DOUBLE_EQ(f.value().number<double>("cap", 0.0), 15.0);
 }
 
 TEST(Flags, EqualsSeparatedValue) {
   const auto f = parse({"--cap=16.5"}, {"cap"});
   ASSERT_TRUE(f.has_value());
-  EXPECT_DOUBLE_EQ(f.value().get_double("cap", 0.0), 16.5);
+  EXPECT_DOUBLE_EQ(f.value().number<double>("cap", 0.0), 16.5);
 }
 
 TEST(Flags, BooleanFlag) {
@@ -57,44 +57,75 @@ TEST(Flags, PositionalsCollected) {
 TEST(Flags, DefaultsWhenAbsent) {
   const auto f = parse({}, {"cap", "seed", "name"});
   ASSERT_TRUE(f.has_value());
-  EXPECT_DOUBLE_EQ(f.value().get_double("cap", 12.5), 12.5);
-  EXPECT_EQ(f.value().get_int("seed", 7), 7);
+  EXPECT_DOUBLE_EQ(f.value().number<double>("cap", 12.5), 12.5);
+  EXPECT_EQ(f.value().number<std::uint64_t>("seed", 7), 7u);
   EXPECT_EQ(f.value().get("name", "x"), "x");
 }
 
 TEST(Flags, IntParsing) {
-  const auto f = parse({"--seed", "123", "--offset=-3"}, {"seed", "offset"});
+  const auto f = parse({"--seed", "123", "--offset=-3", "--top",
+                        "18446744073709551615"},
+                       {"seed", "offset", "top"});
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f.value().get_int("seed", 0), 123);
-  EXPECT_EQ(f.value().get_int("offset", 0), -3);
+  EXPECT_EQ(f.value().number<std::uint64_t>("seed", 0), 123u);
+  EXPECT_EQ(f.value().number<std::int64_t>("offset", 0), -3);
+  EXPECT_EQ(f.value().number<std::uint64_t>("top", 0), UINT64_MAX);
 }
 
+/// Reads `--<name> <value>` with `read` and expects a FlagError naming the
+/// flag.
+template <typename Read>
+void expect_flag_error(const char* flag, const char* value, Read read) {
+  const auto f = parse({flag, value}, {"cap", "machines", "seed"});
+  ASSERT_TRUE(f.has_value());
+  const std::string name = std::string(flag).substr(2);
+  try {
+    (void)read(f.value(), name);
+    ADD_FAILURE() << flag << " " << value << " was read";
+  } catch (const FlagError& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+        << e.what();
+  }
+}
+
+const auto read_double = [](const Flags& f, const std::string& name) {
+  return f.number<double>(name, 0.0);
+};
+const auto read_count = [](const Flags& f, const std::string& name) {
+  return f.number<std::size_t>(name, 0);
+};
+
 TEST(Flags, MalformedNumbersThrowAFlagErrorNamingTheFlag) {
-  const auto expect_flag_error = [](const char* flag, const char* value,
-                                    bool integer) {
-    const auto f = parse({flag, value}, {"cap", "machines"});
-    ASSERT_TRUE(f.has_value());
-    const std::string name = std::string(flag).substr(2);
-    try {
-      if (integer) {
-        (void)f.value().get_int(name, 0);
-      } else {
-        (void)f.value().get_double(name, 0.0);
-      }
-      ADD_FAILURE() << flag << " " << value << " was read as a number";
-    } catch (const FlagError& e) {
-      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
-          << e.what();
-    }
-  };
-  expect_flag_error("--cap", "abc", false);
-  expect_flag_error("--machines", "1e9", true);
+  expect_flag_error("--cap", "abc", read_double);
+  expect_flag_error("--machines", "1e9", read_count);
   for (const char* value : {"", "nan", "inf", "15W", " 15", "0x10"}) {
-    expect_flag_error("--cap", value, false);
+    expect_flag_error("--cap", value, read_double);
   }
-  for (const char* value : {"", "12.5", "3x", "99999999999999999999"}) {
-    expect_flag_error("--machines", value, true);
+  // Counts and seeds are unsigned: a sign is a FlagError, never a huge
+  // count or the seed 2^64 - 1.
+  for (const char* value : {"", "12.5", "3x", "99999999999999999999", "-1",
+                            "-0", "+3"}) {
+    expect_flag_error("--machines", value, read_count);
+    expect_flag_error("--seed", value, [](const Flags& f, const std::string& n) {
+      return f.number<std::uint64_t>(n, 42);
+    });
   }
+}
+
+TEST(Flags, PositiveRejectsZeroAndNegativeValues) {
+  const auto read_positive = [](const Flags& f, const std::string& name) {
+    return f.positive<double>(name, 1.0);
+  };
+  for (const char* value : {"0", "-5", "-0.0", "abc"}) {
+    expect_flag_error("--cap", value, read_positive);
+  }
+  expect_flag_error("--machines", "0", [](const Flags& f, const std::string& n) {
+    return f.positive<std::size_t>(n, 1);
+  });
+  const auto f = parse({"--cap", "0.5"}, {"cap"});
+  ASSERT_TRUE(f.has_value());
+  EXPECT_DOUBLE_EQ(f.value().positive<double>("cap", 1.0), 0.5);
+  EXPECT_EQ(f.value().positive<std::size_t>("machines", 3), 3u);
 }
 
 TEST(Flags, ProgramNameRecorded) {

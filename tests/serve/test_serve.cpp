@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "../support/fixtures.hpp"
+#include "corun/core/sched/hcs.hpp"
 #include "corun/core/sched/makespan_evaluator.hpp"
 #include "corun/core/sched/lower_bound.hpp"
 #include "corun/core/sched/plan_cache/signature.hpp"
@@ -75,6 +76,8 @@ TEST(ServeProtocol, MalformedRequestPayloadsAreRejectedNotGuessed) {
            "plan,18446744073709551616,15,bnb,gpu,42",  // past 2^64 - 1
            "plan,+1,15,bnb,gpu,42",
            "plan,1,15,bnb,gpu,-42",
+           "plan,1,0,bnb,gpu,42",       // a cap must be > 0, as --cap
+           "plan,1,-5,bnb,gpu,42",
        }) {
     const auto request = request_from_payload(bad);
     ASSERT_FALSE(request.has_value()) << bad;
@@ -269,6 +272,54 @@ TEST_F(PlanServiceTest, BadRequestsFailWithoutPlanning) {
   duplicate_job.jobs = {f.batch.jobs()[0].instance_name,
                         f.batch.jobs()[0].instance_name};
   EXPECT_FALSE(service_.plan(duplicate_job).has_value());
+}
+
+// A request the planners cannot plan (here a cap below every job's floor
+// power, which trips contract checks in the searches and the bound) is a
+// failed Expected, not an exception, for every registered scheduler; the
+// daemon answers it `error`.
+TEST_F(PlanServiceTest, RefusedPlansFailInsteadOfThrowing) {
+  for (const std::string& name : sched::scheduler_names()) {
+    PlanRequest request;
+    request.cap = 1.0;
+    request.scheduler = name;
+    Expected<PlanResult> planned = fail("unset");
+    EXPECT_NO_THROW(planned = service_.plan(request)) << name;
+    ASSERT_FALSE(planned.has_value()) << name;
+    EXPECT_NE(planned.error().message.find("cannot plan"), std::string::npos)
+        << planned.error().message;
+  }
+  PlanRequest refused;
+  refused.cap = 1.0;
+  EXPECT_FALSE(service_.explain(refused).has_value());
+
+  ServeSession session(service_, ServeOptions{});
+  TimedRequest timed;
+  timed.request = refused;
+  timed.arrival = std::chrono::steady_clock::now();
+  const auto responses = session.serve_chunk({timed});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, ResponseStatus::kError);
+}
+
+// explain() is a separate HCS run: the cache that answered the plan does
+// not hide the decision trace, and the trace is the direct one.
+TEST_F(PlanServiceTest, ExplainIsTheDirectHcsTraceWhateverTheCache) {
+  const auto& f = motivation_fixture();
+  PlanRequest request;
+  request.cap = 14.0;
+  request.scheduler = "hcs";
+  ASSERT_TRUE(service_.plan(request).has_value());
+  ASSERT_TRUE(service_.plan(request).has_value());  // a cache hit
+  EXPECT_EQ(cache_->stats().hits, 1u);
+
+  const auto ctx = f.context(14.0);
+  sched::HcsTrace trace;
+  (void)sched::HcsScheduler().plan_traced(ctx, &trace);
+  const auto explained = service_.explain(request);
+  ASSERT_TRUE(explained.has_value());
+  EXPECT_FALSE(explained.value().empty());
+  EXPECT_EQ(explained.value(), trace.to_string(ctx.job_names()));
 }
 
 TEST_F(PlanServiceTest, ServeChunkOrdersBySeqAndTriagesOverloadHonestly) {

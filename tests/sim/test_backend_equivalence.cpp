@@ -251,6 +251,14 @@ TEST(DemandTrace, RejectsNonContiguousPhases) {
            "a,cpu,0,-1,1.0,0.5,2.0,0,0",  // unsigned phase index
            "a,cpu,0,0,1.0s,0.5,2.0,0,0",
            "a,cpu,0,0,1.0,0.5,inf,0,0",
+           // DeviceProfile's ranges: a trace that loads always replays.
+           "a,cpu,0,0,0,0.5,2.0,0,0",
+           "a,cpu,0,0,-1.0,0.5,2.0,0,0",
+           "a,cpu,0,0,1.0,1.5,2.0,0,0",
+           "a,cpu,0,0,1.0,-0.1,2.0,0,0",
+           "a,cpu,0,0,1.0,0.5,-2.0,0,0",
+           "a,cpu,0,0,1.0,0.5,2.0,-1,0",
+           "a,cpu,0,0,1.0,0.5,2.0,0,-0.5",
        }) {
     const auto trace = demand_trace_from_csv(header + row + "\n");
     ASSERT_FALSE(trace.has_value()) << row;

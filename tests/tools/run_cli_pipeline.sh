@@ -77,6 +77,15 @@ test -s plan.csv
 grep -q "decision trace" schedule.out
 grep -q "lower bound" schedule.out
 
+echo "== --explain prints the same decision trace with a plan cache =="
+"$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
+    --grid grid.csv --cap 15 --scheduler hcs --explain > explain.out
+"$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
+    --grid grid.csv --cap 15 --scheduler hcs --explain --plan-cache mem \
+    > explain_cached.out 2>/dev/null
+grep -q "decision trace" explain.out
+cmp explain.out explain_cached.out
+
 echo "== corun-schedule rejects bad input =="
 if "$TOOLS/corun-schedule" --batch batch.csv --grid grid.csv 2>/dev/null; then
   echo "expected usage error for missing --profiles" >&2
@@ -211,16 +220,6 @@ echo "== --plan-cache never changes stdout (static, jobs 1 vs 4) =="
     > cached_j4.out 2>/dev/null
 cmp plain.out cached_j1.out
 cmp plain.out cached_j4.out
-
-echo "== --plan-cache never changes stdout (backend tick vs event) =="
-"$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
-    --grid grid.csv --cap 15 --scheduler bnb --plan-cache mem \
-    --backend tick > cached_tick.out 2>/dev/null
-"$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \
-    --grid grid.csv --cap 15 --scheduler bnb --plan-cache mem \
-    --backend event > cached_event.out 2>/dev/null
-cmp plain.out cached_tick.out
-cmp plain.out cached_event.out
 
 echo "== --plan-cache dir: second run hits the persistent tier =="
 "$TOOLS/corun-schedule" --batch batch.csv --profiles profiles.csv \

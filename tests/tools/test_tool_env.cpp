@@ -1,6 +1,7 @@
-// Environment-variable fallbacks of the shared tool plumbing: an exported
-// but empty (or whitespace-only) CORUN_BACKEND / CORUN_TRACE /
-// CORUN_PLAN_CACHE must mean "unset", not "the empty spec" — a stray
+// Environment-variable fallbacks of the tools' shared flags, through the
+// one front door (start_tool): an exported but empty (or whitespace-only)
+// CORUN_BACKEND / CORUN_THERMAL / CORUN_TRACE / CORUN_PLAN_CACHE /
+// CORUN_FLEET_STRATEGY must mean "unset", not "the empty spec" — a stray
 // `export CORUN_BACKEND=` in a CI script used to turn every tool run into
 // a usage error. One regression test per variable. Plus the one machine
 // selector: CORUN_BACKEND / --backend also pick the stepping core that
@@ -21,21 +22,16 @@
 namespace corun::tools {
 namespace {
 
-/// Flags with no backend/trace/plan-cache switches, so the env fallback is
-/// what decides.
-Flags bare_flags() {
-  const char* argv[] = {"test"};
-  return Flags::parse(1, const_cast<char**>(argv),
-                      {"backend", "trace", "plan-cache"}, {})
-      .value();
-}
-
-/// Flags from a command line after the program name.
-Flags flags_of(std::vector<const char*> args) {
+/// Starts a tool that takes every shared flag, from a command line after
+/// the program name; with no flags the environment decides.
+Expected<Tool> start(std::vector<const char*> args = {},
+                     const std::string& plan_cache_default = "") {
   args.insert(args.begin(), "test");
-  return Flags::parse(static_cast<int>(args.size()), args.data(),
-                      {"backend", "trace", "plan-cache"}, {})
-      .value();
+  return start_tool(static_cast<int>(args.size()), args.data(),
+                    {.synopsis = "test",
+                     .flags = {"strategy"},
+                     .shared = kJobs | kBackend | kThermal | kTrace | kPlanCache,
+                     .plan_cache_default = plan_cache_default});
 }
 
 /// Scoped setenv that restores the previous value (or unsets), so a failing
@@ -93,17 +89,17 @@ TEST(ToolEnv, EmptyOrBlankCorunBackendMeansUnset) {
   const sim::BackendSpec original = sim::default_backend_spec();
   for (const char* value : {"", " ", " \t\n"}) {
     EnvGuard guard("CORUN_BACKEND", value);
-    const auto spec = configure_backend(bare_flags());
-    ASSERT_TRUE(spec.has_value()) << "blank CORUN_BACKEND='" << value
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value()) << "blank CORUN_BACKEND='" << value
                                   << "' must fall back to the default";
-    EXPECT_EQ(spec.value().kind, original.kind);
+    EXPECT_EQ(tool.value().backend.kind, original.kind);
   }
   // A real value still takes effect — and survives whitespace padding.
   {
     EnvGuard guard("CORUN_BACKEND", "  analytic  ");
-    const auto spec = configure_backend(bare_flags());
-    ASSERT_TRUE(spec.has_value());
-    EXPECT_EQ(spec.value().kind, sim::BackendKind::kAnalytic);
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    EXPECT_EQ(tool.value().backend.kind, sim::BackendKind::kAnalytic);
   }
   sim::set_default_backend(original);
 }
@@ -112,40 +108,66 @@ TEST(ToolEnv, BackendSelectsTheDefaultSteppingCore) {
   const sim::BackendSpec original = sim::default_backend_spec();
   {
     EnvGuard guard("CORUN_BACKEND", "tick");
-    ASSERT_TRUE(configure_backend(bare_flags()).has_value());
+    ASSERT_TRUE(start().has_value());
     EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kTick);
     EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kTick);
   }
-  const auto event = configure_backend(flags_of({"--backend", "event"}));
-  ASSERT_TRUE(event.has_value());
+  ASSERT_TRUE(start({"--backend", "event"}).has_value());
   EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kEvent);
   EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kEvent);
 
-  const auto tick = configure_backend(flags_of({"--backend", "tick"}));
+  const auto tick = start({"--backend", "tick"});
   ASSERT_TRUE(tick.has_value());
-  EXPECT_EQ(tick.value().kind, sim::BackendKind::kTick);
+  EXPECT_EQ(tick.value().backend.kind, sim::BackendKind::kTick);
   EXPECT_EQ(sim::default_backend_spec().name(), "tick");
   EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kTick);
 
-  (void)configure_backend(flags_of({"--backend", "analytic"}));
+  (void)start({"--backend", "analytic"});
   EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kAnalytic);
-  (void)configure_backend(flags_of({"--backend", "event"}));
+  (void)start({"--backend", "event"});
   EXPECT_EQ(sim::EngineOptions{}.mode, sim::EngineMode::kEvent);
 
-  EXPECT_FALSE(configure_backend(flags_of({"--backend", "warp"})).has_value());
+  EXPECT_FALSE(start({"--backend", "warp"}).has_value());
   EXPECT_EQ(sim::default_engine_mode(), sim::EngineMode::kEvent);
   sim::set_default_backend(original);
+}
+
+TEST(ToolEnv, EmptyOrBlankCorunThermalMeansUnset) {
+  const bool original = sim::default_thermal();
+  for (const char* value : {"", " ", "\t"}) {
+    EnvGuard guard("CORUN_THERMAL", value);
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value())
+        << "blank CORUN_THERMAL='" << value << "' must not be parsed";
+    EXPECT_EQ(tool.value().thermal, original);
+  }
+  {
+    EnvGuard guard("CORUN_THERMAL", " on ");
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    EXPECT_TRUE(tool.value().thermal);
+    EXPECT_TRUE(sim::default_thermal());
+    // The flag beats the environment.
+    const auto off = start({"--thermal", "off"});
+    ASSERT_TRUE(off.has_value());
+    EXPECT_FALSE(off.value().thermal);
+  }
+  sim::set_default_thermal(original);
 }
 
 TEST(ToolEnv, EmptyOrBlankCorunTraceMeansUnset) {
   for (const char* value : {"", "   ", "\t"}) {
     EnvGuard guard("CORUN_TRACE", value);
-    EXPECT_EQ(configure_trace(bare_flags()), "")
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    EXPECT_EQ(tool.value().trace_path, "")
         << "blank CORUN_TRACE='" << value << "' must not arm tracing";
   }
   {
     EnvGuard guard("CORUN_TRACE", " padded.json ");
-    EXPECT_EQ(configure_trace(bare_flags()), "padded.json");
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    EXPECT_EQ(tool.value().trace_path, "padded.json");
     trace::set_enabled(false);
     trace::reset();
   }
@@ -154,28 +176,63 @@ TEST(ToolEnv, EmptyOrBlankCorunTraceMeansUnset) {
 TEST(ToolEnv, EmptyOrBlankCorunPlanCacheMeansUnset) {
   for (const char* value : {"", " ", "\n"}) {
     EnvGuard guard("CORUN_PLAN_CACHE", value);
-    const auto cache = configure_plan_cache(bare_flags());
-    ASSERT_TRUE(cache.has_value())
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value())
         << "blank CORUN_PLAN_CACHE='" << value << "' must not be parsed";
-    EXPECT_EQ(cache.value(), nullptr);  // caching stays off
+    EXPECT_EQ(tool.value().plan_cache, nullptr);  // caching stays off
 
-    // ...and a caller-supplied default still applies when blank.
-    const auto defaulted = configure_plan_cache(bare_flags(), "mem:4");
+    // ...and a tool's own default still applies when blank.
+    const auto defaulted = start({}, "mem:4");
     ASSERT_TRUE(defaulted.has_value());
-    ASSERT_NE(defaulted.value(), nullptr);
-    EXPECT_EQ(defaulted.value()->config().capacity, 4u);
+    ASSERT_NE(defaulted.value().plan_cache, nullptr);
+    EXPECT_EQ(defaulted.value().plan_cache->config().capacity, 4u);
   }
   {
     EnvGuard guard("CORUN_PLAN_CACHE", " mem:7 ");
-    const auto cache = configure_plan_cache(bare_flags());
-    ASSERT_TRUE(cache.has_value());
-    ASSERT_NE(cache.value(), nullptr);
-    EXPECT_EQ(cache.value()->config().capacity, 7u);
-    // An explicit env spec beats the caller default.
-    const auto still = configure_plan_cache(bare_flags(), "mem:4");
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    ASSERT_NE(tool.value().plan_cache, nullptr);
+    EXPECT_EQ(tool.value().plan_cache->config().capacity, 7u);
+    // An explicit env spec beats the tool's default.
+    const auto still = start({}, "mem:4");
     ASSERT_TRUE(still.has_value());
-    EXPECT_EQ(still.value()->config().capacity, 7u);
+    EXPECT_EQ(still.value().plan_cache->config().capacity, 7u);
   }
+}
+
+TEST(ToolEnv, EmptyOrBlankCorunFleetStrategyMeansUnset) {
+  for (const char* value : {"", " ", "\t\n"}) {
+    EnvGuard guard("CORUN_FLEET_STRATEGY", value);
+    const auto tool = start();
+    ASSERT_TRUE(tool.has_value());
+    EXPECT_EQ(flag_or_env(tool.value().flags, "strategy",
+                          "CORUN_FLEET_STRATEGY", "uniform"),
+              "uniform");
+  }
+  EnvGuard guard("CORUN_FLEET_STRATEGY", " demand ");
+  const auto tool = start();
+  ASSERT_TRUE(tool.has_value());
+  EXPECT_EQ(flag_or_env(tool.value().flags, "strategy",
+                        "CORUN_FLEET_STRATEGY", "uniform"),
+            "demand");
+  const auto flagged = start({"--strategy", "marginal"});
+  ASSERT_TRUE(flagged.has_value());
+  EXPECT_EQ(flag_or_env(flagged.value().flags, "strategy",
+                        "CORUN_FLEET_STRATEGY", "uniform"),
+            "marginal");
+}
+
+// --jobs is a count: a sign is a usage error naming the flag, and so is a
+// shared flag the tool does not take.
+TEST(ToolEnv, StartToolRejectsSignedJobsAndFlagsTheToolDoesNotTake) {
+  const auto signed_jobs = start({"--jobs", "-1"});
+  ASSERT_FALSE(signed_jobs.has_value());
+  EXPECT_NE(signed_jobs.error().message.find("--jobs"), std::string::npos);
+
+  const char* argv[] = {"test", "--backend", "tick"};
+  const auto untaken = start_tool(3, argv, {.synopsis = "test", .flags = {}});
+  ASSERT_FALSE(untaken.has_value());
+  EXPECT_NE(untaken.error().message.find("--backend"), std::string::npos);
 }
 
 }  // namespace

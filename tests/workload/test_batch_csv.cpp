@@ -60,6 +60,8 @@ TEST(BatchCsv, RejectsMalformedInputs) {
            "a,lud,1.0x,1",
            "a,lud,1.0,-1",       // unsigned seed
            "a,lud,1.0,1.5",
+           "a,lud,0,1",          // input scales are > 0
+           "a,lud,-0.5,1",
        }) {
     const auto batch =
         batch_from_csv(std::string("instance,program,input_scale,seed\n") +
@@ -89,11 +91,19 @@ TEST(BatchCsv, RoundTrip) {
   }
 }
 
-TEST(BatchCsv, DuplicateInstanceSurfacesAsContractViolation) {
-  EXPECT_THROW((void)batch_from_csv("instance,program,input_scale,seed\n"
-                                    "a,lud,1.0,1\n"
-                                    "a,srad,1.0,2\n"),
-               corun::ContractViolation);
+TEST(BatchCsv, DuplicateInstanceIsAParseErrorNamingItsRow) {
+  // A duplicate instance name is a parse error naming its row (the file's
+  // third line); an empty instance takes its program's name, so it can
+  // collide as well.
+  for (const char* rows : {"a,lud,1.0,1\na,srad,1.0,2\n",
+                           "lud,srad,1.0,1\n,lud,1.0,2\n"}) {
+    const auto batch = batch_from_csv(
+        std::string("instance,program,input_scale,seed\n") + rows);
+    ASSERT_FALSE(batch.has_value()) << rows;
+    EXPECT_EQ(batch.error().category, ErrorCategory::kParse) << rows;
+    EXPECT_NE(batch.error().message.find("row 3"), std::string::npos)
+        << batch.error().message;
+  }
 }
 
 }  // namespace

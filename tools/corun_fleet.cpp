@@ -11,7 +11,6 @@
 // --backend executes the machines, and the report stays byte-identical
 // across --backend analytic vs the default (the CI fleet smoke contract).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "corun/core/fleet/fleet.hpp"
@@ -19,67 +18,27 @@
 #include "tool_io.hpp"
 
 namespace {
-const char kUsage[] =
-    "corun-fleet --machines N [--global-cap W] [--strategy uniform|demand|"
-    "marginal] [--events fleet.csv|random:dropouts=1,caps=1,waves=1,"
-    "horizon=60,wave_jobs=4,seed=7] [--jobs-per-machine K] [--jobs-spread S] "
-    "[--floor W] [--ceiling W] [--quantum W] [--seed 42] "
-    "[--scheduler hcs+|hcs|thermal|default|random|bnb] [--allocations] "
-    "[--report-machines] [--jobs N] "
-    "[--backend tick|event|analytic|replay:PATH] [--thermal on|off] "
-    "[--trace trace.json] "
-    "[--plan-cache off|mem|mem:N|dir:PATH]\n"
-    "CORUN_FLEET_STRATEGY sets the default --strategy.";
-}  // namespace
 
-int main(int argc, char** argv) try {
+int run(const corun::tools::Tool& tool) {
   using namespace corun;
-  const auto flags = Flags::parse(
-      argc, argv,
-      {"machines", "global-cap", "strategy", "events", "jobs-per-machine",
-       "jobs-spread", "floor", "ceiling", "quantum", "seed", "scheduler",
-       "jobs", "backend", "thermal", "trace", "plan-cache"},
-      {"allocations", "report-machines"});
-  if (!flags.has_value()) {
-    return tools::usage_error(flags.error().message, kUsage);
-  }
-  const Flags& f = flags.value();
-  tools::configure_jobs(f);
-  const auto backend = tools::configure_backend(f);
-  if (!backend.has_value()) {
-    return tools::usage_error(backend.error().message, kUsage);
-  }
-  const auto thermal = tools::configure_thermal(f);
-  if (!thermal.has_value()) {
-    return tools::usage_error(thermal.error().message, kUsage);
-  }
-  const std::string trace_path = tools::configure_trace(f);
-  const auto plan_cache = tools::configure_plan_cache(f);
-  if (!plan_cache.has_value()) {
-    return tools::usage_error(plan_cache.error().message, kUsage);
-  }
-
+  const Flags& f = tool.flags;
   fleet::FleetOptions opts;
-  opts.machines = static_cast<std::size_t>(f.get_int("machines", 64));
+  opts.machines = f.number<std::size_t>("machines", 64);
   // Default budget: a mid-ladder 11 W per machine — enough to bind without
   // starving anyone, at any fleet size.
   opts.global_cap =
-      f.get_double("global-cap", 11.0 * static_cast<double>(opts.machines));
-  const char* env_strategy = std::getenv("CORUN_FLEET_STRATEGY");
-  opts.strategy = f.get(
-      "strategy",
-      env_strategy != nullptr && env_strategy[0] != '\0' ? env_strategy
-                                                         : "uniform");
-  opts.limits.floor = f.get_double("floor", opts.limits.floor);
-  opts.limits.ceiling = f.get_double("ceiling", opts.limits.ceiling);
-  opts.limits.quantum = f.get_double("quantum", opts.limits.quantum);
-  opts.seed = static_cast<std::uint64_t>(f.get_int("seed", 42));
-  opts.jobs_per_machine =
-      static_cast<std::size_t>(f.get_int("jobs-per-machine", 3));
-  opts.jobs_spread = static_cast<std::size_t>(f.get_int("jobs-spread", 0));
-  opts.backend = backend.value();
-  opts.scheduler = f.get("scheduler", "hcs+");
-  opts.plan_cache = plan_cache.value();
+      f.number<double>("global-cap", 11.0 * static_cast<double>(opts.machines));
+  opts.strategy =
+      tools::flag_or_env(f, "strategy", "CORUN_FLEET_STRATEGY", "uniform");
+  opts.limits.floor = f.number<double>("floor", opts.limits.floor);
+  opts.limits.ceiling = f.number<double>("ceiling", opts.limits.ceiling);
+  opts.limits.quantum = f.positive<double>("quantum", opts.limits.quantum);
+  opts.seed = f.number<std::uint64_t>("seed", 42);
+  opts.jobs_per_machine = f.number<std::size_t>("jobs-per-machine", 3);
+  opts.jobs_spread = f.number<std::size_t>("jobs-spread", 0);
+  opts.backend = tool.backend;
+  opts.scheduler = tools::read_scheduler(f);
+  opts.plan_cache = tool.plan_cache;
 
   Expected<fleet::FleetPlan> plan = [&]() -> Expected<fleet::FleetPlan> {
     const std::string events = f.get("events", "");
@@ -91,16 +50,14 @@ int main(int argc, char** argv) try {
     if (!text.has_value()) return text.error();
     return fleet::fleet_plan_from_csv(text.value());
   }();
-  if (!plan.has_value()) {
-    return tools::usage_error(plan.error().message, kUsage);
-  }
+  if (!plan.has_value()) return tool.usage_error(plan.error().message);
 
   // Shared artifacts: one anchor instance per pool program, profiled at
   // sparse levels on the *pinned* analytic backend (see file comment).
   const auto reference =
       fleet::make_fleet_reference_batch(fleet::default_fleet_programs());
   if (!reference.has_value()) {
-    return tools::usage_error(reference.error().message, kUsage);
+    return tool.usage_error(reference.error().message);
   }
   const sim::MachineConfig config = sim::ivy_bridge();
   runtime::ArtifactOptions art;
@@ -115,9 +72,7 @@ int main(int argc, char** argv) try {
 
   const fleet::Fleet fleet_runner(config, opts);
   const auto report = fleet_runner.execute(plan.value(), artifacts);
-  if (!report.has_value()) {
-    return tools::usage_error(report.error().message, kUsage);
-  }
+  if (!report.has_value()) return tool.usage_error(report.error().message);
   const fleet::FleetReport& r = report.value();
 
   std::printf("strategy: %s (events: %zu planned)\n", opts.strategy.c_str(),
@@ -154,9 +109,27 @@ int main(int argc, char** argv) try {
     }
   }
 
-  tools::report_plan_cache(opts.plan_cache.get());
-  if (!tools::finish_trace(trace_path)) return 1;
   return 0;
-} catch (const corun::FlagError& e) {
-  return corun::tools::usage_error(e.what(), kUsage);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace corun::tools;
+  return run_tool(
+      argc, argv,
+      {.synopsis =
+           "corun-fleet --machines N [--global-cap W] "
+           "[--strategy uniform|demand|marginal] "
+           "[--events fleet.csv|random:dropouts=1,caps=1,waves=1,horizon=60,"
+           "wave_jobs=4,seed=7] [--jobs-per-machine K] [--jobs-spread S] "
+           "[--floor W] [--ceiling W] [--quantum W] [--seed 42] "
+           "[--scheduler hcs+|hcs|thermal|default|random|bnb|exhaustive] "
+           "[--allocations] [--report-machines]",
+       .flags = {"machines", "global-cap", "strategy", "events",
+                 "jobs-per-machine", "jobs-spread", "floor", "ceiling",
+                 "quantum", "seed", "scheduler"},
+       .booleans = {"allocations", "report-machines"},
+       .shared = kJobs | kBackend | kThermal | kTrace | kPlanCache},
+      run);
 }

@@ -29,15 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "corun/common/flags.hpp"
 #include "corun/core/serve/protocol.hpp"
 #include "tool_io.hpp"
 
 namespace {
-
-const char kUsage[] =
-    "corun-replay --requests trace.csv --socket PATH [--window 64] "
-    "[--output out.txt] [--repeat 1]";
 
 int connect_unix(const std::string& path) {
   struct sockaddr_un addr;
@@ -102,38 +97,27 @@ std::optional<std::vector<corun::serve::PlanResponse>> replay_once(
   return responses;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(const corun::tools::Tool& tool) {
   using namespace corun;
-  const auto flags = Flags::parse(
-      argc, argv, {"requests", "socket", "window", "output", "repeat"}, {});
-  if (!flags.has_value()) {
-    return tools::usage_error(flags.error().message, kUsage);
-  }
-  const Flags& f = flags.value();
+  const Flags& f = tool.flags;
   for (const char* required : {"requests", "socket"}) {
     if (!f.has(required)) {
-      return tools::usage_error(std::string("--") + required + " is required",
-                                kUsage);
+      return tool.usage_error(std::string("--") + required + " is required");
     }
   }
   const auto requests = serve::load_request_trace(f.get("requests", ""));
   if (!requests.has_value()) {
-    return tools::usage_error(requests.error().message, kUsage);
+    return tool.usage_error(requests.error().message);
   }
-  const std::int64_t window = f.get_int("window", 64);
-  if (window <= 0) return tools::usage_error("--window must be > 0", kUsage);
-  const std::int64_t repeat = f.get_int("repeat", 1);
-  if (repeat <= 0) return tools::usage_error("--repeat must be > 0", kUsage);
+  const auto window = f.positive<std::size_t>("window", 64);
+  const auto repeat = f.positive<std::size_t>("repeat", 1);
 
   const int fd = connect_unix(f.get("socket", ""));
   if (fd < 0) return 1;
 
   std::vector<serve::PlanResponse> last;
-  for (std::int64_t i = 0; i < repeat; ++i) {
-    auto responses = replay_once(fd, requests.value(),
-                                 static_cast<std::size_t>(window));
+  for (std::size_t i = 0; i < repeat; ++i) {
+    auto responses = replay_once(fd, requests.value(), window);
     if (!responses.has_value()) {
       ::close(fd);
       return 1;
@@ -171,8 +155,6 @@ int main(int argc, char** argv) try {
   if (out_path.empty()) {
     std::fputs(out_text.c_str(), stdout);
   } else if (!tools::write_file(out_path, out_text)) {
-    std::fprintf(stderr, "corun-replay: cannot write '%s'\n",
-                 out_path.c_str());
     return 1;
   }
   std::fprintf(stderr, "corun-replay: %llu ok, %llu busy, %llu error\n",
@@ -180,6 +162,15 @@ int main(int argc, char** argv) try {
                static_cast<unsigned long long>(busy),
                static_cast<unsigned long long>(errors));
   return (busy + errors) > 0 ? 3 : 0;
-} catch (const corun::FlagError& e) {
-  return corun::tools::usage_error(e.what(), kUsage);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return corun::tools::run_tool(
+      argc, argv,
+      {.synopsis = "corun-replay --requests trace.csv --socket PATH "
+                   "[--window 64] [--output out.txt] [--repeat 1]",
+       .flags = {"requests", "socket", "window", "output", "repeat"}},
+      run);
 }

@@ -7,39 +7,26 @@
 //             [--policy gpu|cpu] [--seed 42] [--power-trace power.csv]
 #include <cstddef>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "corun/common/csv.hpp"
-#include "corun/common/flags.hpp"
 #include "corun/core/runtime/dynamic.hpp"
 #include "corun/core/runtime/runtime.hpp"
 #include "corun/core/runtime/timeline.hpp"
-#include "corun/core/sched/plan_cache/caching_scheduler.hpp"
-#include "corun/core/sched/registry.hpp"
-#include "corun/core/sched/scheduler.hpp"
+#include "corun/core/serve/plan_service.hpp"
 #include "corun/sim/fault_injector.hpp"
 #include "tool_io.hpp"
 
 namespace {
-const char kUsage[] =
-    "corun-run --batch batch.csv --profiles profiles.csv --grid grid.csv "
-    "[--cap 15] [--scheduler hcs+|hcs|thermal|default|random|bnb|exhaustive] "
-    "[--plan plan.csv] [--policy gpu|cpu] [--seed 42] "
-    "[--events faults.csv|random:arrivals=2,caps=1,...] [--reschedule on|off] "
-    "[--power-trace power.csv] [--gantt] [--jobs N] "
-    "[--backend tick|event|analytic|replay:PATH] [--thermal on|off] "
-    "[--record-trace demand.csv] "
-    "[--trace trace.json] [--plan-cache off|mem|mem:N|dir:PATH]";
 
 /// Writes the --power-trace CSV shared by the static and dynamic paths.
 /// With thermal simulation on, per-domain temperature and throttle-limit
 /// columns are appended (the engine records both traces at the same sample
 /// cadence, so they zip by index); with it off the bytes are identical to
 /// what the tool emitted before the thermal model existed.
-int write_power_trace(const corun::Flags& f, bool thermal,
+int write_power_trace(const std::string& path, bool thermal,
                       const std::vector<corun::sim::PowerSample>& power,
                       const std::vector<corun::sim::ThermalSample>& temps) {
   using namespace corun;
@@ -70,13 +57,9 @@ int write_power_trace(const corun::Flags& f, bool thermal,
     }
     writer.write_row(row);
   }
-  if (!tools::write_file(f.get("power-trace", ""), oss.str())) {
-    std::fprintf(stderr, "error: cannot write '%s'\n",
-                 f.get("power-trace", "").c_str());
-    return 1;
-  }
-  std::printf("wrote power trace to %s (%zu samples)\n",
-              f.get("power-trace", "").c_str(), power.size());
+  if (!tools::write_file(path, oss.str())) return 1;
+  std::printf("wrote power trace to %s (%zu samples)\n", path.c_str(),
+              power.size());
   return 0;
 }
 
@@ -94,16 +77,11 @@ void print_thermal_summary(bool thermal, const corun::sim::ThermalStats& st) {
 
 /// Dynamic-mode execution: drives the batch through the fault stream with
 /// the online rescheduler instead of the one-shot static runtime.
-int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
-                     const corun::profile::ProfileDB& db,
-                     const corun::model::DegradationGrid& grid,
-                     const corun::sim::MachineConfig& config,
-                     const corun::sim::GovernorPolicy policy,
-                     const std::string& scheduler, std::uint64_t seed,
-                     const std::string& trace_path,
-                     const corun::sim::BackendSpec& backend, bool thermal,
-                     std::shared_ptr<corun::sched::PlanCache> plan_cache) {
+int run_dynamic(const corun::tools::Tool& tool,
+                const corun::tools::Artifacts& artifacts,
+                const corun::serve::PlanRequest& request) {
   using namespace corun;
+  const Flags& f = tool.flags;
   const std::string events = f.get("events", "");
   Expected<sim::FaultPlan> plan = [&]() -> Expected<sim::FaultPlan> {
     if (events.rfind("random:", 0) == 0) {
@@ -113,36 +91,35 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
     if (!text.has_value()) return text.error();
     return sim::fault_plan_from_csv(text.value());
   }();
-  if (!plan.has_value()) {
-    return tools::usage_error(plan.error().message, kUsage);
-  }
+  if (!plan.has_value()) return tool.usage_error(plan.error().message);
   const std::string resched = f.get("reschedule", "on");
   if (resched != "on" && resched != "off") {
-    return tools::usage_error("--reschedule must be on|off", kUsage);
+    return tool.usage_error("--reschedule must be on|off");
   }
 
   runtime::DynamicOptions opts;
-  if (f.has("cap")) opts.cap = f.get_double("cap", 15.0);
-  opts.policy = policy;
-  opts.seed = seed;
-  opts.scheduler = scheduler;
+  opts.cap = request.cap;
+  opts.policy = sim::parse_policy(request.policy).value();
+  opts.seed = request.seed;
+  opts.scheduler = request.scheduler;
   opts.reschedule = resched == "on";
-  opts.plan_cache = plan_cache;
-  opts.backend = backend;
-  opts.thermal = thermal;
+  opts.plan_cache = tool.plan_cache;
+  opts.backend = tool.backend;
+  opts.thermal = tool.thermal;
   opts.record_trace_path = f.get("record-trace", "");
-  const runtime::DynamicRuntime runner(config, opts);
-  const runtime::DynamicReport report = runner.execute(batch, db, grid, plan.value());
+  const runtime::DynamicRuntime runner(sim::ivy_bridge(), opts);
+  const runtime::DynamicReport report = runner.execute(
+      artifacts.batch, artifacts.db, artifacts.grid, plan.value());
   if (!opts.record_trace_path.empty()) {
     std::fprintf(stderr, "demand trace: recorded to %s\n",
                  opts.record_trace_path.c_str());
   }
 
-  std::printf("scheduler: %s (dynamic, reschedule %s)\n", scheduler.c_str(),
-              resched.c_str());
+  std::printf("scheduler: %s (dynamic, reschedule %s)\n",
+              request.scheduler.c_str(), resched.c_str());
   std::printf("events:    %zu planned\n", plan.value().size());
   std::printf("result:    %s", report.summary().c_str());
-  print_thermal_summary(thermal, report.report.thermal);
+  print_thermal_summary(tool.thermal, report.report.thermal);
   for (const runtime::AppliedFault& a : report.log) {
     std::printf("  [%8.2fs] %-8s %s\n", a.applied_at,
                 sim::fault_kind_name(a.event.kind), a.detail.c_str());
@@ -154,142 +131,80 @@ int run_dynamic_mode(const corun::Flags& f, const corun::workload::Batch& batch,
                 sim::device_name(j.device), j.start, j.finish, j.runtime());
   }
   if (f.has("power-trace")) {
-    const int rc = write_power_trace(f, thermal, report.report.power_trace,
-                                     report.report.thermal_trace);
-    if (rc != 0) return rc;
+    return write_power_trace(f.get("power-trace", ""), tool.thermal,
+                             report.report.power_trace,
+                             report.report.thermal_trace);
   }
-  tools::report_plan_cache(plan_cache.get());
-  if (!tools::finish_trace(trace_path)) return 1;
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(const corun::tools::Tool& tool) {
   using namespace corun;
-  const auto flags = Flags::parse(argc, argv,
-                                  {"batch", "profiles", "grid", "cap",
-                                   "scheduler", "policy", "seed",
-                                   "power-trace", "plan", "jobs", "backend",
-                                   "thermal", "record-trace", "trace",
-                                   "events", "reschedule", "plan-cache"},
-                                  {"gantt"});
-  if (!flags.has_value()) {
-    return tools::usage_error(flags.error().message, kUsage);
-  }
-  const Flags& f = flags.value();
-  tools::configure_jobs(f);
-  const auto backend = tools::configure_backend(f);
-  if (!backend.has_value()) {
-    return tools::usage_error(backend.error().message, kUsage);
-  }
-  if (f.has("record-trace") &&
-      backend.value().kind == sim::BackendKind::kReplay) {
+  const Flags& f = tool.flags;
+  if (f.has("record-trace") && tool.backend.kind == sim::BackendKind::kReplay) {
     // The recorder would capture the replayed trace, not a new run.
-    return tools::usage_error(
-        "--record-trace cannot be combined with a replay backend", kUsage);
+    return tool.usage_error(
+        "--record-trace cannot be combined with a replay backend");
   }
-  const auto thermal = tools::configure_thermal(f);
-  if (!thermal.has_value()) {
-    return tools::usage_error(thermal.error().message, kUsage);
+  const serve::PlanRequest request = tools::read_plan_request(f);
+  const auto artifacts = tools::load_artifacts(f);
+  if (!artifacts.has_value()) {
+    return tool.usage_error(artifacts.error().message);
   }
-  const std::string trace_path = tools::configure_trace(f);
-  const auto plan_cache = tools::configure_plan_cache(f);
-  if (!plan_cache.has_value()) {
-    return tools::usage_error(plan_cache.error().message, kUsage);
-  }
-  for (const char* required : {"batch", "profiles", "grid"}) {
-    if (!f.has(required)) {
-      return tools::usage_error(std::string("--") + required + " is required",
-                                kUsage);
-    }
-  }
-
-  const auto batch_text = tools::read_file(f.get("batch", ""));
-  const auto profile_text = tools::read_file(f.get("profiles", ""));
-  const auto grid_text = tools::read_file(f.get("grid", ""));
-  for (const auto* t : {&batch_text, &profile_text, &grid_text}) {
-    if (!t->has_value()) return tools::usage_error(t->error().message, kUsage);
-  }
-  const auto batch = workload::batch_from_csv(batch_text.value());
-  if (!batch.has_value()) return tools::usage_error(batch.error().message, kUsage);
-  const auto db = profile::ProfileDB::read_csv(profile_text.value());
-  if (!db.has_value()) return tools::usage_error(db.error().message, kUsage);
-  const auto grid = model::DegradationGrid::read_csv(grid_text.value());
-  if (!grid.has_value()) return tools::usage_error(grid.error().message, kUsage);
-
-  const sim::MachineConfig config = sim::ivy_bridge();
-  const model::CoRunPredictor predictor(db.value(), grid.value(), config);
-
-  sched::SchedulerContext ctx;
-  ctx.batch = &batch.value();
-  ctx.predictor = &predictor;
-  if (f.has("cap")) ctx.cap = f.get_double("cap", 15.0);
-  const sim::GovernorPolicy policy = f.get("policy", "gpu") == "cpu"
-                                         ? sim::GovernorPolicy::kCpuBiased
-                                         : sim::GovernorPolicy::kGpuBiased;
-  ctx.policy = policy;
-
-  const std::string which = f.get("scheduler", "hcs+");
-  const auto seed = static_cast<std::uint64_t>(f.get_int("seed", 42));
+  const workload::Batch& batch = artifacts.value().batch;
 
   if (f.has("events")) {
     if (f.has("plan")) {
-      return tools::usage_error("--events and --plan are mutually exclusive "
-                                "(dynamic mode replans online)",
-                                kUsage);
+      return tool.usage_error("--events and --plan are mutually exclusive "
+                              "(dynamic mode replans online)");
     }
-    if (sched::make_scheduler(which, seed) == nullptr) {
-      return tools::usage_error("unknown scheduler '" + which + "'", kUsage);
-    }
-    return run_dynamic_mode(f, batch.value(), db.value(), grid.value(),
-                            config, policy, which, seed, trace_path,
-                            backend.value(), thermal.value(),
-                            plan_cache.value());
+    return run_dynamic(tool, artifacts.value(), request);
   }
 
+  const sim::MachineConfig config = sim::ivy_bridge();
+  const model::CoRunPredictor predictor(artifacts.value().db,
+                                        artifacts.value().grid, config);
+  std::vector<std::string> job_names;
+  for (const workload::BatchJob& job : batch.jobs()) {
+    job_names.push_back(job.instance_name);
+  }
   sched::Schedule schedule;
   std::string plan_source;
   if (f.has("plan")) {
     const auto plan_text = tools::read_file(f.get("plan", ""));
     if (!plan_text.has_value()) {
-      return tools::usage_error(plan_text.error().message, kUsage);
+      return tool.usage_error(plan_text.error().message);
     }
-    auto loaded = sched::schedule_from_csv(plan_text.value(), ctx.job_names());
-    if (!loaded.has_value()) {
-      return tools::usage_error(loaded.error().message, kUsage);
-    }
+    auto loaded = sched::schedule_from_csv(plan_text.value(), job_names);
+    if (!loaded.has_value()) return tool.usage_error(loaded.error().message);
     schedule = std::move(loaded).value();
     plan_source = "plan file " + f.get("plan", "");
   } else {
-    auto scheduler = sched::make_cached_scheduler(which, seed,
-                                                  plan_cache.value());
-    if (scheduler == nullptr) {
-      return tools::usage_error("unknown scheduler '" + which + "'", kUsage);
-    }
-    schedule = scheduler->plan(ctx);
-    plan_source = scheduler->name();
+    const serve::PlanService service(batch, predictor, tool.plan_cache);
+    auto planned = service.plan(request);
+    if (!planned.has_value()) return tools::run_error(planned.error().message);
+    schedule = std::move(planned.value().schedule);
+    plan_source = planned.value().scheduler_name;
   }
   runtime::RuntimeOptions rt;
-  rt.cap = ctx.cap;
-  rt.policy = policy;
-  rt.seed = seed;
+  rt.cap = request.cap;
+  rt.policy = sim::parse_policy(request.policy).value();
+  rt.seed = request.seed;
   rt.predictor = &predictor;
-  rt.backend = backend.value();
-  rt.thermal = thermal.value();
+  rt.backend = tool.backend;
+  rt.thermal = tool.thermal;
   rt.record_trace_path = f.get("record-trace", "");
   const runtime::CoRunRuntime runner(config, rt);
-  const runtime::ExecutionReport report =
-      runner.execute(batch.value(), schedule);
+  const runtime::ExecutionReport report = runner.execute(batch, schedule);
   if (!rt.record_trace_path.empty()) {
     std::fprintf(stderr, "demand trace: recorded to %s\n",
                  rt.record_trace_path.c_str());
   }
 
   std::printf("scheduler: %s\n", plan_source.c_str());
-  std::printf("plan:      %s\n", schedule.to_string(ctx.job_names()).c_str());
+  std::printf("plan:      %s\n", schedule.to_string(job_names).c_str());
   std::printf("result:    %s\n", report.summary().c_str());
-  print_thermal_summary(thermal.value(), report.thermal);
+  print_thermal_summary(tool.thermal, report.thermal);
   std::printf("%-18s %-4s %10s %10s %10s\n", "job", "dev", "start", "finish",
               "runtime");
   for (const runtime::JobOutcome& j : report.jobs) {
@@ -306,13 +221,30 @@ int main(int argc, char** argv) try {
   }
 
   if (f.has("power-trace")) {
-    const int rc = write_power_trace(f, thermal.value(), report.power_trace,
-                                     report.thermal_trace);
-    if (rc != 0) return rc;
+    return write_power_trace(f.get("power-trace", ""), tool.thermal,
+                             report.power_trace, report.thermal_trace);
   }
-  tools::report_plan_cache(plan_cache.value().get());
-  if (!tools::finish_trace(trace_path)) return 1;
   return 0;
-} catch (const corun::FlagError& e) {
-  return corun::tools::usage_error(e.what(), kUsage);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace corun::tools;
+  return run_tool(
+      argc, argv,
+      {.synopsis =
+           "corun-run --batch batch.csv --profiles profiles.csv --grid "
+           "grid.csv [--cap 15] "
+           "[--scheduler hcs+|hcs|thermal|default|random|bnb|exhaustive] "
+           "[--plan plan.csv] [--policy gpu|cpu] [--seed 42] "
+           "[--events faults.csv|random:arrivals=2,caps=1,...] "
+           "[--reschedule on|off] [--power-trace power.csv] [--gantt] "
+           "[--record-trace demand.csv]",
+       .flags = {"batch", "profiles", "grid", "cap", "scheduler", "policy",
+                 "seed", "power-trace", "plan", "record-trace", "events",
+                 "reschedule"},
+       .booleans = {"gantt"},
+       .shared = kJobs | kBackend | kThermal | kTrace | kPlanCache},
+      run);
 }

@@ -1,14 +1,13 @@
 // corun-served: the long-running scheduling daemon.
 //
-// Loads the offline artifacts (batch, profiles, degradation grid) and the
-// machine backend ONCE, then serves length-prefixed planning requests (see
+// Loads the offline artifacts (batch, profiles, degradation grid) ONCE,
+// then serves length-prefixed planning requests (see
 // corun/core/serve/protocol.hpp) until end-of-stream or SIGTERM/SIGINT:
 //
 //   corun-served --batch batch.csv --profiles profiles.csv --grid grid.csv
 //                [--socket /tmp/corun.sock]        # default: stdin/stdout
 //                [--queue-capacity 256] [--deadline-ms 0]
-//                [--jobs N] [--backend tick|event|analytic|replay:PATH]
-//                [--trace t.json]
+//                [--jobs N] [--trace t.json]
 //                [--plan-cache off|mem|mem:N|dir:PATH]   # default: mem
 //
 // Natural batching: every frame already readable on the transport is
@@ -38,20 +37,12 @@
 #include <string>
 #include <vector>
 
-#include "corun/common/flags.hpp"
 #include "corun/core/serve/plan_service.hpp"
 #include "corun/core/serve/protocol.hpp"
 #include "corun/core/serve/server.hpp"
 #include "tool_io.hpp"
 
 namespace {
-
-const char kUsage[] =
-    "corun-served --batch batch.csv --profiles profiles.csv --grid grid.csv "
-    "[--socket PATH] [--queue-capacity 256] [--deadline-ms 0] [--jobs N] "
-    "[--backend tick|event|analytic|replay:PATH] "
-    "[--thermal on|off] [--trace trace.json] "
-    "[--plan-cache off|mem|mem:N|dir:PATH]";
 
 volatile sig_atomic_t g_stop = 0;
 
@@ -172,71 +163,23 @@ int listen_unix(const std::string& path) {
   return fd;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) try {
+int run(const corun::tools::Tool& tool) {
   using namespace corun;
-  const auto flags = Flags::parse(
-      argc, argv,
-      {"batch", "profiles", "grid", "socket", "queue-capacity", "deadline-ms",
-       "jobs", "backend", "thermal", "trace", "plan-cache"},
-      {});
-  if (!flags.has_value()) {
-    return tools::usage_error(flags.error().message, kUsage);
-  }
-  const Flags& f = flags.value();
-  for (const char* required : {"batch", "profiles", "grid"}) {
-    if (!f.has(required)) {
-      return tools::usage_error(std::string("--") + required + " is required",
-                                kUsage);
-    }
-  }
-
-  // Startup cost paid once: artifacts, predictor, backend, plan cache.
-  const auto batch_text = tools::read_file(f.get("batch", ""));
-  const auto profile_text = tools::read_file(f.get("profiles", ""));
-  const auto grid_text = tools::read_file(f.get("grid", ""));
-  for (const auto* t : {&batch_text, &profile_text, &grid_text}) {
-    if (!t->has_value()) return tools::usage_error(t->error().message, kUsage);
-  }
-  const auto batch = workload::batch_from_csv(batch_text.value());
-  if (!batch.has_value())
-    return tools::usage_error(batch.error().message, kUsage);
-  const auto db = profile::ProfileDB::read_csv(profile_text.value());
-  if (!db.has_value()) return tools::usage_error(db.error().message, kUsage);
-  const auto grid = model::DegradationGrid::read_csv(grid_text.value());
-  if (!grid.has_value()) return tools::usage_error(grid.error().message, kUsage);
-
-  const sim::MachineConfig config = sim::ivy_bridge();
-  const model::CoRunPredictor predictor(db.value(), grid.value(), config);
-  (void)tools::configure_jobs(f);
-  const auto backend = tools::configure_backend(f);
-  if (!backend.has_value()) {
-    return tools::usage_error(backend.error().message, kUsage);
-  }
-  const auto thermal = tools::configure_thermal(f);
-  if (!thermal.has_value()) {
-    return tools::usage_error(thermal.error().message, kUsage);
-  }
-  const std::string trace_path = tools::configure_trace(f);
-  const auto plan_cache = tools::configure_plan_cache(f, "mem");
-  if (!plan_cache.has_value()) {
-    return tools::usage_error(plan_cache.error().message, kUsage);
-  }
-
+  const Flags& f = tool.flags;
   serve::ServeOptions options;
-  const std::int64_t queue_capacity = f.get_int("queue-capacity", 256);
-  if (queue_capacity <= 0) {
-    return tools::usage_error("--queue-capacity must be > 0", kUsage);
-  }
-  options.queue_capacity = static_cast<std::size_t>(queue_capacity);
-  const std::int64_t deadline_ms = f.get_int("deadline-ms", 0);
-  if (deadline_ms < 0) {
-    return tools::usage_error("--deadline-ms must be >= 0", kUsage);
-  }
-  options.deadline_seconds = static_cast<double>(deadline_ms) / 1000.0;
+  options.queue_capacity = f.positive<std::size_t>("queue-capacity", 256);
+  options.deadline_seconds =
+      static_cast<double>(f.number<std::uint64_t>("deadline-ms", 0)) / 1000.0;
 
-  serve::PlanService service(batch.value(), predictor, plan_cache.value());
+  // Startup cost paid once: artifacts, predictor, plan cache.
+  const auto artifacts = tools::load_artifacts(f);
+  if (!artifacts.has_value()) {
+    return tool.usage_error(artifacts.error().message);
+  }
+  const model::CoRunPredictor predictor(
+      artifacts.value().db, artifacts.value().grid, sim::ivy_bridge());
+  serve::PlanService service(artifacts.value().batch, predictor,
+                             tool.plan_cache);
   serve::ServeSession session(service, options);
   install_signal_handlers();
 
@@ -271,9 +214,21 @@ int main(int argc, char** argv) try {
                static_cast<unsigned long long>(stats.ok),
                static_cast<unsigned long long>(stats.busy),
                static_cast<unsigned long long>(stats.errors));
-  tools::report_plan_cache(plan_cache.value().get());
-  if (!tools::finish_trace(trace_path)) return 1;
   return 0;
-} catch (const corun::FlagError& e) {
-  return corun::tools::usage_error(e.what(), kUsage);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace corun::tools;
+  return run_tool(
+      argc, argv,
+      {.synopsis = "corun-served --batch batch.csv --profiles profiles.csv "
+                   "--grid grid.csv [--socket PATH] [--queue-capacity 256] "
+                   "[--deadline-ms 0]",
+       .flags = {"batch", "profiles", "grid", "socket", "queue-capacity",
+                 "deadline-ms"},
+       .shared = kJobs | kTrace | kPlanCache,
+       .plan_cache_default = "mem"},
+      run);
 }

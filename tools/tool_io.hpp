@@ -1,77 +1,129 @@
-// Shared file IO, usage, and parallelism plumbing for the corun
-// command-line tools.
+// The one front end of the corun command-line tools. Each tool declares
+// once its own flags and the shared ones it takes (a ToolSpec); run_tool
+// parses argv, resolves the shared flags, runs the tool's body and closes
+// it (plan-cache report, trace file). The planning tools read their
+// artifacts through load_artifacts and their request through
+// read_plan_request, and plan through serve::PlanService.
 #pragma once
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "corun/common/expected.hpp"
 #include "corun/common/flags.hpp"
+#include "corun/core/model/degradation_space.hpp"
 #include "corun/core/sched/plan_cache/plan_cache.hpp"
+#include "corun/core/serve/protocol.hpp"
+#include "corun/profile/profile_db.hpp"
 #include "corun/sim/backend.hpp"
+#include "corun/workload/batch.hpp"
 
 namespace corun::tools {
+
+/// The flags several tools share. Each resolves from the flag, else from
+/// its environment variable (read trimmed; blank means unset), else from
+/// its default.
+enum SharedFlag : unsigned {
+  /// `--jobs N`: worker threads of every sweep (default 0, one per
+  /// hardware thread). Every sweep is deterministic by construction, so N
+  /// only changes wall-clock time. No environment variable.
+  kJobs = 1u << 0,
+  /// `--backend tick|event|analytic|replay:PATH` (CORUN_BACKEND; default
+  /// event), installed process-wide with sim::set_default_backend, which
+  /// also sets the default stepping core. A replay trace is read here, so
+  /// a missing or malformed file is a usage error.
+  kBackend = 1u << 1,
+  /// `--thermal on|off` (CORUN_THERMAL; default off), installed
+  /// process-wide with sim::set_default_thermal.
+  kThermal = 1u << 2,
+  /// `--trace trace.json` (CORUN_TRACE): arms a fresh trace session.
+  kTrace = 1u << 3,
+  /// `--plan-cache off|mem|mem:N|dir:PATH` (CORUN_PLAN_CACHE; default
+  /// ToolSpec::plan_cache_default). The cache never changes a plan, only
+  /// its cost.
+  kPlanCache = 1u << 4,
+};
+
+/// What a tool declares about its command line.
+struct ToolSpec {
+  std::string synopsis;                 ///< its own usage, shared flags left out
+  std::set<std::string> flags;          ///< its own flags that take a value
+  std::set<std::string> booleans = {};  ///< its own flags that take none
+  unsigned shared = 0;                  ///< the SharedFlag bits it takes
+  std::string plan_cache_default = "";  ///< off; the daemon's is "mem"
+};
+
+/// A started tool: its flags and its resolved shared settings.
+struct Tool {
+  Flags flags;
+  std::string usage;  ///< the synopsis followed by the shared flags
+  std::size_t jobs = 0;
+  sim::BackendSpec backend;
+  bool thermal = false;
+  std::string trace_path;                       ///< "" = tracing off
+  std::shared_ptr<sched::PlanCache> plan_cache;  ///< null = caching off
+
+  /// Prints `message` and the usage to stderr; returns 2.
+  int usage_error(const std::string& message) const;
+};
+
+/// Parses argv against the spec and resolves each shared flag it takes:
+/// applies --jobs, --backend and --thermal process-wide and arms --trace.
+/// Fails with the usage error's message.
+[[nodiscard]] Expected<Tool> start_tool(int argc, const char* const* argv,
+                                        const ToolSpec& spec);
+
+/// The closing call: prints the plan cache's activity counters to stderr
+/// (stdout stays byte-identical to an uncached run) and writes the trace
+/// with its metrics summary. Returns 0, or 1 when the trace file cannot be
+/// written.
+int finish_tool(const Tool& tool);
+
+/// A tool's whole main: start_tool, then `body`, then finish_tool when the
+/// body returned 0. A FlagError thrown by the body (a flag value that is
+/// malformed or out of range) is a usage error.
+int run_tool(int argc, const char* const* argv, const ToolSpec& spec,
+             int (*body)(const Tool&));
+
+/// The flag's value, else environment variable `env` trimmed (an unset,
+/// empty or blank variable means unset), else `fallback`.
+[[nodiscard]] std::string flag_or_env(const Flags& flags,
+                                      const std::string& name, const char* env,
+                                      const std::string& fallback);
+
+/// The planning inputs named by --batch, --profiles and --grid.
+struct Artifacts {
+  workload::Batch batch;
+  profile::ProfileDB db;
+  model::DegradationGrid grid;
+};
+
+/// Checks that --batch, --profiles and --grid are given, then reads and
+/// parses them; fails with the first missing flag, unreadable file or
+/// malformed table.
+[[nodiscard]] Expected<Artifacts> load_artifacts(const Flags& flags);
+
+/// --scheduler (default hcs+), checked against the scheduler registry.
+/// Throws FlagError on an unknown name.
+[[nodiscard]] std::string read_scheduler(const Flags& flags);
+
+/// The planning flags as a request over the whole batch: --cap (> 0;
+/// absent = uncapped), --scheduler, --policy gpu|cpu (sim::parse_policy,
+/// the reader PlanService checks requests with) and --seed (unsigned).
+/// Throws FlagError on a value out of range.
+[[nodiscard]] serve::PlanRequest read_plan_request(const Flags& flags);
+
+/// Prints one `error:` line for a well-formed request the tool could not
+/// carry out (a plan the planners refuse, an output it cannot write);
+/// returns 1.
+int run_error(const std::string& message);
 
 /// Reads a whole file; fails with a readable message on IO errors.
 [[nodiscard]] Expected<std::string> read_file(const std::string& path);
 
-/// Writes text to a file (truncating); returns false on IO failure.
+/// Writes text to a file (truncating); on failure prints one `error:` line
+/// and returns false.
 bool write_file(const std::string& path, const std::string& text);
-
-/// Prints `message` and the usage string to stderr; returns 2 (usage error).
-int usage_error(const std::string& message, const std::string& usage);
-
-/// Applies the shared `--jobs N` flag (default 0 = one worker per hardware
-/// thread) to the library's task pool and returns the resolved worker
-/// count. Every sweep is deterministic by construction, so any N produces
-/// byte-identical artifacts; N only changes wall-clock time.
-std::size_t configure_jobs(const Flags& flags);
-
-/// Applies the shared `--backend tick|event|analytic|replay:PATH` flag
-/// (falling back to the CORUN_BACKEND environment variable; default event)
-/// and installs the spec process-wide via sim::set_default_backend, which
-/// also sets the default stepping core. tick and event are bit-identical —
-/// tick is the slow reference oracle — so, like --jobs, choosing between
-/// them only changes wall-clock time. For replay specs the trace file is
-/// pre-validated here, so a missing or malformed CSV is a usage error
-/// rather than a mid-run contract violation.
-[[nodiscard]] Expected<sim::BackendSpec> configure_backend(const Flags& flags);
-
-/// Applies the shared `--thermal on|off` flag (falling back to the
-/// CORUN_THERMAL environment variable; default off) process-wide via
-/// sim::set_default_thermal. Thermal simulation is strictly additive: with
-/// it off every tool's output is byte-identical to a build without the
-/// thermal model at all. Returns the resolved enable state, or a parse
-/// error for anything other than on/1/off/0.
-[[nodiscard]] Expected<bool> configure_thermal(const Flags& flags);
-
-/// Applies the shared `--trace <file.json>` flag (falling back to the
-/// CORUN_TRACE environment variable, mirroring --backend/CORUN_BACKEND): when
-/// a path is given, starts a fresh trace session and arms recording.
-/// Returns the output path, or "" when tracing stays off.
-std::string configure_trace(const Flags& flags);
-
-/// Ends the trace session started by configure_trace: disarms recording,
-/// writes the Chrome trace-event JSON to `path`, and prints the flat
-/// metrics summary to stderr. No-op (returning true) when `path` is empty;
-/// false when the trace file cannot be written.
-bool finish_trace(const std::string& path);
-
-/// Applies the shared `--plan-cache off|mem|mem:<capacity>|dir:<path>` flag
-/// (falling back to the CORUN_PLAN_CACHE environment variable; default
-/// off). Returns the constructed cache, null when caching stays off, or a
-/// parse error for a malformed spec. Cache state never changes emitted
-/// schedules or reports — only how much search work they cost, since exact
-/// hits replay identical requests.
-/// `default_spec` applies when neither the flag nor the environment picks a
-/// spec: one-shot tools keep the historical "" (off); the serving daemon
-/// passes "mem" so a bare `corun-served` answers exact repeats from cache.
-[[nodiscard]] Expected<std::shared_ptr<sched::PlanCache>> configure_plan_cache(
-    const Flags& flags, const std::string& default_spec = "");
-
-/// Prints the cache's activity counters to stderr (mirroring the trace
-/// metrics summary, and keeping stdout byte-identical to uncached runs).
-/// No-op when `cache` is null.
-void report_plan_cache(const sched::PlanCache* cache);
 
 }  // namespace corun::tools
